@@ -4,7 +4,7 @@ Dirichlet concentration grid, written to CSV, with a carms-i vs loorf win
 table printed at the end.
 
 The default scale (C=D=10, N=4, 4 alphas, 10 trials, 10^4 inner draws) takes
-a few minutes; --quick cuts it to a smoke run.
+about 20 s on a 2-core machine; --quick cuts it to a smoke run.
 """
 
 import argparse

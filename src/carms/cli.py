@@ -30,7 +30,7 @@ from .selfcheck import run_selfcheck
 
 TOY_COLUMNS = [
     "method", "copula", "categories", "dims", "samples", "alpha", "trials",
-    "trial", "inner", "seed", "clip", "ordering_budget", "probs", "var",
+    "trial", "inner", "seed", "clip", "probs", "var",
     "var_sum", "log_var_sum", "log_var_mean", "clip_fraction",
 ]
 CORRELATION_COLUMNS = [
@@ -62,7 +62,7 @@ def _toy_csv_row(rec) -> list[str]:
         str(rec["samples"]), _f17(rec["alpha"]), str(rec["trials"]),
         str(rec["trial"]), str(rec["inner"]), str(rec["seed"]),
         "none" if rec["clip"] is None else _f17(rec["clip"]),
-        rec["ordering_budget"], _join_floats(rec["probs"]), _join_floats(rec["var"]),
+        _join_floats(rec["probs"]), _join_floats(rec["var"]),
         _f17(rec["var_sum"]), _f17(rec["log_var_sum"]), _f17(rec["log_var_mean"]),
         _f17(rec["clip_fraction"]),
     ]
@@ -76,7 +76,6 @@ def _toy_json_obj(rec) -> dict:
         "trials": rec["trials"], "trial": rec["trial"], "inner": rec["inner"],
         "seed": rec["seed"],
         "clip": None if rec["clip"] is None else float(rec["clip"]),
-        "ordering_budget": rec["ordering_budget"],
         "probs": _json_matrix(rec["probs"]), "var": _json_matrix(rec["var"]),
         "var_sum": _json_number(rec["var_sum"]),
         "log_var_sum": _json_number(rec["log_var_sum"]),
@@ -131,19 +130,6 @@ def _parse_clip(text: str):
     return value
 
 
-def _parse_orderings(text: str):
-    if text == "all":
-        return "all"
-    if text == "auto":
-        return None
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            "orderings must be 'all', 'auto', or an integer"
-        ) from exc
-
-
 def _parse_methods(text: str):
     if text == "all":
         return TOY_METHODS
@@ -185,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     toy.add_argument("--seed", type=int, default=0)
     toy.add_argument("--clip", type=_parse_clip, default=10.0,
                      help="ratio ceiling, or 'none'")
-    toy.add_argument("--orderings", type=_parse_orderings, default=None,
-                     help="'all', 'auto', or an extra-ordering budget")
     toy.add_argument("--output", choices=["csv", "jsonl"], default="csv")
     toy.add_argument("--out-path", default="-")
 
@@ -221,7 +205,6 @@ def _cmd_toy(args) -> int:
         inner=args.inner,
         seed=args.seed,
         clip=args.clip,
-        ordering_budget=args.orderings,
         copula=_copula_kind(args),
     )
     start = time.perf_counter()

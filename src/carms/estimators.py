@@ -11,8 +11,6 @@ arms_binary    coordinatewise leave-one-out with antithetic correction 1/(1 - rh
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .sampling import RatioMatrix, as_probs
@@ -125,47 +123,6 @@ def carms_pair_sum(f, z, ratios) -> np.ndarray:
             if a != b:
                 total += carts(f[a], f[b], z[a], z[b], ratios)
     return total / (n * (n - 1))
-
-
-@dataclass(frozen=True)
-class SampleTensor:
-    """Per-dimension coupled samples sharing one vector of function values.
-
-    z has shape (D, N, C), ratios (D, C, C), f (N,).
-    """
-
-    z: np.ndarray
-    ratios: np.ndarray
-    f: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        ratios = np.asarray(self.ratios, dtype=float)
-        f = np.asarray(self.f, dtype=float)
-        if z.ndim != 3:
-            raise ValueError("z must have shape (D, N, C)")
-        d, n, c = z.shape
-        if ratios.shape != (d, c, c):
-            raise ValueError("ratios must have shape (D, C, C)")
-        if f.shape != (n,):
-            raise ValueError("f must hold one value per joint sample")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "ratios", ratios)
-        object.__setattr__(self, "f", f)
-
-    @property
-    def dims(self) -> int:
-        return self.z.shape[0]
-
-
-def carms_multivariate(batch: SampleTensor, p) -> np.ndarray:
-    """Per-dimension carms sharing the joint function values; returns (D, C)."""
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    if p.shape[0] != batch.dims or p.shape[1] != batch.z.shape[2]:
-        raise ValueError("probability rows must match the sample tensor")
-    return np.stack(
-        [carms(batch.f, batch.z[d], batch.ratios[d], p[d]) for d in range(batch.dims)]
-    )
 
 
 def arms_binary(f, b, p, rho) -> np.ndarray:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import DIRICHLET, CopulaKind
-from .oracle import TabulatedObjective
 from .sampling import (
     UnsupportedPathError,
     _categorize_batch,
@@ -27,19 +26,33 @@ from .sampling import (
     as_probs,
     bivariate_pmf_averaged,
     gumbel_pair_pmf,
-    sample_antithetic_inverse_cdf,
 )
 
 TOY_METHODS = ("carms-i", "carms-g", "loorf", "reinforce")
 CORRELATION_METHODS = ("inverse-cdf", "gumbel", "independent")
 
 
-def toy_objective(n_categories: int, dims: int) -> TabulatedObjective:
-    """f(z) = sum_d d * c_d with 1-based dimension and category indices."""
-    grids = np.meshgrid(*[np.arange(n_categories)] * dims, indexing="ij")
-    assignments = np.stack(grids, axis=-1).reshape(-1, dims)
-    values = ((assignments + 1) * (np.arange(dims) + 1)).sum(axis=1).astype(float)
-    return TabulatedObjective(values.reshape((n_categories,) * dims))
+@dataclass(frozen=True)
+class LinearToyObjective:
+    """f(z) = sum_d d * c_d with 1-based dimension and category indices.
+
+    Evaluated in closed form, so it costs nothing to build at any (C, D);
+    it offers the dims, n_categories and values_at that the estimators and
+    the enumeration oracles read from a TabulatedObjective.
+    """
+
+    n_categories: int
+    dims: int
+
+    def values_at(self, assignments) -> np.ndarray:
+        """Values at an (..., D) integer array of assignments."""
+        cats = np.asarray(assignments, dtype=np.int64)
+        return ((cats + 1) * (np.arange(self.dims) + 1)).sum(axis=-1).astype(float)
+
+
+def toy_objective(n_categories: int, dims: int) -> LinearToyObjective:
+    """The toy benchmark's linear objective over C categories and D dimensions."""
+    return LinearToyObjective(int(n_categories), int(dims))
 
 
 def _iid_categories(k: int, n: int, p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -102,23 +115,23 @@ def make_gradient_estimator(
     method: str,
     p,
     n_samples: int,
-    objective: TabulatedObjective,
+    objective,
     *,
     copula: CopulaKind = DIRICHLET,
     clip: float | None = 10.0,
-    ordering_budget=None,
 ):
     """Build fn(rng, k) -> (estimates (k, D, C), clipped flags (k,) or None).
 
     The returned callable vectorizes k independent runs of the chosen
-    estimator on the joint objective, for Monte Carlo moment studies.
+    estimator on the joint objective (anything with dims, n_categories and
+    values_at over (..., D) assignments), for Monte Carlo moment studies.
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
     for row in p:
         as_probs(row)
     dims, c = p.shape
     if objective.dims != dims or objective.n_categories != c:
-        raise ValueError("objective table and probabilities disagree on (D, C)")
+        raise ValueError("objective and probabilities disagree on (D, C)")
     n = int(n_samples)
     if n < 2 and method != "reinforce":
         raise ValueError("pair-based estimators need N >= 2")
@@ -146,33 +159,6 @@ def make_gradient_estimator(
         return lambda rng, k: score_weighted(rng, k, lambda f: f / n)
 
     if method == "carms-i":
-        full_set = ordering_budget == "all" or (ordering_budget is None and c <= 8)
-        if not full_set:
-            # The budgeted analytic path needs per-draw ratio sets; keep it
-            # simple and correct rather than vectorized.
-            def estimate_slow(rng, k):
-                g = np.empty((k, dims, c))
-                flags = np.zeros(k, dtype=bool)
-                for draw in range(k):
-                    cats = np.empty((n, dims), dtype=np.int64)
-                    ratio_rows = []
-                    for d in range(dims):
-                        z_d, r_d = sample_antithetic_inverse_cdf(
-                            n, p[d], rng,
-                            copula=copula, ordering_budget=ordering_budget, clip=clip,
-                        )
-                        cats[:, d] = np.argmax(z_d, axis=1)
-                        ratio_rows.append(r_d)
-                        flags[draw] |= r_d.clipped
-                    f = objective.values_at(cats)[None, :]
-                    for d in range(dims):
-                        g[draw, d] = _carms_estimates(
-                            f, cats[None, :, d], ratio_rows[d].ratios, p[d]
-                        )[0]
-                return g, flags
-
-            return estimate_slow
-
         if copula.family != "dirichlet":
             raise UnsupportedPathError(
                 "the analytic inverse-CDF path supports only the Dirichlet copula"
@@ -218,7 +204,6 @@ class ToyConfig:
     inner: int = 10_000
     seed: int = 0
     clip: float | None = 10.0
-    ordering_budget: int | str | None = None
     copula: CopulaKind = DIRICHLET
 
     def __post_init__(self):
@@ -234,14 +219,6 @@ class ToyConfig:
             raise ValueError("need trials >= 1 and inner >= 2")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-
-
-def budget_label(ordering_budget) -> str:
-    if ordering_budget is None:
-        return "auto"
-    if ordering_budget == "all":
-        return "all"
-    return str(int(ordering_budget))
 
 
 def run_toy(config: ToyConfig):
@@ -268,7 +245,6 @@ def run_toy(config: ToyConfig):
                     objective,
                     copula=config.copula,
                     clip=config.clip,
-                    ordering_budget=config.ordering_budget,
                 )
                 est_rng = np.random.default_rng(
                     np.random.SeedSequence([config.seed, a_idx, trial, 1])
@@ -291,7 +267,6 @@ def run_toy(config: ToyConfig):
                     "inner": config.inner,
                     "seed": config.seed,
                     "clip": config.clip,
-                    "ordering_budget": budget_label(config.ordering_budget),
                     "probs": p,
                     "var": var,
                     "var_sum": var_sum,

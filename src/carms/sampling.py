@@ -5,7 +5,8 @@ category order is shuffled by a uniformly drawn anchored ordering, and each
 coordinate of one copula draw is pushed through the shared inverse CDF.  The
 analytic probability that two coordinates land in cells i and j follows from
 the copula's bivariate CDF by inclusion-exclusion over the cell rectangle,
-averaged over the ordering set.
+averaged over all C (C - 1) / 2 anchored orderings, which is exact because
+the sampler draws its ordering uniformly from all of them.
 
 Gumbel-max path: each category owns an independent copula draw across the N
 samples, the uniforms become Gumbels, and each sample takes the argmax of
@@ -45,10 +46,6 @@ from .copula import (
 
 class UnsupportedPathError(ValueError):
     """A copula family was asked for on a path that cannot honor it."""
-
-
-class DegeneratePmfError(ValueError):
-    """A requested pair has zero averaged probability (infinite ratio)."""
 
 
 def as_probs(p) -> np.ndarray:
@@ -189,26 +186,43 @@ def all_orderings(n_categories: int) -> list[Ordering]:
     ]
 
 
-def bivariate_pmf_one_ordering(p, ordering: Ordering, i: int, j: int, n: int) -> float:
-    """P(z = i, z' = j) for two coordinates of one copula draw under an ordering.
+def _rectangle_mass(left_a, right_a, left_b, right_b, n: int):
+    """P(u in [left_a, right_a), u' in [left_b, right_b)), clamped at 0.
 
-    Inclusion-exclusion of the copula CDF over the rectangle
-    cell(i) x cell(j) in permuted position space.
+    Inclusion-exclusion of the Dirichlet copula CDF over the cell rectangle
+    for two coordinates of one draw; the edges broadcast against each other.
     """
-    p = as_probs(p)
-    if ordering.n_categories != p.size:
-        raise ValueError("ordering and probability vector disagree on C")
-    if not (0 <= i < p.size and 0 <= j < p.size):
-        raise ValueError("category index out of range")
-    b = compute_boundaries(ordering.permuted(p))
-    ip, jp = int(ordering.perm[i]), int(ordering.perm[j])
-    val = (
-        dirichlet_bivariate_cdf(b.right[ip], b.right[jp], n)
-        - dirichlet_bivariate_cdf(b.right[ip], b.left[jp], n)
-        - dirichlet_bivariate_cdf(b.left[ip], b.right[jp], n)
-        + dirichlet_bivariate_cdf(b.left[ip], b.left[jp], n)
+    return np.maximum(
+        dirichlet_bivariate_cdf(right_a, right_b, n)
+        - dirichlet_bivariate_cdf(right_a, left_b, n)
+        - dirichlet_bivariate_cdf(left_a, right_b, n)
+        + dirichlet_bivariate_cdf(left_a, left_b, n),
+        0.0,
     )
-    return max(float(val), 0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _ordering_table(n_categories: int):
+    """(perm, inverse) of every anchored ordering, each (M, C) and read-only."""
+    orderings = all_orderings(n_categories)
+    perm = np.stack([o.perm for o in orderings])
+    inverse = np.stack([o.inverse for o in orderings])
+    perm.setflags(write=False)
+    inverse.setflags(write=False)
+    return perm, inverse
+
+
+def _cell_edges(p: np.ndarray, perm: np.ndarray, inverse: np.ndarray):
+    """Left and right cell edges of each category under each ordering, (M, C).
+
+    Row m lays the cells out in the position order of ordering m, with the
+    edges clamped into [0, 1] as in compute_boundaries, and reads them back
+    by category.
+    """
+    right = np.minimum(np.cumsum(p[inverse], axis=1), 1.0)
+    right[:, -1] = 1.0
+    left = np.concatenate([np.zeros((right.shape[0], 1)), right[:, :-1]], axis=1)
+    return np.take_along_axis(left, perm, axis=1), np.take_along_axis(right, perm, axis=1)
 
 
 def bivariate_pmf_matrix(p, ordering: Ordering, n: int) -> np.ndarray:
@@ -216,64 +230,52 @@ def bivariate_pmf_matrix(p, ordering: Ordering, n: int) -> np.ndarray:
     p = as_probs(p)
     if ordering.n_categories != p.size:
         raise ValueError("ordering and probability vector disagree on C")
-    b = compute_boundaries(ordering.permuted(p))
-    r, l = b.right, b.left
-    w = (
-        dirichlet_bivariate_cdf(r[:, None], r[None, :], n)
-        - dirichlet_bivariate_cdf(r[:, None], l[None, :], n)
-        - dirichlet_bivariate_cdf(l[:, None], r[None, :], n)
-        + dirichlet_bivariate_cdf(l[:, None], l[None, :], n)
+    left, right = _cell_edges(p, ordering.perm[None], ordering.inverse[None])
+    return _rectangle_mass(left.T, right.T, left, right, n)
+
+
+def bivariate_pmf_one_ordering(p, ordering: Ordering, i: int, j: int, n: int) -> float:
+    """P(z = i, z' = j) for two coordinates of one copula draw under an ordering."""
+    c = ordering.n_categories
+    if not (0 <= i < c and 0 <= j < c):
+        raise ValueError("category index out of range")
+    return float(bivariate_pmf_matrix(p, ordering, n)[i, j])
+
+
+# largest C for bivariate_pmf_averaged: its (M, C, C) build grows as C^4 and
+# takes about 1.4 s and 300 MB at C = 60
+MAX_AVERAGED_CATEGORIES = 60
+
+
+def bivariate_pmf_averaged(p, n: int) -> np.ndarray:
+    """The inverse-CDF pair law: the single-ordering PMFs averaged over all
+    C (C - 1) / 2 anchored orderings, built as one (M, C, C) array."""
+    p = as_probs(p)
+    if p.size > MAX_AVERAGED_CATEGORIES:
+        raise ValueError(
+            f"the inverse-CDF pair law supports up to {MAX_AVERAGED_CATEGORIES} "
+            f"categories, got {p.size}"
+        )
+    left, right = _cell_edges(p, *_ordering_table(p.size))
+    mass = _rectangle_mass(
+        left[:, :, None], right[:, :, None], left[:, None, :], right[:, None, :], n
     )
-    w = np.maximum(w, 0.0)
-    return w[np.ix_(ordering.perm, ordering.perm)]
+    return mass.sum(axis=0) / mass.shape[0]
 
 
-def bivariate_pmf_averaged(p, n: int, orderings=None) -> np.ndarray:
-    """Uniform mixture of the single-ordering pair PMFs (default: all of them)."""
+def bivariate_pmf_entries(p, n: int, pairs) -> np.ndarray:
+    """bivariate_pmf_averaged at the given (i, j) pairs only, shape (K,)."""
     p = as_probs(p)
-    if orderings is None:
-        orderings = all_orderings(p.size)
-    orderings = list(orderings)
-    if not orderings:
-        raise ValueError("need at least one ordering")
-    total = np.zeros((p.size, p.size))
-    for o in orderings:
-        total += bivariate_pmf_matrix(p, o, n)
-    return total / len(orderings)
-
-
-def bivariate_pmf_entries(p, n: int, pairs, orderings) -> np.ndarray:
-    """Averaged pair probabilities for selected (i, j) pairs only.
-
-    Raises DegeneratePmfError if a requested off-diagonal pair of two
-    positive-probability categories averages to zero, which happens exactly
-    when no ordering in the set anchors that pair.
-    """
-    p = as_probs(p)
-    orderings = list(orderings)
-    if not orderings:
-        raise ValueError("need at least one ordering")
-    pairs = [(int(i), int(j)) for i, j in pairs]
-    vals = np.zeros(len(pairs))
-    for o in orderings:
-        b = compute_boundaries(o.permuted(p))
-        for idx, (i, j) in enumerate(pairs):
-            ip, jp = int(o.perm[i]), int(o.perm[j])
-            vals[idx] += max(
-                dirichlet_bivariate_cdf(b.right[ip], b.right[jp], n)
-                - dirichlet_bivariate_cdf(b.right[ip], b.left[jp], n)
-                - dirichlet_bivariate_cdf(b.left[ip], b.right[jp], n)
-                + dirichlet_bivariate_cdf(b.left[ip], b.left[jp], n),
-                0.0,
-            )
-    vals /= len(orderings)
-    for idx, (i, j) in enumerate(pairs):
-        if i != j and vals[idx] == 0.0 and p[i] > 0.0 and p[j] > 0.0:
-            raise DegeneratePmfError(
-                f"pair ({i}, {j}) has zero averaged probability; no ordering in "
-                "the set anchors it, so its importance ratio would be infinite"
-            )
-    return vals
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if np.any((pairs < 0) | (pairs >= p.size)):
+        raise ValueError("category index out of range")
+    left, right = _cell_edges(p, *_ordering_table(p.size))
+    # np.take keeps the (M, K) edges C-ordered (left[:, i] would be F-ordered),
+    # so the sum over orderings runs in the same order as the full build's
+    # and the entries match bivariate_pmf_averaged bit for bit
+    a, b = (np.take(edge, pairs, axis=1) for edge in (left, right))
+    mass = _rectangle_mass(a[:, :, 0], b[:, :, 0], a[:, :, 1], b[:, :, 1], n)
+    return mass.sum(axis=0) / mass.shape[0]
 
 
 @dataclass(frozen=True)
@@ -313,42 +315,26 @@ def _validate_sample_count(n_samples) -> int:
     return int(n_samples)
 
 
-def _resolve_ordering_set(p, realized_offdiag, ordering_budget, rng):
-    """Ordering set for the analytic PMF average.
+def _realized_ratios(p: np.ndarray, cats: np.ndarray, law: np.ndarray, clip) -> RatioMatrix:
+    """RatioMatrix of p_i p_j / law[i, j] at the pairs a single draw realizes.
 
-    "all" (the default for C <= 8) uses every anchored ordering.  A budgeted
-    set always contains the anchored ordering of each realized pair plus up
-    to `budget` additional distinct anchored orderings drawn at random; the
-    automatic budget doubles the realized count.
+    A pair is realized when both categories occur among the samples (a
+    diagonal pair when its category occurs twice).  Every other entry is
+    unreadable by a pair estimator and holds a placeholder: the clip ceiling
+    when clipping is active (an absent pair is an infinitely surprising one),
+    the inert 1 otherwise.  `clipped` looks at off-diagonal pairs only, since
+    a pair of samples in one category adds nothing to the estimate.
     """
-    c = p.size
-    n_all = c * (c - 1) // 2
-    if ordering_budget == "all" or (ordering_budget is None and c <= 8):
-        return all_orderings(c)
-    if ordering_budget is None:
-        budget = len(realized_offdiag)
-    else:
-        budget = int(ordering_budget)
-        if budget < 0:
-            raise ValueError("ordering budget must be nonnegative or 'all'")
-    realized = sorted({(min(i, j), max(i, j)) for i, j in realized_offdiag})
-    pool = [
-        (i, j)
-        for i in range(c)
-        for j in range(i + 1, c)
-        if (i, j) not in set(realized)
-    ]
-    n_extra = min(budget, len(pool))
-    if n_extra > 0:
-        chosen = rng.choice(len(pool), size=n_extra, replace=False)
-        extras = [pool[k] for k in sorted(chosen)]
-    else:
-        extras = []
-    anchors = realized + extras
-    if not anchors:  # no pairs realized (all samples identical): any anchor works
-        anchors = [(0, 1)]
-    assert len(anchors) <= n_all
-    return [make_ordering(i, j, c) for i, j in anchors]
+    present = np.bincount(cats, minlength=p.size)
+    readable = np.outer(present > 0, present > 0)
+    np.fill_diagonal(readable, present >= 2)
+    readable &= law > 0.0
+    raw = np.outer(p, p)[readable] / law[readable]
+    offdiag = ~np.eye(p.size, dtype=bool)
+    ratios = np.full((p.size, p.size), 1.0 if clip is None else clip)
+    ratios[readable] = raw if clip is None else np.minimum(raw, clip)
+    clipped = clip is not None and bool(np.any(raw[offdiag[readable]] > clip))
+    return RatioMatrix(ratios, clip, clipped)
 
 
 def _inverse_cdf_categories_batch(
@@ -362,20 +348,18 @@ def _inverse_cdf_categories_batch(
     """
     c = p.size
     if ordering is None:
-        candidates = all_orderings(c)
-        idx = rng.integers(0, len(candidates), size=k)
+        _, inverse = _ordering_table(c)
+        idx = rng.integers(0, inverse.shape[0], size=k)
     else:
-        candidates = [ordering]
+        inverse = ordering.inverse[None]
         idx = np.zeros(k, dtype=np.int64)
     u = _sample_dirichlet_copula_batch(k, n_samples, rng)
-    cats = np.empty((k, n_samples), dtype=np.int64)
-    for o_idx in np.unique(idx):
-        o = candidates[o_idx]
-        rows = idx == o_idx
-        cum = np.cumsum(o.permuted(p))
-        pos = _categorize_batch(u[rows].ravel(), cum).reshape(-1, n_samples)
-        cats[rows] = o.inverse[pos]
-    return cats
+    cum = np.cumsum(p[inverse], axis=1)[idx]
+    # the count of edges at or below u is searchsorted(side="right"): a u
+    # exactly on an edge goes to the upper cell, and the last cell absorbs u
+    # at (or within roundoff above) the final edge
+    pos = np.minimum((u[:, :, None] >= cum[:, None, :]).sum(axis=-1), c - 1)
+    return inverse[idx[:, None], pos]
 
 
 def sample_antithetic_inverse_cdf(
@@ -384,15 +368,16 @@ def sample_antithetic_inverse_cdf(
     rng: np.random.Generator,
     *,
     copula: CopulaKind = DIRICHLET,
-    ordering_budget=None,
     clip: float | None = 10.0,
 ):
     """Draw N antithetically coupled categorical samples via the inverse CDF.
 
     Returns the one-hot sample matrix Z (N x C) and the RatioMatrix holding
-    p_i p_j / P_avg(i, j) at pairs realized in Z, computed from the analytic
-    ordering-averaged PMF.  Only the Dirichlet copula has that closed form;
-    asking for the Gaussian raises UnsupportedPathError.
+    p_i p_j / P(i, j) at pairs realized in Z, with P the exact pair law
+    averaged over all anchored orderings (bivariate_pmf_averaged), clipped
+    at `clip`; other entries hold the placeholder of _realized_ratios.  Only
+    the Dirichlet copula has that closed form; asking for the Gaussian
+    raises UnsupportedPathError.
     """
     p = as_probs(p)
     n_samples = _validate_sample_count(n_samples)
@@ -402,44 +387,12 @@ def sample_antithetic_inverse_cdf(
             "Dirichlet copula provides; use the Gumbel path for the Gaussian"
         )
     cats = _inverse_cdf_categories_batch(1, n_samples, p, rng)[0]
-    c = p.size
-
-    present = sorted(set(int(x) for x in cats))
-    realized_offdiag = [(i, j) for i in present for j in present if i < j]
-    realized_diag = [
-        (i, i) for i in present if np.count_nonzero(cats == i) >= 2
-    ]
-    orderings = _resolve_ordering_set(p, realized_offdiag, ordering_budget, rng)
-
-    ratios = np.ones((c, c))
-    clipped = False
-    if realized_offdiag:
-        avg = bivariate_pmf_entries(p, n_samples, realized_offdiag, orderings)
-        for (i, j), pij in zip(realized_offdiag, avg):
-            raw = p[i] * p[j] / pij
-            if clip is not None and raw > clip:
-                clipped = True
-                raw = clip
-            ratios[i, j] = ratios[j, i] = raw
-    for (i, _) in realized_diag:
-        # Diagonal ratios never move the estimate (the pair difference is 0);
-        # a zero averaged probability here would only mean duplicates of i are
-        # impossible under some orderings, so fall back to the inert 1.
-        pii = bivariate_pmf_entries(p, n_samples, [(i, i)], orderings)[0]
-        if pii > 0.0:
-            val = p[i] * p[i] / pii
-            ratios[i, i] = min(val, clip) if clip is not None else val
-    return onehot(cats, c), RatioMatrix(ratios, clip, clipped)
-
-
-def empirical_bivariate_pmf(z: np.ndarray) -> np.ndarray:
-    """All-ordered-pairs estimate Z^T (1 - I) Z / (N (N-1)) from one-hot Z."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 2 or z.shape[0] < 2:
-        raise ValueError("need a one-hot sample matrix with N >= 2 rows")
-    n = z.shape[0]
-    counts = z.sum(axis=0)
-    return (np.outer(counts, counts) - np.diag(counts)) / (n * (n - 1))
+    present = np.unique(cats)
+    a, b = np.triu_indices(present.size)
+    i, j = present[a], present[b]
+    law = np.zeros((p.size, p.size))
+    law[i, j] = law[j, i] = bivariate_pmf_entries(p, n_samples, np.stack([i, j], axis=1))
+    return onehot(cats, p.size), _realized_ratios(p, cats, law, clip)
 
 
 def _gumbel_categories_batch(
@@ -631,26 +584,11 @@ def sample_antithetic_gumbel(
     Each category's Gumbel column comes from its own copula draw across the N
     samples (Dirichlet or Gaussian).  The importance ratios p_i p_j / P(i, j)
     come from the exact pair law (gumbel_pair_pmf), clipped at `clip`, at the
-    pairs the draw realizes.  Every other entry is unreadable by a pair
-    estimator and holds a placeholder: the clip ceiling when clipping is
-    active (an absent pair is an infinitely surprising one), the inert 1
-    otherwise.
+    pairs the draw realizes; other entries hold the placeholder of
+    _realized_ratios.
     """
     p = as_probs(p)
     n_samples = _validate_sample_count(n_samples)
     cats = _gumbel_categories_batch(1, n_samples, p, rng, copula)[0]
     law = gumbel_pair_pmf(p, n_samples, copula)
-    present = np.bincount(cats, minlength=p.size)
-    readable = np.outer(present > 0, present > 0)
-    np.fill_diagonal(readable, present >= 2)
-    readable &= law > 0.0
-    raw = np.outer(p, p)[readable] / law[readable]
-    offdiag = ~np.eye(p.size, dtype=bool)
-    ratios = np.full((p.size, p.size), 1.0 if clip is None else clip)
-    if clip is None:
-        ratios[readable] = raw
-        clipped = False
-    else:
-        ratios[readable] = np.minimum(raw, clip)
-        clipped = bool(np.any(raw[offdiag[readable]] > clip))
-    return onehot(cats, p.size), RatioMatrix(ratios, clip, clipped)
+    return onehot(cats, p.size), _realized_ratios(p, cats, law, clip)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .copula import (
     DIRICHLET,
@@ -166,6 +165,10 @@ def _check_impossible_pair(_rng) -> CheckResult:
 
 
 def _check_copula_uniformity(rng) -> CheckResult:
+    # imported here: scipy.stats takes about 0.5 s to import, which every
+    # `import carms` and every CLI command would pay for this one check
+    from scipy import stats
+
     worst_p = 1.0
     for n in (2, 5):
         u_d = _sample_dirichlet_copula_batch(50_000, n, rng)

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from carms.copula import bernoulli_pair_correlation
 from carms.estimators import (
-    SampleTensor,
     arms_binary,
     carms,
-    carms_multivariate,
     carms_pair_sum,
     carts,
     loorf,
@@ -285,62 +283,6 @@ def test_carts_enumeration_detects_a_corrupted_ratio():
                 total += pmf[i, j] * carts(f[i], f[j], ei, ej, ratios)
     exact = p * (f - float(f @ p))
     assert np.max(np.abs(total - exact)) > 1e-3
-
-
-# ---------------------------------------------------------------------------
-# multivariate wrapper
-
-
-def test_carms_multivariate_single_dim_reduction():
-    rng = np.random.default_rng(9)
-    f, z, p = _random_batch(rng, 4, 3)
-    r = np.exp(rng.normal(size=(3, 3)))
-    batch = SampleTensor(z[None], r[None], f)
-    out = carms_multivariate(batch, p[None])
-    assert out.shape == (1, 3)
-    assert np.array_equal(out[0], carms(f, z, r, p))
-
-
-def test_carms_multivariate_unit_ratios_match_per_dim_loorf():
-    rng = np.random.default_rng(10)
-    d, n, c = 3, 5, 4
-    z = np.stack([onehot(rng.integers(0, c, size=n), c) for _ in range(d)])
-    f = rng.normal(size=n)
-    p = np.stack([rng.dirichlet(np.ones(c)) for _ in range(d)])
-    out = carms_multivariate(SampleTensor(z, np.ones((d, c, c)), f), p)
-    for k in range(d):
-        assert np.max(np.abs(out[k] - loorf(f, z[k], p[k]))) <= 1e-13
-
-
-def test_carms_multivariate_inactive_dimension_is_zero_in_expectation():
-    # f reads only dimension 0, so dimension 1 rows average to zero
-    rng = np.random.default_rng(11)
-    d, n, c = 2, 4, 3
-    p = np.full((d, c), 1.0 / c)
-    table = np.array([0.5, -1.0, 2.0])
-    trials = 600
-    acc = np.zeros((trials, c))
-    for t in range(trials):
-        z = np.stack([onehot(rng.integers(0, c, size=n), c) for _ in range(d)])
-        f = table[np.argmax(z[0], axis=1)]
-        acc[t] = carms_multivariate(SampleTensor(z, np.ones((d, c, c)), f), p)[1]
-    mean = acc.mean(axis=0)
-    se = acc.std(axis=0, ddof=1) / np.sqrt(trials)
-    assert np.max(np.abs(mean) / np.maximum(se, 1e-12)) <= 4.0
-
-
-def test_sample_tensor_validation():
-    z = onehot([0, 1], 2)[None]
-    with pytest.raises(ValueError):
-        SampleTensor(z[0], np.ones((1, 2, 2)), np.zeros(2))  # z not 3-D
-    with pytest.raises(ValueError):
-        SampleTensor(z, np.ones((2, 2, 2)), np.zeros(2))  # D mismatch
-    with pytest.raises(ValueError):
-        SampleTensor(z, np.ones((1, 2, 2)), np.zeros(3))  # f length
-    with pytest.raises(ValueError):
-        carms_multivariate(
-            SampleTensor(z, np.ones((1, 2, 2)), np.zeros(2)), np.ones((2, 2)) / 2
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -19,13 +20,14 @@ from carms.copula import DIRICHLET, CopulaKind
 from carms.experiments import (
     CorrelationConfig,
     ToyConfig,
+    _empirical_joint_batch,
     _pearson_matrix,
     make_gradient_estimator,
     run_correlation,
     run_toy,
     toy_objective,
 )
-from carms.oracle import exact_gradient, mc_estimator_moments
+from carms.oracle import TabulatedObjective, exact_gradient, mc_estimator_moments
 from carms.sampling import UnsupportedPathError
 
 
@@ -40,10 +42,19 @@ def _load_schema(name):
 
 def test_toy_objective_frozen_values():
     f = toy_objective(3, 2)
-    assert f.value([1, 0]) == 4.0  # (1+1)*1 + (0+1)*2
-    assert f.value([0, 0]) == 3.0
-    assert f.value([2, 2]) == 9.0
-    assert f.table.shape == (3, 3)
+    vals = f.values_at(np.array([[1, 0], [0, 0], [2, 2]]))
+    # (1+1)*1 + (0+1)*2, then the corners
+    assert vals.dtype == float and np.array_equal(vals, [4.0, 3.0, 9.0])
+    assert (f.n_categories, f.dims) == (3, 2)
+
+
+def test_toy_objective_matches_its_table():
+    for c, d in ((2, 1), (3, 2), (4, 3)):
+        table = TabulatedObjective.from_function(
+            lambda a: float(((np.asarray(a) + 1) * np.arange(1, d + 1)).sum()), c, d
+        )
+        grids = np.stack(np.meshgrid(*[np.arange(c)] * d, indexing="ij"), axis=-1)
+        assert np.array_equal(toy_objective(c, d).values_at(grids), table.table)
 
 
 def test_make_gradient_estimator_validation():
@@ -80,13 +91,55 @@ def test_estimator_factory_output_contract():
             assert flags.shape == (7,) and flags.dtype == bool
 
 
-def test_estimator_factory_budgeted_path_matches_contract():
-    p = np.array([[0.4, 0.6]])
-    f = toy_objective(2, 1)
-    est = make_gradient_estimator("carms-i", p, 3, f, ordering_budget=1)
-    g, flags = est(np.random.default_rng(2), 5)
-    assert g.shape == (5, 1, 2)
-    assert flags.shape == (5,)
+def test_estimator_factory_paper_configuration_is_unbiased():
+    # the paper's toy setting, C = D = 10 and N = 4, against the closed-form
+    # gradient of f(z) = sum_d w_d v_{z_d}: w_d p_dc (v_c - sum_k p_dk v_k)
+    # with w_d = d + 1 and v_c = c + 1
+    c = d = 10
+    p = np.random.default_rng(np.random.SeedSequence([10, 10, 4])).dirichlet(
+        np.ones(c), size=d
+    )
+    w = np.arange(1.0, d + 1.0)[:, None]
+    v = np.arange(1.0, c + 1.0)
+    grad = w * p * (v - p @ v[:, None])
+    f = toy_objective(c, d)
+    for method in ("carms-i", "carms-g"):
+        start = time.perf_counter()
+        est = make_gradient_estimator(method, p, 4, f)
+        moments = mc_estimator_moments(est, 20_000, np.random.default_rng(12))
+        elapsed = time.perf_counter() - start
+        dev = np.abs(moments.mean - grad) / np.maximum(moments.stderr, 1e-12)
+        assert np.max(dev) <= 4.0, (method, float(np.max(dev)))
+        assert moments.clip_fraction == 0.0, method
+        assert elapsed < 30.0, (method, elapsed)
+
+
+def test_estimator_factory_inactive_dimension_is_zero_in_expectation():
+    # f reads only dimension 0, so dimension 1 rows average to zero
+    c = 3
+    p = np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])
+    f = TabulatedObjective(np.repeat(np.array([0.5, -1.0, 2.0])[:, None], c, axis=1))
+    for method in ("carms-i", "carms-g", "loorf"):
+        est = make_gradient_estimator(method, p, 4, f)
+        moments = mc_estimator_moments(est, 4000, np.random.default_rng(11))
+        assert np.max(np.abs(moments.mean[1]) / moments.stderr[1]) <= 4.0, method
+
+
+def test_empirical_joint_batch_frozen_binary_example():
+    joint = _empirical_joint_batch(np.array([[1.0, 1.0]]), 2)
+    assert np.array_equal(joint, [[[0.0, 0.5], [0.5, 0.0]]])
+
+
+def test_empirical_joint_batch_properties_every_draw():
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        c = int(rng.integers(2, 6))
+        n = int(rng.integers(2, 9))
+        counts = np.eye(c)[rng.integers(0, c, size=(4, n))].sum(axis=1)
+        joint = _empirical_joint_batch(counts, n)
+        assert np.all(joint >= 0.0)
+        assert np.max(np.abs(joint.sum(axis=(1, 2)) - 1.0)) <= 1e-12
+        assert np.array_equal(joint, joint.transpose(0, 2, 1))
 
 
 def test_estimator_factory_gaussian_inverse_cdf_unsupported():
@@ -278,6 +331,20 @@ def test_cli_toy_jsonl_validates_against_schema(tmp_path):
         jsonschema.validate(json.loads(line), schema)
 
 
+def test_cli_toy_runs_the_paper_configuration_by_default(tmp_path):
+    # no size flags: C = D = 10, N = 4, every method and the four alphas
+    out = tmp_path / "toy.jsonl"
+    args = ["toy", "--trials", "1", "--inner", "200", "--output", "jsonl"]
+    assert main(args + ["--out-path", str(out)]) == 0
+    schema = _load_schema("toy.schema.json")
+    lines = out.read_text().strip().split("\n")
+    assert len(lines) == 4 * 4  # methods x alphas
+    for line in lines:
+        obj = json.loads(line)
+        jsonschema.validate(obj, schema)
+        assert (obj["categories"], obj["dims"], obj["samples"]) == (10, 10, 4)
+
+
 def test_cli_correlation_csv_and_jsonl(tmp_path):
     args = ["correlation", "--categories", "2", "--trials", "500", "--seed", "1"]
     out_csv = tmp_path / "corr.csv"
@@ -332,6 +399,13 @@ def test_cli_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit):
         main(["nonsense"])
     capsys.readouterr()
+
+
+def test_cli_toy_too_many_categories_for_carms_i_exits_two(capsys):
+    args = ["toy", "--method", "carms-i", "--categories", "61", "--dims", "1",
+            "--trials", "1", "--inner", "2"]
+    assert main(args) == 2
+    assert "error: the inverse-CDF pair law supports up to 60" in capsys.readouterr().err
 
 
 def test_cli_nonfinite_log_variance_serializes(tmp_path):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carms.copula import DIRICHLET, GAUSSIAN
+from carms.copula import DIRICHLET, GAUSSIAN, _sample_dirichlet_copula_batch
 from carms.sampling import (
     GUMBEL_NODES,
+    MAX_AVERAGED_CATEGORIES,
     Boundaries,
-    DegeneratePmfError,
     Ordering,
     RatioMatrix,
     UnsupportedPathError,
@@ -24,10 +24,8 @@ from carms.sampling import (
     bivariate_pmf_one_ordering,
     categorize,
     compute_boundaries,
-    empirical_bivariate_pmf,
     gumbel_pair_pmf,
     make_ordering,
-    onehot,
     sample_antithetic_gumbel,
     sample_antithetic_inverse_cdf,
 )
@@ -256,21 +254,38 @@ def test_binary_case_has_single_ordering():
     )
 
 
-def test_pmf_entries_selected_pairs_and_degeneracy():
-    p = [0.1, 0.2, 0.7]
-    full = all_orderings(3)
-    vals = bivariate_pmf_entries(p, 2, [(0, 1), (1, 2)], full)
-    avg = bivariate_pmf_averaged(p, 2)
-    assert vals[0] == pytest.approx(avg[0, 1], abs=1e-15)
-    assert vals[1] == pytest.approx(avg[1, 2], abs=1e-15)
-    # the ordering anchored at (0, 2) alone gives pair (0, 1) zero mass at n=2
-    with pytest.raises(DegeneratePmfError):
-        bivariate_pmf_entries(p, 2, [(0, 1)], [make_ordering(0, 2, 3)])
+def test_averaged_pmf_is_the_mean_over_all_orderings():
+    # the one-broadcast build against the per-ordering reference, C <= 12;
+    # both sum the orderings in the same order, so they agree bit for bit
+    rng = np.random.default_rng(20)
+    for c in range(2, 13):
+        for alpha in (0.3, 3.0):
+            n = int(rng.integers(2, 11))
+            p = _simplex(rng, c, alpha)
+            reference = np.mean(
+                [bivariate_pmf_matrix(p, o, n) for o in all_orderings(c)], axis=0
+            )
+            assert np.array_equal(bivariate_pmf_averaged(p, n), reference)
 
 
-def test_averaged_pmf_requires_orderings():
+def test_averaged_pmf_rejects_more_categories_than_supported():
+    # refused before the (M, C, C) build allocates anything
+    c = MAX_AVERAGED_CATEGORIES + 1
+    with pytest.raises(ValueError, match="supports up to"):
+        bivariate_pmf_averaged(np.full(c, 1.0 / c), 4)
+
+
+def test_pmf_entries_selected_pairs():
+    rng = np.random.default_rng(21)
+    for c in (2, 3, 7, 12):
+        p = _simplex(rng, c)
+        n = int(rng.integers(2, 9))
+        avg = bivariate_pmf_averaged(p, n)
+        pairs = rng.integers(0, c, size=(9, 2))
+        vals = bivariate_pmf_entries(p, n, pairs)
+        assert np.array_equal(vals, avg[pairs[:, 0], pairs[:, 1]])
     with pytest.raises(ValueError):
-        bivariate_pmf_averaged([0.5, 0.5], 2, orderings=[])
+        bivariate_pmf_entries([0.5, 0.5], 2, [(0, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +356,25 @@ def test_inverse_cdf_clip_flag_engages_deterministically():
     assert seen_offdiag
 
 
+def test_inverse_cdf_categories_match_per_ordering_searchsorted():
+    # the broadcast categorization against a searchsorted reference fed the
+    # same random stream: one ordering index per draw, then the copula draw
+    rng = np.random.default_rng(22)
+    for c, n in ((2, 2), (5, 3), (9, 4), (30, 4)):
+        p = _simplex(rng, c, alpha=0.5)
+        seed = int(rng.integers(2**31))
+        cats = _inverse_cdf_categories_batch(300, n, p, np.random.default_rng(seed))
+        ref_rng = np.random.default_rng(seed)
+        orderings = all_orderings(c)
+        idx = ref_rng.integers(0, len(orderings), size=300)
+        u = _sample_dirichlet_copula_batch(300, n, ref_rng)
+        for row, k in enumerate(idx):
+            o = orderings[k]
+            cum = np.cumsum(o.permuted(p))
+            pos = np.minimum(np.searchsorted(cum, u[row], side="right"), c - 1)
+            assert np.array_equal(cats[row], o.inverse[pos])
+
+
 def test_inverse_cdf_marginals_quick():
     rng = np.random.default_rng(10)
     p = np.array([0.6, 0.3, 0.1])
@@ -367,39 +401,8 @@ def test_inverse_cdf_fixed_ordering_matches_single_ordering_pmf():
     assert np.all(np.abs(emp - analytic)[~zero] <= 4.0 * se[~zero])
 
 
-def test_ordering_budget_modes():
-    rng = np.random.default_rng(12)
-    p = np.full(10, 0.1)
-    # budgeted path at large C still returns valid output
-    z, ratios = sample_antithetic_inverse_cdf(4, p, rng, ordering_budget=3)
-    assert z.shape == (4, 10)
-    assert np.all(ratios.ratios >= 0.0)
-    z, ratios = sample_antithetic_inverse_cdf(4, p, rng, ordering_budget="all")
-    assert np.all(ratios.ratios >= 0.0)
-    with pytest.raises(ValueError):
-        sample_antithetic_inverse_cdf(4, p, rng, ordering_budget=-1)
-
-
 # ---------------------------------------------------------------------------
 # Gumbel sampler
-
-
-def test_empirical_pmf_frozen_binary_example():
-    z = np.array([[1.0, 0.0], [0.0, 1.0]])
-    m = empirical_bivariate_pmf(z)
-    assert np.array_equal(m, [[0.0, 0.5], [0.5, 0.0]])
-
-
-def test_empirical_pmf_properties_every_draw():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        c = int(rng.integers(2, 6))
-        n = int(rng.integers(2, 9))
-        z = onehot(rng.integers(0, c, size=n), c)
-        m = empirical_bivariate_pmf(z)
-        assert np.all(m >= 0.0)
-        assert abs(m.sum() - 1.0) <= 1e-12
-        assert np.max(np.abs(m - m.T)) == 0.0
 
 
 def test_gumbel_shapes_and_ratio_matrix():
@@ -412,22 +415,24 @@ def test_gumbel_shapes_and_ratio_matrix():
 
 
 def test_gumbel_absent_pair_entry_equals_clip():
-    rng = np.random.default_rng(15)
+    # both samplers share the placeholder convention for unrealized pairs
     p = np.array([0.45, 0.45, 0.1])
-    found = False
-    for _ in range(200):
-        z, ratios = sample_antithetic_gumbel(2, p, rng)
-        cats = set(np.argmax(z, axis=1).tolist())
-        absent_pairs = [
-            (i, j)
-            for i in range(3)
-            for j in range(3)
-            if i != j and not ({i, j} <= cats)
-        ]
-        for i, j in absent_pairs:
-            found = True
-            assert ratios.ratios[i, j] == 10.0
-    assert found
+    for sample in (sample_antithetic_gumbel, sample_antithetic_inverse_cdf):
+        rng = np.random.default_rng(15)
+        found = False
+        for _ in range(200):
+            z, ratios = sample(2, p, rng)
+            cats = set(np.argmax(z, axis=1).tolist())
+            absent_pairs = [
+                (i, j)
+                for i in range(3)
+                for j in range(3)
+                if i != j and not ({i, j} <= cats)
+            ]
+            for i, j in absent_pairs:
+                found = True
+                assert ratios.ratios[i, j] == 10.0
+        assert found, sample.__name__
 
 
 def test_gumbel_realized_ratio_entries_match_pair_law():
