@@ -94,27 +94,33 @@ class Boundaries:
         return self.left.size
 
 
+def _cell_edges(q: np.ndarray):
+    """Left and right edges of consecutive cells of widths q along the last axis.
+
+    cumsum may overshoot 1.0 by an ulp; edges must stay inside [0, 1] for
+    the copula CDF, and the last edge is 1.0 by convention.
+    """
+    right = np.minimum(np.cumsum(q, axis=-1), 1.0)
+    right[..., -1] = 1.0
+    left = np.concatenate([np.zeros_like(right[..., :1]), right[..., :-1]], axis=-1)
+    return left, right
+
+
 def compute_boundaries(p) -> Boundaries:
-    p = as_probs(p)
-    # cumsum may overshoot 1.0 by an ulp; edges must stay inside [0, 1] for
-    # the copula CDF, and the last edge is 1.0 by convention.
-    cum = np.minimum(np.cumsum(p), 1.0)
-    cum[-1] = 1.0
-    return Boundaries(np.concatenate(([0.0], cum[:-1])), cum)
+    return Boundaries(*_cell_edges(as_probs(p)))
 
 
 def _categorize_batch(u: np.ndarray, right: np.ndarray) -> np.ndarray:
-    # side="right" puts a u exactly on a boundary into the upper cell; the
-    # final cell absorbs u at (or within roundoff above) the last edge.
-    return np.minimum(np.searchsorted(right, u, side="right"), right.size - 1)
+    """Cell index of each u under the half-open convention.
 
-
-def categorize(u: float, boundaries: Boundaries) -> int:
-    """Cell index of u under the half-open convention (last cell closed at 1)."""
-    u = float(u)
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie strictly inside (0, 1), got {u}")
-    return int(_categorize_batch(np.asarray(u), boundaries.right))
+    right holds the right cell edges along its last axis, either one set for
+    all of u or one set per row of u (shape u.shape[:-1] + (C,)).  Counting
+    the edges at or below u is searchsorted(side="right"): a u exactly on an
+    edge goes to the upper cell, and the last cell absorbs u at (or within
+    roundoff above) the final edge.
+    """
+    below = (u[..., None] >= right[..., None, :]).sum(axis=-1)
+    return np.minimum(below, right.shape[-1] - 1)
 
 
 @dataclass(frozen=True)
@@ -212,17 +218,31 @@ def _ordering_table(n_categories: int):
     return perm, inverse
 
 
-def _cell_edges(p: np.ndarray, perm: np.ndarray, inverse: np.ndarray):
-    """Left and right cell edges of each category under each ordering, (M, C).
+def _category_edges(p: np.ndarray, perm: np.ndarray, inverse: np.ndarray):
+    """Left and right cell edges of each category under each ordering, (B, C).
 
-    Row m lays the cells out in the position order of ordering m, with the
-    edges clamped into [0, 1] as in compute_boundaries, and reads them back
-    by category.
+    Row m lays the cells out in the position order of the ordering with
+    position map perm[m] and reads the edges back by category.
     """
-    right = np.minimum(np.cumsum(p[inverse], axis=1), 1.0)
-    right[:, -1] = 1.0
-    left = np.concatenate([np.zeros((right.shape[0], 1)), right[:, :-1]], axis=1)
+    left, right = _cell_edges(p[inverse])
     return np.take_along_axis(left, perm, axis=1), np.take_along_axis(right, perm, axis=1)
+
+
+def bivariate_pmf_one_ordering(p, ordering: Ordering, i: int, j: int, n: int) -> float:
+    """P(z = i, z' = j) for two coordinates of one copula draw under an ordering.
+
+    Inclusion-exclusion of the copula CDF over the rectangle
+    cell(i) x cell(j) in permuted position space, one pair at a time: the
+    scalar reference for the broadcast builds below.
+    """
+    p = as_probs(p)
+    if ordering.n_categories != p.size:
+        raise ValueError("ordering and probability vector disagree on C")
+    if not (0 <= i < p.size and 0 <= j < p.size):
+        raise ValueError("category index out of range")
+    b = compute_boundaries(ordering.permuted(p))
+    ip, jp = ordering.perm[i], ordering.perm[j]
+    return float(_rectangle_mass(b.left[ip], b.right[ip], b.left[jp], b.right[jp], n))
 
 
 def bivariate_pmf_matrix(p, ordering: Ordering, n: int) -> np.ndarray:
@@ -230,37 +250,41 @@ def bivariate_pmf_matrix(p, ordering: Ordering, n: int) -> np.ndarray:
     p = as_probs(p)
     if ordering.n_categories != p.size:
         raise ValueError("ordering and probability vector disagree on C")
-    left, right = _cell_edges(p, ordering.perm[None], ordering.inverse[None])
+    left, right = _category_edges(p, ordering.perm[None], ordering.inverse[None])
     return _rectangle_mass(left.T, right.T, left, right, n)
 
 
-def bivariate_pmf_one_ordering(p, ordering: Ordering, i: int, j: int, n: int) -> float:
-    """P(z = i, z' = j) for two coordinates of one copula draw under an ordering."""
-    c = ordering.n_categories
-    if not (0 <= i < c and 0 <= j < c):
-        raise ValueError("category index out of range")
-    return float(bivariate_pmf_matrix(p, ordering, n)[i, j])
+def _mean_over_orderings(p: np.ndarray, mass_of) -> np.ndarray:
+    """Mean over all anchored orderings of mass_of(left, right).
 
-
-# largest C for bivariate_pmf_averaged: its (M, C, C) build grows as C^4 and
-# takes about 1.4 s and 300 MB at C = 60
-MAX_AVERAGED_CATEGORIES = 60
+    left and right are the (B, C) category edges under a block of B
+    orderings, and mass_of returns a fresh (B, ...) array.  Blocks hold about
+    8192 / C^2 orderings, so temporaries stay near 64 KiB at any C, as in
+    _gumbel_pair_offdiag, and every C <= 11 is a single block.  Adding the
+    running total into each block's first row keeps the orderings summed one
+    after another, exactly as a single sum over all of them would be.
+    """
+    perm, inverse = _ordering_table(p.size)
+    step = max(1, 8192 // p.size**2)
+    total = 0.0
+    for lo in range(0, perm.shape[0], step):
+        rows = slice(lo, lo + step)
+        mass = mass_of(*_category_edges(p, perm[rows], inverse[rows]))
+        mass[0] += total
+        total = mass.sum(axis=0)
+    return total / perm.shape[0]
 
 
 def bivariate_pmf_averaged(p, n: int) -> np.ndarray:
     """The inverse-CDF pair law: the single-ordering PMFs averaged over all
-    C (C - 1) / 2 anchored orderings, built as one (M, C, C) array."""
+    C (C - 1) / 2 anchored orderings, built a block of orderings at a time."""
     p = as_probs(p)
-    if p.size > MAX_AVERAGED_CATEGORIES:
-        raise ValueError(
-            f"the inverse-CDF pair law supports up to {MAX_AVERAGED_CATEGORIES} "
-            f"categories, got {p.size}"
-        )
-    left, right = _cell_edges(p, *_ordering_table(p.size))
-    mass = _rectangle_mass(
-        left[:, :, None], right[:, :, None], left[:, None, :], right[:, None, :], n
+    return _mean_over_orderings(
+        p,
+        lambda left, right: _rectangle_mass(
+            left[:, :, None], right[:, :, None], left[:, None, :], right[:, None, :], n
+        ),
     )
-    return mass.sum(axis=0) / mass.shape[0]
 
 
 def bivariate_pmf_entries(p, n: int, pairs) -> np.ndarray:
@@ -269,13 +293,15 @@ def bivariate_pmf_entries(p, n: int, pairs) -> np.ndarray:
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if np.any((pairs < 0) | (pairs >= p.size)):
         raise ValueError("category index out of range")
-    left, right = _cell_edges(p, *_ordering_table(p.size))
-    # np.take keeps the (M, K) edges C-ordered (left[:, i] would be F-ordered),
-    # so the sum over orderings runs in the same order as the full build's
-    # and the entries match bivariate_pmf_averaged bit for bit
-    a, b = (np.take(edge, pairs, axis=1) for edge in (left, right))
-    mass = _rectangle_mass(a[:, :, 0], b[:, :, 0], a[:, :, 1], b[:, :, 1], n)
-    return mass.sum(axis=0) / mass.shape[0]
+
+    def mass_of(left, right):
+        # np.take keeps the (B, K) edges C-ordered (left[:, i] would be
+        # F-ordered), so the orderings are summed in the same order as in the
+        # full build and the entries match bivariate_pmf_averaged bit for bit
+        a, b = (np.take(edge, pairs, axis=1) for edge in (left, right))
+        return _rectangle_mass(a[:, :, 0], b[:, :, 0], a[:, :, 1], b[:, :, 1], n)
+
+    return _mean_over_orderings(p, mass_of)
 
 
 @dataclass(frozen=True)
@@ -346,20 +372,15 @@ def _inverse_cdf_categories_batch(
     is what makes the averaged PMF the exact pair law; a fixed ordering is
     for inspecting the single-ordering law.
     """
-    c = p.size
     if ordering is None:
-        _, inverse = _ordering_table(c)
+        _, inverse = _ordering_table(p.size)
         idx = rng.integers(0, inverse.shape[0], size=k)
     else:
         inverse = ordering.inverse[None]
         idx = np.zeros(k, dtype=np.int64)
     u = _sample_dirichlet_copula_batch(k, n_samples, rng)
     cum = np.cumsum(p[inverse], axis=1)[idx]
-    # the count of edges at or below u is searchsorted(side="right"): a u
-    # exactly on an edge goes to the upper cell, and the last cell absorbs u
-    # at (or within roundoff above) the final edge
-    pos = np.minimum((u[:, :, None] >= cum[:, None, :]).sum(axis=-1), c - 1)
-    return inverse[idx[:, None], pos]
+    return inverse[idx[:, None], _categorize_batch(u, cum)]
 
 
 def sample_antithetic_inverse_cdf(

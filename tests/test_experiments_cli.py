@@ -401,13 +401,6 @@ def test_cli_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
-def test_cli_toy_too_many_categories_for_carms_i_exits_two(capsys):
-    args = ["toy", "--method", "carms-i", "--categories", "61", "--dims", "1",
-            "--trials", "1", "--inner", "2"]
-    assert main(args) == 2
-    assert "error: the inverse-CDF pair law supports up to 60" in capsys.readouterr().err
-
-
 def test_cli_nonfinite_log_variance_serializes(tmp_path):
     # constant objective can produce zero variance -> log is -inf -> null in
     # jsonl, "-inf" text in csv; both must stay loadable

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from carms.copula import DIRICHLET, GAUSSIAN, _sample_dirichlet_copula_batch
 from carms.sampling import (
     GUMBEL_NODES,
-    MAX_AVERAGED_CATEGORIES,
     Boundaries,
     Ordering,
     RatioMatrix,
     UnsupportedPathError,
+    _categorize_batch,
     _gumbel_categories_batch,
     _gumbel_pair_pmf_cached,
     _inverse_cdf_categories_batch,
@@ -22,7 +22,6 @@ from carms.sampling import (
     bivariate_pmf_entries,
     bivariate_pmf_matrix,
     bivariate_pmf_one_ordering,
-    categorize,
     compute_boundaries,
     gumbel_pair_pmf,
     make_ordering,
@@ -89,15 +88,17 @@ def test_boundaries_validation():
 
 
 def test_categorize_half_open_convention():
-    b = compute_boundaries([0.1, 0.2, 0.7])
-    assert categorize(0.05, b) == 0
-    assert categorize(0.1, b) == 1  # a shared edge goes to the upper cell
-    assert categorize(float(b.left[2]), b) == 2
-    assert categorize(0.35, b) == 2
-    assert categorize(0.999, b) == 2
-    for bad in (0.0, 1.0, -0.5):
-        with pytest.raises(ValueError):
-            categorize(bad, b)
+    right = compute_boundaries([0.1, 0.2, 0.7]).right
+    left2 = float(compute_boundaries([0.1, 0.2, 0.7]).left[2])
+    u = np.array([0.05, 0.1, left2, 0.35, 0.999])
+    # a shared edge goes to the upper cell
+    assert np.array_equal(_categorize_batch(u, right), [0, 1, 2, 2, 2])
+    # one set of edges per row, as the inverse-CDF path lays out each draw
+    rows = np.stack([right, compute_boundaries([0.7, 0.2, 0.1]).right])
+    u = np.array([[0.1, 0.35], [0.7, 0.95]])
+    assert np.array_equal(_categorize_batch(u, rows), [[1, 2], [1, 2]])
+    # the last cell absorbs u at its final edge
+    assert _categorize_batch(np.array([1.0]), right)[0] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +202,19 @@ def test_anchored_pair_is_strictly_positive_with_floor_bound(data):
 
 
 def test_single_ordering_matrix_matches_entry_function():
+    # the broadcast matrix against the scalar position-space reference, at
+    # every entry of every anchored ordering
     rng = np.random.default_rng(3)
-    p = _simplex(rng, 4)
-    o = make_ordering(1, 3, 4)
-    m = bivariate_pmf_matrix(p, o, 3)
-    for i in range(4):
-        for j in range(4):
-            assert m[i, j] == pytest.approx(
-                bivariate_pmf_one_ordering(p, o, i, j, 3), abs=1e-14
-            )
+    for c in range(2, 8):
+        p = _simplex(rng, c, alpha=0.5)
+        n = int(rng.integers(2, 9))
+        for o in all_orderings(c):
+            m = bivariate_pmf_matrix(p, o, n)
+            for i in range(c):
+                for j in range(c):
+                    assert m[i, j] == pytest.approx(
+                        bivariate_pmf_one_ordering(p, o, i, j, n), abs=1e-14
+                    )
 
 
 def test_averaged_pmf_validity_fuzz():
@@ -255,10 +260,11 @@ def test_binary_case_has_single_ordering():
 
 
 def test_averaged_pmf_is_the_mean_over_all_orderings():
-    # the one-broadcast build against the per-ordering reference, C <= 12;
-    # both sum the orderings in the same order, so they agree bit for bit
+    # the blocked build against the per-ordering matrices, within one block
+    # (C <= 11) and over several (C = 12, 24, 33); both sum the orderings in
+    # the same order, so they agree bit for bit
     rng = np.random.default_rng(20)
-    for c in range(2, 13):
+    for c in (*range(2, 13), 24, 33):
         for alpha in (0.3, 3.0):
             n = int(rng.integers(2, 11))
             p = _simplex(rng, c, alpha)
@@ -268,16 +274,9 @@ def test_averaged_pmf_is_the_mean_over_all_orderings():
             assert np.array_equal(bivariate_pmf_averaged(p, n), reference)
 
 
-def test_averaged_pmf_rejects_more_categories_than_supported():
-    # refused before the (M, C, C) build allocates anything
-    c = MAX_AVERAGED_CATEGORIES + 1
-    with pytest.raises(ValueError, match="supports up to"):
-        bivariate_pmf_averaged(np.full(c, 1.0 / c), 4)
-
-
 def test_pmf_entries_selected_pairs():
     rng = np.random.default_rng(21)
-    for c in (2, 3, 7, 12):
+    for c in (2, 3, 7, 12, 24):
         p = _simplex(rng, c)
         n = int(rng.integers(2, 9))
         avg = bivariate_pmf_averaged(p, n)
@@ -286,6 +285,21 @@ def test_pmf_entries_selected_pairs():
         assert np.array_equal(vals, avg[pairs[:, 0], pairs[:, 1]])
     with pytest.raises(ValueError):
         bivariate_pmf_entries([0.5, 0.5], 2, [(0, 2)])
+
+
+def test_pmf_entries_past_sixty_categories_match_the_scalar_reference():
+    # the blocked build at C = 64 against the scalar position-space
+    # reference averaged over every anchored ordering
+    rng = np.random.default_rng(23)
+    c, n = 64, 4
+    p = _simplex(rng, c)
+    pairs = [(0, 63), (5, 5), (40, 17)]
+    orderings = all_orderings(c)
+    reference = [
+        np.mean([bivariate_pmf_one_ordering(p, o, i, j, n) for o in orderings])
+        for i, j in pairs
+    ]
+    assert bivariate_pmf_entries(p, n, pairs) == pytest.approx(reference, rel=1e-12, abs=1e-16)
 
 
 # ---------------------------------------------------------------------------
