@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Per-layer timings of the batched carms path, merged into a JSON file.
+
+Each stage is timed on its own at C in {3, 10, 30} categories, N = 4 samples
+and uniform p, in microseconds per (draw, dimension): one joint draw of N
+samples in one dimension.  The stages are the Dirichlet-copula draw of the C
+columns one Gumbel draw uses, the inverse-CDF and Gumbel categorizations
+(copula draw included), the carms estimator core, the loorf/reinforce score
+core and the pair-correlation matrix.  Pair-law builds are timed in ms per
+build for both paths.  A stage's figure is the median over repeats after one
+warm-up call.
+
+    python scripts/bench_layers.py BENCH_4.json --label change
+    python scripts/bench_layers.py BENCH_4.json --label parent --src ../parent/src
+
+--src times another checkout's package (default: this checkout's src/).
+Trees from before the scatter-add cores have no _score_sums or
+_indicator_correlation; there the score core and the correlation are timed
+as the one-hot products those trees ran.
+Each label's numbers replace that label's earlier ones in the file; the
+machine and numpy/scipy versions (as the benchmark in perfbench/ reports
+them) are recorded beside them.
+"""
+
+import argparse
+import json
+import os
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+from run import BLAS_ENV, machine_info  # noqa: E402
+
+for _var in BLAS_ENV:
+    os.environ.setdefault(_var, "1")
+
+SIZES = (3, 10, 30)
+SAMPLES = 4
+
+
+def _median_seconds(fn, repeats):
+    fn()
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return sorted(times)[len(times) // 2]
+
+
+def layers(draws, repeats):
+    import numpy as np
+
+    from carms import experiments
+    from carms.copula import DIRICHLET, sample_copula_batch
+    from carms.sampling import (
+        _gumbel_categories_batch,
+        _inverse_cdf_categories_batch,
+        bivariate_pmf_averaged,
+        gumbel_pair_pmf,
+    )
+
+    def score_core(w, cats, p):
+        if hasattr(experiments, "_score_sums"):
+            return experiments._score_sums(w, cats, p)
+        return np.einsum("kn,knc->kc", w, np.eye(p.size)[cats] - p)
+
+    def correlation(a, b, c):
+        if hasattr(experiments, "_indicator_correlation"):
+            return experiments._indicator_correlation(a, b, c)
+        eye = np.eye(c)
+        return experiments._pearson_matrix(eye[a], eye[b])
+
+    rng = np.random.default_rng(0)
+    per_draw = {}
+    build_ms = {}
+    for c in SIZES:
+        p = np.full(c, 1.0 / c)
+        law = bivariate_pmf_averaged(p, SAMPLES)
+        ratios, _ = experiments._analytic_ratio_matrix(p, law, 10.0)
+        cats = _inverse_cdf_categories_batch(draws, SAMPLES, p, rng)
+        f = rng.normal(size=(draws, SAMPLES))
+        stages = {
+            "copula_draw": lambda: sample_copula_batch(DIRICHLET, draws * c, SAMPLES, rng),
+            "categorize_inverse_cdf":
+                lambda: _inverse_cdf_categories_batch(draws, SAMPLES, p, rng),
+            "categorize_gumbel":
+                lambda: _gumbel_categories_batch(draws, SAMPLES, p, rng, DIRICHLET),
+            "carms_core": lambda: experiments._carms_estimates(f, cats, ratios, p),
+            "score_core": lambda: score_core(f, cats, p),
+            "correlation": lambda: correlation(cats[:, 0], cats[:, 1], c),
+        }
+        for name, fn in stages.items():
+            per_draw.setdefault(name, {})[str(c)] = (
+                _median_seconds(fn, repeats) * 1e6 / draws
+            )
+        # a fresh p per build, so no cache answers it
+        for name, build in (("inverse_cdf", lambda q: bivariate_pmf_averaged(q, SAMPLES)),
+                            ("gumbel", lambda q: gumbel_pair_pmf(q, SAMPLES, DIRICHLET))):
+            fresh = iter(rng.dirichlet(np.full(c, 10.0), size=repeats + 1))
+            build_ms.setdefault(name, {})[str(c)] = (
+                _median_seconds(lambda: build(next(fresh)), repeats) * 1e3
+            )
+    return {"draws": draws, "samples": SAMPLES, "repeats": repeats,
+            "us_per_draw_dim": per_draw, "pair_law_ms_per_build": build_ms}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", help="JSON file to merge this label's numbers into")
+    ap.add_argument("--label", required=True)
+    ap.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
+                    help="source directory holding the carms package to time")
+    ap.add_argument("--draws", type=int, default=4096)
+    ap.add_argument("--repeats", type=int, default=9)
+    args = ap.parse_args()
+    sys.path.insert(0, os.path.abspath(args.src))
+
+    record = {"machine": machine_info(), **layers(args.draws, args.repeats)}
+    try:
+        with open(args.out, encoding="utf-8") as handle:
+            merged = json.load(handle)
+    except FileNotFoundError:
+        merged = {}
+    merged[args.label] = record
+    with open(args.out, "w", encoding="utf-8") as handle:
+        json.dump(merged, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    for name, by_c in record["us_per_draw_dim"].items():
+        cells = "  ".join(f"C={c}: {v:8.3f}" for c, v in by_c.items())
+        print(f"{args.label:<8} {name:<24} {cells}  us/(draw, dim)", file=sys.stderr)
+    for name, by_c in record["pair_law_ms_per_build"].items():
+        cells = "  ".join(f"C={c}: {v:8.3f}" for c, v in by_c.items())
+        print(f"{args.label:<8} pair_law_{name:<15} {cells}  ms/build", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

@@ -108,8 +108,10 @@ def _sample_dirichlet_copula_batch(k: int, n: int, rng: np.random.Generator) -> 
     """k independent Dirichlet-copula draws, shape (k, n)."""
     n = _validate_n(n)
     e = rng.standard_exponential((k, n))
-    d = e / e.sum(axis=1, keepdims=True)
-    u = 1.0 - np.power(1.0 - d, n - 1)
+    # numpy sums a row shorter than 8 left to right, as this sum over the
+    # columns (0 + e_0 + e_1 + ...) does, without a reduction call per row
+    total = e.sum(axis=1) if n >= 8 else sum(e.T)
+    u = 1.0 - np.power(1.0 - e / total[:, None], n - 1)
     return np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS)
 
 

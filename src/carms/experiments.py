@@ -78,24 +78,27 @@ def _analytic_ratio_matrix(p: np.ndarray, pbar: np.ndarray, clip: float | None):
     return np.where(live, np.minimum(raw, clip), 1.0), exceed
 
 
+def _score_sums(w: np.ndarray, cats: np.ndarray, p_row: np.ndarray) -> np.ndarray:
+    """sum_n w_n (onehot(c_n) - p) per draw, (k, C), scattered from w, cats (k, N)."""
+    k, c = cats.shape[0], p_row.size
+    flat = (np.arange(k)[:, None] * c + cats).ravel()
+    g = np.bincount(flat, weights=w.ravel(), minlength=k * c).reshape(k, c)
+    g -= w.sum(axis=1)[:, None] * p_row
+    return g
+
+
 def _carms_estimates(
     f: np.ndarray, cats: np.ndarray, ratios: np.ndarray, p_row: np.ndarray
 ) -> np.ndarray:
     """Matrix-form carms for a batch of draws in one dimension.
 
-    f and cats have shape (k, N); ratios is (C, C) shared or (k, C, C)
-    per draw; returns (k, C).
+    f and cats have shape (k, N), ratios (C, C); returns (k, C).  Sample m's
+    score weighs sum_m' r(c_m, c_m') (f_m - f_m') / (N (N - 1)), 0 at m' = m.
     """
-    k, n = cats.shape
-    if ratios.ndim == 2:
-        rsel = ratios[cats[:, :, None], cats[:, None, :]]
-    else:
-        rsel = ratios[np.arange(k)[:, None, None], cats[:, :, None], cats[:, None, :]]
-    off = ~np.eye(n, dtype=bool)
-    o = np.where(off, rsel, 0.0) / (n - 1)
-    w = f * o.sum(axis=-1) - np.einsum("kn,knm->km", f, o)
-    z = np.eye(p_row.size)[cats]
-    return np.einsum("kn,knc->kc", w, z - p_row) / n
+    n = cats.shape[1]
+    rsel = ratios[cats[:, :, None], cats[:, None, :]]
+    w = (rsel * (f[:, :, None] - f[:, None, :])).sum(axis=-1) / (n * (n - 1))
+    return _score_sums(w, cats, p_row)
 
 
 def _empirical_joint_batch(counts: np.ndarray, n_samples: int) -> np.ndarray:
@@ -140,15 +143,13 @@ def make_gradient_estimator(
     if method not in TOY_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {TOY_METHODS}")
 
-    eye = np.eye(c)
-
     def score_weighted(rng, k, weight_fn):
         cats = np.stack([_iid_categories(k, n, p[d], rng) for d in range(dims)], axis=-1)
         f = objective.values_at(cats)
         w = weight_fn(f)
         g = np.empty((k, dims, c))
         for d in range(dims):
-            g[:, d] = np.einsum("kn,knc->kc", w, eye[cats[:, :, d]] - p[d])
+            g[:, d] = _score_sums(w, cats[:, :, d], p[d])
         return g, None
 
     if method == "loorf":
@@ -184,8 +185,8 @@ def make_gradient_estimator(
             ratios, exceed = fixed[d]
             g[:, d] = _carms_estimates(f, cats[:, :, d], ratios, p[d])
             if exceed.any():
-                present = eye[cats[:, :, d]].sum(axis=1) > 0
-                flags |= np.einsum("ij,ki,kj->k", exceed, present, present) > 0
+                # exceed is off-diagonal, so only pairs of distinct samples count
+                flags |= exceed[cats[:, :, None, d], cats[:, None, :, d]].any(axis=(1, 2))
         return g, flags
 
     return estimate_pairs
@@ -300,15 +301,14 @@ class CorrelationConfig:
             raise ValueError("seed must be nonnegative")
 
 
-def _pearson_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """corr(x_i, y_j) over the leading axis; nan where a column is constant."""
-    k = x.shape[0]
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
-    cov = xc.T @ yc / k
-    denom = np.outer(x.std(axis=0), y.std(axis=0))
+def _indicator_correlation(a: np.ndarray, b: np.ndarray, c: int) -> np.ndarray:
+    """corr(1{a = i}, 1{b = j}) over draws from their counts; nan where constant."""
+    k = a.size
+    joint = np.bincount(a * c + b, minlength=c * c).reshape(c, c)
+    na, nb = np.bincount(a, minlength=c), np.bincount(b, minlength=c)
+    denom = np.sqrt(np.outer(na * (k - na), (nb * (k - nb)).astype(float)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.where(denom > 0.0, cov / denom, np.nan)
+        corr = np.where(denom > 0.0, (k * joint - np.outer(na, nb)) / denom, np.nan)
     # rounding can push a perfect (anti)correlation an ulp past +-1
     return np.clip(corr, -1.0, 1.0)
 
@@ -330,8 +330,7 @@ def run_correlation(config: CorrelationConfig) -> dict:
         )
     else:
         cats = _iid_categories(config.draws, config.samples, p, rng)
-    eye = np.eye(c)
-    corr = _pearson_matrix(eye[cats[:, 0]], eye[cats[:, 1]])
+    corr = _indicator_correlation(cats[:, 0], cats[:, 1], c)
     return {
         "method": config.method,
         "copula": config.copula.family,

@@ -416,18 +416,26 @@ def sample_antithetic_inverse_cdf(
     return onehot(cats, p.size), _realized_ratios(p, cats, law, clip)
 
 
+# copula uniforms (draws x categories x samples) per block of the Gumbel draw;
+# the generator fills arrays in order, so the blocks use the stream as one draw
+GUMBEL_BLOCK = 65536
+
+
 def _gumbel_categories_batch(
     k: int, n_samples: int, p: np.ndarray, rng: np.random.Generator, copula: CopulaKind
 ) -> np.ndarray:
     """k joint Gumbel-max draws of N categories each, shape (k, N)."""
     c = p.size
-    u = sample_copula_batch(copula, k * c, n_samples, rng).reshape(k, c, n_samples)
-    g = -np.log(-np.log(u))
     with np.errstate(divide="ignore"):
-        shift = np.log(p)
-    scores = g + shift[None, :, None]
-    # np.argmax takes the first maximum, i.e. ties break to the lowest index.
-    return np.argmax(scores, axis=1)
+        shift = np.log(p)[:, None]
+    out = np.empty((k, n_samples), dtype=np.intp)
+    step = max(1, GUMBEL_BLOCK // (c * n_samples))
+    for start in range(0, k, step):
+        u = sample_copula_batch(copula, min(step, k - start) * c, n_samples, rng)
+        scores = shift - np.log(-np.log(u.reshape(-1, c, n_samples)))
+        # np.argmax takes the first maximum, i.e. ties break to the lowest index.
+        out[start : start + step] = np.argmax(scores, axis=1)
+    return out
 
 
 # Gauss-Legendre nodes per axis of the Gumbel-path pair-law quadrature

@@ -194,6 +194,17 @@ def test_dirichlet_simplex_center_maps_to_five_ninths():
     assert np.allclose(u, 5.0 / 9.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 10])
+def test_dirichlet_batch_is_bit_identical_to_the_row_sum_formula(n):
+    # the batch sums its rows column by column below N = 8; the result must
+    # equal numpy's row sum bit for bit, on the same stream
+    ref_rng, rng = np.random.default_rng(40 + n), np.random.default_rng(40 + n)
+    e = ref_rng.standard_exponential((5000, n))
+    ref = np.clip(1 - (1 - e / e.sum(1, keepdims=True)) ** (n - 1), CLAMP_EPS, 1 - CLAMP_EPS)
+    assert np.array_equal(_sample_dirichlet_copula_batch(5000, n, rng), ref)
+    assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+
 def test_dirichlet_n2_is_exact_antithetic_pair():
     rng = np.random.default_rng(0)
     u = _sample_dirichlet_copula_batch(10_000, 2, rng)

@@ -17,18 +17,26 @@ import pytest
 
 from carms.cli import CORRELATION_COLUMNS, TOY_COLUMNS, main
 from carms.copula import DIRICHLET, CopulaKind
+from carms.estimators import carms, loorf
 from carms.experiments import (
     CorrelationConfig,
     ToyConfig,
+    _analytic_ratio_matrix,
+    _carms_estimates,
     _empirical_joint_batch,
-    _pearson_matrix,
+    _iid_categories,
+    _indicator_correlation,
     make_gradient_estimator,
     run_correlation,
     run_toy,
     toy_objective,
 )
 from carms.oracle import TabulatedObjective, exact_gradient, mc_estimator_moments
-from carms.sampling import UnsupportedPathError
+from carms.sampling import (
+    UnsupportedPathError,
+    _inverse_cdf_categories_batch,
+    bivariate_pmf_averaged,
+)
 
 
 def _load_schema(name):
@@ -123,6 +131,63 @@ def test_estimator_factory_inactive_dimension_is_zero_in_expectation():
         est = make_gradient_estimator(method, p, 4, f)
         moments = mc_estimator_moments(est, 4000, np.random.default_rng(11))
         assert np.max(np.abs(moments.mean[1]) / moments.stderr[1]) <= 4.0, method
+
+
+def test_carms_core_matches_the_single_draw_estimator():
+    # the scatter-added batch core against estimators.carms draw by draw,
+    # with categories absent from most draws and one that never occurs
+    rng = np.random.default_rng(30)
+    for n in (2, 3, 5):
+        p = np.array([0.3, 0.0, 0.05, 0.25, 0.15, 0.25])
+        ratios, _ = _analytic_ratio_matrix(p, bivariate_pmf_averaged(p, n), 10.0)
+        cats = _inverse_cdf_categories_batch(200, n, p, rng)
+        f = rng.normal(size=(200, n)) * 5.0
+        g = _carms_estimates(f, cats, ratios, p)
+        ref = [carms(f[i], np.eye(p.size)[cats[i]], ratios, p) for i in range(200)]
+        assert np.max(np.abs(g - np.array(ref))) <= 1e-12, n
+
+
+def test_score_estimators_match_their_single_draw_forms():
+    # loorf and reinforce from the factory against estimators.loorf and
+    # f/N (z - p), on the categories the factory draws from the same stream
+    p = np.array([[0.5, 0.0, 0.3, 0.2], [0.1, 0.2, 0.3, 0.4]])
+    objective = toy_objective(4, 2)
+    k = 100
+    for n in (2, 3, 5):
+        for method in ("loorf", "reinforce"):
+            g, _ = make_gradient_estimator(method, p, n, objective)(
+                np.random.default_rng(n), k
+            )
+            rng = np.random.default_rng(n)
+            cats = np.stack([_iid_categories(k, n, row, rng) for row in p], axis=-1)
+            f = objective.values_at(cats)
+            for i in range(k):
+                for d in range(2):
+                    z = np.eye(4)[cats[i, :, d]]
+                    if method == "loorf":
+                        ref = loorf(f[i], z, p[d])
+                    else:
+                        ref = f[i] @ (z - p[d]) / n
+                    assert np.max(np.abs(g[i, d] - ref)) <= 1e-12, (n, method)
+
+
+def test_clip_flags_match_the_one_hot_formula():
+    # a 1e-3 category and a ceiling of 1 make clipping engage on some draws
+    p = np.array([[0.001, 0.3, 0.299, 0.4], [0.25, 0.25, 0.25, 0.25]])
+    objective = toy_objective(4, 2)
+    n, k = 3, 2000
+    _, flags = make_gradient_estimator("carms-i", p, n, objective, clip=1.0)(
+        np.random.default_rng(31), k
+    )
+    rng = np.random.default_rng(31)
+    cats = np.stack([_inverse_cdf_categories_batch(k, n, row, rng) for row in p], axis=-1)
+    ref = np.zeros(k, dtype=bool)
+    for d, row in enumerate(p):
+        _, exceed = _analytic_ratio_matrix(row, bivariate_pmf_averaged(row, n), 1.0)
+        present = np.eye(4)[cats[:, :, d]].sum(axis=1) > 0
+        ref |= np.einsum("ij,ki,kj->k", exceed, present, present) > 0
+    assert 0 < ref.sum() < k
+    assert np.array_equal(flags, ref)
 
 
 def test_empirical_joint_batch_frozen_binary_example():
@@ -285,13 +350,25 @@ def test_correlation_config_validation():
         CorrelationConfig(samples=1)
 
 
-def test_pearson_matrix_constant_column_is_nan():
-    x = np.column_stack([np.ones(50), np.arange(50.0)])
-    y = np.column_stack([np.arange(50.0), np.arange(50.0)])
-    corr = _pearson_matrix(x, y)
-    assert np.all(np.isnan(corr[0]))
-    assert np.all(np.isfinite(corr[1]))
-    assert corr[1, 0] == pytest.approx(1.0, abs=1e-12)
+def test_indicator_correlation_constant_column_is_nan():
+    # category 2 never occurs, so its indicators are constant
+    a = np.tile([0, 1], 25)
+    corr = _indicator_correlation(a, a, 3)
+    assert np.all(np.isnan(corr[2])) and np.all(np.isnan(corr[:, 2]))
+    assert np.array_equal(corr[:2, :2], [[1.0, -1.0], [-1.0, 1.0]])
+
+
+def test_indicator_correlation_matches_corrcoef_of_one_hot_indicators():
+    rng = np.random.default_rng(32)
+    for c, k in ((3, 100), (5, 400), (12, 300)):
+        a = rng.integers(0, c - 1, size=k)  # the last category stays absent
+        b = rng.integers(0, c, size=k)
+        corr = _indicator_correlation(a, b, c)
+        eye = np.eye(c)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            full = np.corrcoef(eye[a].T, eye[b].T)[:c, c:]
+        assert np.array_equal(np.isnan(corr), np.isnan(full))
+        assert np.nanmax(np.abs(corr - full)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

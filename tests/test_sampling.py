@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carms.copula import DIRICHLET, GAUSSIAN, _sample_dirichlet_copula_batch
+from carms.copula import (
+    DIRICHLET,
+    GAUSSIAN,
+    _sample_dirichlet_copula_batch,
+    sample_copula_batch,
+)
 from carms.sampling import (
+    GUMBEL_BLOCK,
     GUMBEL_NODES,
     Boundaries,
     Ordering,
@@ -552,6 +558,30 @@ def test_gumbel_marginals_quick():
     freq = np.bincount(cats[:, 0], minlength=3) / draws
     se = np.sqrt(p * (1 - p) / draws)
     assert np.max(np.abs(freq - p) / se) <= 4.0
+
+
+def _gumbel_one_shot(k, n, p, rng, copula):
+    # the whole-batch Gumbel-max draw: one copula call for all k C columns
+    u = sample_copula_batch(copula, k * p.size, n, rng).reshape(k, p.size, n)
+    with np.errstate(divide="ignore"):
+        return np.argmax(-np.log(-np.log(u)) + np.log(p)[None, :, None], axis=1)
+
+
+@pytest.mark.parametrize("copula", [DIRICHLET, GAUSSIAN], ids=["dirichlet", "gaussian"])
+def test_gumbel_blocks_are_bit_identical_to_one_draw(copula):
+    # k = 1, exactly one block, and several blocks with a partial last one,
+    # with a category that can never win
+    p = np.array([0.2, 0.0, 0.35, 0.05, 0.4])
+    n = 3
+    step = GUMBEL_BLOCK // (p.size * n)
+    for k in (1, step, 3 * step + 7):
+        ref_rng, rng = np.random.default_rng(k), np.random.default_rng(k)
+        ref = _gumbel_one_shot(k, n, p, ref_rng, copula)
+        cats = _gumbel_categories_batch(k, n, p, rng, copula)
+        assert cats.shape == (k, n) and np.array_equal(cats, ref), k
+        assert np.all(cats != 1)
+        # the blocks leave the stream where the one draw does
+        assert np.array_equal(rng.random(4), ref_rng.random(4)), k
 
 
 def test_gumbel_gaussian_copula_supported():
