@@ -7,8 +7,10 @@ samples in one dimension.  The stages are the Dirichlet-copula draw of the C
 columns one Gumbel draw uses, the inverse-CDF and Gumbel categorizations
 (copula draw included), the carms estimator core, the loorf/reinforce score
 core and the pair-correlation matrix.  Pair-law builds are timed in ms per
-build for both paths.  A stage's figure is the median over repeats after one
-warm-up call.
+build for both paths.  The single-draw API is timed in microseconds per
+call, over CALLS calls at the same C, N and p: both samplers (the Gumbel one
+with its pair law cached) and estimators.carms on the Gumbel draws.  A
+stage's figure is the median over repeats after one warm-up call.
 
     python scripts/bench_layers.py BENCH_4.json --label change
     python scripts/bench_layers.py BENCH_4.json --label parent --src ../parent/src
@@ -36,6 +38,7 @@ for _var in BLAS_ENV:
 
 SIZES = (3, 10, 30)
 SAMPLES = 4
+CALLS = 200
 
 
 def _median_seconds(fn, repeats):
@@ -105,6 +108,34 @@ def layers(draws, repeats):
             "us_per_draw_dim": per_draw, "pair_law_ms_per_build": build_ms}
 
 
+def single_draw(repeats):
+    import numpy as np
+
+    from carms import estimators
+    from carms.sampling import sample_antithetic_gumbel, sample_antithetic_inverse_cdf
+
+    rng = np.random.default_rng(1)
+    per_call = {}
+    for c in SIZES:
+        p = np.full(c, 1.0 / c)
+        # the first call builds and caches the Gumbel pair law of this p
+        draws = [sample_antithetic_gumbel(SAMPLES, p, rng) for _ in range(CALLS)]
+        f = rng.normal(size=(CALLS, SAMPLES))
+        stages = {
+            "sample_antithetic_inverse_cdf":
+                lambda: [sample_antithetic_inverse_cdf(SAMPLES, p, rng) for _ in range(CALLS)],
+            "sample_antithetic_gumbel":
+                lambda: [sample_antithetic_gumbel(SAMPLES, p, rng) for _ in range(CALLS)],
+            "estimators_carms":
+                lambda: [estimators.carms(f[i], z, r, p) for i, (z, r) in enumerate(draws)],
+        }
+        for name, fn in stages.items():
+            per_call.setdefault(name, {})[str(c)] = (
+                _median_seconds(fn, repeats) * 1e6 / CALLS
+            )
+    return {"calls": CALLS, "us_per_call": per_call}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", help="JSON file to merge this label's numbers into")
@@ -116,7 +147,8 @@ def main():
     args = ap.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
 
-    record = {"machine": machine_info(), **layers(args.draws, args.repeats)}
+    record = {"machine": machine_info(), **layers(args.draws, args.repeats),
+              **single_draw(args.repeats)}
     try:
         with open(args.out, encoding="utf-8") as handle:
             merged = json.load(handle)
@@ -132,6 +164,9 @@ def main():
     for name, by_c in record["pair_law_ms_per_build"].items():
         cells = "  ".join(f"C={c}: {v:8.3f}" for c, v in by_c.items())
         print(f"{args.label:<8} pair_law_{name:<15} {cells}  ms/build", file=sys.stderr)
+    for name, by_c in record["us_per_call"].items():
+        cells = "  ".join(f"C={c}: {v:8.3f}" for c, v in by_c.items())
+        print(f"{args.label:<8} {name:<24} {cells}  us/call", file=sys.stderr)
 
 
 if __name__ == "__main__":

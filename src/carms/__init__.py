@@ -1,117 +1,4 @@
 """Antithetic copula sampling and debiased score-function gradient estimators
 for categorical random variables."""
 
-from .copula import (
-    DIRICHLET,
-    GAUSSIAN,
-    CopulaDraw,
-    CopulaKind,
-    bernoulli_pair_correlation,
-    dirichlet_bivariate_cdf,
-    sample_dirichlet_copula,
-    sample_gaussian_copula,
-)
-from .estimators import (
-    arms_binary,
-    carms,
-    carms_pair_sum,
-    carts,
-    loorf,
-    loorf_matrix_form,
-    reinforce_single,
-    two_sample_loorf,
-)
-from .experiments import (
-    CorrelationConfig,
-    ToyConfig,
-    make_gradient_estimator,
-    run_correlation,
-    run_toy,
-    toy_objective,
-)
-from .oracle import (
-    ExactMoments,
-    InconsistentDistributionError,
-    McMoments,
-    TabulatedObjective,
-    exact_carms_expectation,
-    exact_gradient,
-    expected_value,
-    finite_difference_gradient,
-    mc_estimator_moments,
-    softmax,
-)
-from .sampling import (
-    Boundaries,
-    Ordering,
-    RatioMatrix,
-    UnsupportedPathError,
-    all_orderings,
-    as_probs,
-    bivariate_pmf_averaged,
-    bivariate_pmf_entries,
-    bivariate_pmf_matrix,
-    bivariate_pmf_one_ordering,
-    compute_boundaries,
-    gumbel_pair_pmf,
-    make_ordering,
-    onehot,
-    sample_antithetic_gumbel,
-    sample_antithetic_inverse_cdf,
-)
-from .selfcheck import CheckResult, run_selfcheck
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DIRICHLET",
-    "GAUSSIAN",
-    "CopulaDraw",
-    "CopulaKind",
-    "bernoulli_pair_correlation",
-    "dirichlet_bivariate_cdf",
-    "sample_dirichlet_copula",
-    "sample_gaussian_copula",
-    "arms_binary",
-    "carms",
-    "carms_pair_sum",
-    "carts",
-    "loorf",
-    "loorf_matrix_form",
-    "reinforce_single",
-    "two_sample_loorf",
-    "CorrelationConfig",
-    "ToyConfig",
-    "make_gradient_estimator",
-    "run_correlation",
-    "run_toy",
-    "toy_objective",
-    "ExactMoments",
-    "InconsistentDistributionError",
-    "McMoments",
-    "TabulatedObjective",
-    "exact_carms_expectation",
-    "exact_gradient",
-    "expected_value",
-    "finite_difference_gradient",
-    "mc_estimator_moments",
-    "softmax",
-    "Boundaries",
-    "Ordering",
-    "RatioMatrix",
-    "UnsupportedPathError",
-    "all_orderings",
-    "as_probs",
-    "bivariate_pmf_averaged",
-    "bivariate_pmf_entries",
-    "bivariate_pmf_matrix",
-    "bivariate_pmf_one_ordering",
-    "compute_boundaries",
-    "gumbel_pair_pmf",
-    "make_ordering",
-    "onehot",
-    "sample_antithetic_gumbel",
-    "sample_antithetic_inverse_cdf",
-    "CheckResult",
-    "run_selfcheck",
-]

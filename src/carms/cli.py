@@ -125,7 +125,7 @@ def _parse_clip(text: str):
     if text.lower() == "none":
         return None
     value = float(text)
-    if value <= 0:
+    if not value > 0:  # nan fails this too
         raise argparse.ArgumentTypeError("clip must be positive or 'none'")
     return value
 

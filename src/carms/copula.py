@@ -74,7 +74,7 @@ class CopulaKind:
         n = _validate_n(n)
         rho = -1.0 / (n - 1) if self.rho is None else float(self.rho)
         lo = -1.0 / (n - 1)
-        if rho < lo - 1e-12 or rho > 0.0:
+        if not lo - 1e-12 <= rho <= 0.0:  # a nan rho fails this too
             raise ValueError(
                 f"equicorrelation {rho} outside the feasible band [{lo}, 0] for n={n}"
             )

@@ -5,7 +5,8 @@ respect to the softmax logits phi, using d p_i / d phi_c = p_i (1{i=c} - p_c).
 
 loorf          (1/(N-1)) sum_n (f_n - fbar) (z_n - p)
 carts          (1/2) (f - f') (z - z') * (z^T R z'), one debiased pair
-carms          (1/N) f^T (D - O) (Z - 1 p^T), the all-pairs average of carts
+carms          (1/N) f^T (D - O) (Z - 1 p^T), the all-pairs average of carts,
+               by the batched core _carms_estimates at k = 1
 arms_binary    coordinatewise leave-one-out with antithetic correction 1/(1 - rho)
 """
 
@@ -82,11 +83,37 @@ def carts(f_z: float, f_zp: float, z, zp, ratios) -> np.ndarray:
     return two_sample_loorf(f_z, f_zp, z, zp) * r
 
 
+def _score_sums(w: np.ndarray, cats: np.ndarray, p_row: np.ndarray) -> np.ndarray:
+    """sum_n w_n (onehot(c_n) - p) per draw, (k, C), scattered from w, cats (k, N)."""
+    k, c = cats.shape[0], p_row.size
+    flat = (np.arange(k)[:, None] * c + cats).ravel()
+    g = np.bincount(flat, weights=w.ravel(), minlength=k * c).reshape(k, c)
+    g -= w.sum(axis=1)[:, None] * p_row
+    return g
+
+
+def _carms_estimates(
+    f: np.ndarray, cats: np.ndarray, ratios: np.ndarray, p_row: np.ndarray
+) -> np.ndarray:
+    """Matrix-form carms for a batch of draws in one dimension.
+
+    f and cats have shape (k, N), ratios (C, C); returns (k, C).  Sample m's
+    score weighs sum_m' r(c_m, c_m') (f_m - f_m') / (N (N - 1)), 0 at m' = m.
+    """
+    k, n = cats.shape
+    rsel = ratios[cats[:, :, None], cats[:, None, :]]
+    # a sample paired with itself adds 0 whatever r(c_m, c_m) holds: a
+    # category drawn once may carry a nonfinite placeholder there
+    rsel.reshape(k, n * n)[:, :: n + 1] = 0.0
+    w = (rsel * (f[:, :, None] - f[:, None, :])).sum(axis=-1) / (n * (n - 1))
+    return _score_sums(w, cats, p_row)
+
+
 def carms(f, z, ratios, p) -> np.ndarray:
-    """All-pairs average of carts over N coupled samples, in matrix form.
+    """All-pairs average of carts over N coupled samples: _carms_estimates at k = 1.
 
     O = (1/(N-1)) (1 - I) o (Z R Z^T), D = diag(O 1), and the estimate is
-    (1/N) f^T (D - O) (Z - 1 p^T).
+    (1/N) f^T (D - O) (Z - 1 p^T), which the core sums sample by sample.
     """
     f = _as_values(f)
     z = _as_onehot_matrix(z, f.size)
@@ -95,19 +122,17 @@ def carms(f, z, ratios, p) -> np.ndarray:
     n = f.size
     if n < 2:
         raise ValueError("carms needs N >= 2 samples")
-    if r.shape != (p.size, p.size):
-        raise ValueError("ratio matrix shape does not match the category count")
+    if r.shape != (p.size, p.size) or z.shape[1] != p.size:
+        raise ValueError("ratio matrix or sample width does not match the category count")
     # index rather than multiply out Z R Z^T: entries at categories absent
-    # from the batch must stay unread (0 * inf would leak a nan)
+    # from the batch must stay unread (0 * inf would leak a nan); the core
+    # reads every sample pair but a sample paired with itself
     cats = np.argmax(z, axis=1)
-    zrz = r[cats[:, None], cats[None, :]]
-    off = ~np.eye(n, dtype=bool)
-    if not np.all(np.isfinite(zrz[off])):
+    read = r[cats[:, None], cats]
+    read.flat[:: n + 1] = 0.0
+    if not np.isfinite(read).all():
         raise ValueError("nonfinite importance ratio at a realized sample pair")
-    o = np.where(off, zrz, 0.0) / (n - 1)
-    d = o.sum(axis=1)
-    w = f * d - f @ o
-    return w @ (z - p) / n
+    return _carms_estimates(f[None], cats[None], r, p)[0]
 
 
 def carms_pair_sum(f, z, ratios) -> np.ndarray:

@@ -18,9 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import DIRICHLET, CopulaKind
+from .estimators import _carms_estimates, _score_sums
 from .sampling import (
-    UnsupportedPathError,
+    _analytic_ratio_matrix,
     _categorize_batch,
+    _check_inverse_cdf_copula,
+    _clip_flags,
     _gumbel_categories_batch,
     _inverse_cdf_categories_batch,
     as_probs,
@@ -58,47 +61,6 @@ def toy_objective(n_categories: int, dims: int) -> LinearToyObjective:
 def _iid_categories(k: int, n: int, p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     cum = np.cumsum(p)
     return _categorize_batch(rng.random((k, n)), cum)
-
-
-def _analytic_ratio_matrix(p: np.ndarray, pbar: np.ndarray, clip: float | None):
-    """Fixed importance ratios p_i p_j / P(i, j) from an exact pair law P.
-
-    Returns (ratios, exceed) where exceed marks off-diagonal pairs whose raw
-    ratio tops the clip ceiling, i.e. where clipping engages when realized.
-    Zero-probability pairs can never be realized and get the inert 1.
-    """
-    pouter = np.outer(p, p)
-    live = pbar > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = np.where(live, pouter / pbar, 1.0)
-    offdiag = ~np.eye(p.size, dtype=bool)
-    if clip is None:
-        return raw, np.zeros_like(live)
-    exceed = live & offdiag & (raw > clip)
-    return np.where(live, np.minimum(raw, clip), 1.0), exceed
-
-
-def _score_sums(w: np.ndarray, cats: np.ndarray, p_row: np.ndarray) -> np.ndarray:
-    """sum_n w_n (onehot(c_n) - p) per draw, (k, C), scattered from w, cats (k, N)."""
-    k, c = cats.shape[0], p_row.size
-    flat = (np.arange(k)[:, None] * c + cats).ravel()
-    g = np.bincount(flat, weights=w.ravel(), minlength=k * c).reshape(k, c)
-    g -= w.sum(axis=1)[:, None] * p_row
-    return g
-
-
-def _carms_estimates(
-    f: np.ndarray, cats: np.ndarray, ratios: np.ndarray, p_row: np.ndarray
-) -> np.ndarray:
-    """Matrix-form carms for a batch of draws in one dimension.
-
-    f and cats have shape (k, N), ratios (C, C); returns (k, C).  Sample m's
-    score weighs sum_m' r(c_m, c_m') (f_m - f_m') / (N (N - 1)), 0 at m' = m.
-    """
-    n = cats.shape[1]
-    rsel = ratios[cats[:, :, None], cats[:, None, :]]
-    w = (rsel * (f[:, :, None] - f[:, None, :])).sum(axis=-1) / (n * (n - 1))
-    return _score_sums(w, cats, p_row)
 
 
 def _empirical_joint_batch(counts: np.ndarray, n_samples: int) -> np.ndarray:
@@ -160,10 +122,7 @@ def make_gradient_estimator(
         return lambda rng, k: score_weighted(rng, k, lambda f: f / n)
 
     if method == "carms-i":
-        if copula.family != "dirichlet":
-            raise UnsupportedPathError(
-                "the analytic inverse-CDF path supports only the Dirichlet copula"
-            )
+        _check_inverse_cdf_copula(copula)
 
         def draw(k, row, rng):
             return _inverse_cdf_categories_batch(k, n, row, rng)
@@ -185,8 +144,7 @@ def make_gradient_estimator(
             ratios, exceed = fixed[d]
             g[:, d] = _carms_estimates(f, cats[:, :, d], ratios, p[d])
             if exceed.any():
-                # exceed is off-diagonal, so only pairs of distinct samples count
-                flags |= exceed[cats[:, :, None, d], cats[:, None, :, d]].any(axis=(1, 2))
+                flags |= _clip_flags(exceed, cats[:, :, d])
         return g, flags
 
     return estimate_pairs
@@ -319,10 +277,7 @@ def run_correlation(config: CorrelationConfig) -> dict:
     p = np.full(c, 1.0 / c)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
     if config.method == "inverse-cdf":
-        if config.copula.family != "dirichlet":
-            raise UnsupportedPathError(
-                "the inverse-CDF path supports only the Dirichlet copula"
-            )
+        _check_inverse_cdf_copula(config.copula)
         cats = _inverse_cdf_categories_batch(config.draws, config.samples, p, rng)
     elif config.method == "gumbel":
         cats = _gumbel_categories_batch(

@@ -63,8 +63,7 @@ class TabulatedObjective:
 
     @classmethod
     def from_function(cls, fn, n_categories: int, dims: int) -> "TabulatedObjective":
-        grids = np.meshgrid(*[np.arange(n_categories)] * dims, indexing="ij")
-        assignments = np.stack(grids, axis=-1).reshape(-1, dims)
+        assignments = _assignments(n_categories, dims)
         table = np.array([fn(a) for a in assignments]).reshape((n_categories,) * dims)
         return cls(table)
 

@@ -39,6 +39,7 @@ from .copula import (
     _dirichlet_cdf,
     _pair_cdfs,
     _sample_dirichlet_copula_batch,
+    _validate_n,
     dirichlet_bivariate_cdf,
     sample_copula_batch,
 )
@@ -46,6 +47,14 @@ from .copula import (
 
 class UnsupportedPathError(ValueError):
     """A copula family was asked for on a path that cannot honor it."""
+
+
+def _check_inverse_cdf_copula(copula: CopulaKind) -> None:
+    if copula.family != "dirichlet":
+        raise UnsupportedPathError(
+            "the inverse-CDF path needs the analytic pair CDF, which only the "
+            "Dirichlet copula provides; use the Gumbel path for the Gaussian"
+        )
 
 
 def as_probs(p) -> np.ndarray:
@@ -333,34 +342,52 @@ class RatioMatrix:
         object.__setattr__(self, "ratios", ratios)
 
 
-def _validate_sample_count(n_samples) -> int:
-    if not isinstance(n_samples, (int, np.integer)) or isinstance(n_samples, bool):
-        raise ValueError("sample count must be an integer")
-    if n_samples < 2:
-        raise ValueError("pair-based sampling needs N >= 2")
-    return int(n_samples)
+def _analytic_ratio_matrix(p: np.ndarray, pbar: np.ndarray, clip: float | None):
+    """Fixed importance ratios p_i p_j / P(i, j) from an exact pair law P.
+
+    Returns (ratios, exceed) where exceed marks off-diagonal pairs whose raw
+    ratio tops the clip ceiling, i.e. where clipping engages when realized.
+    Zero-probability pairs can never be realized and get the inert 1.
+    """
+    if clip is not None and not clip > 0.0:
+        raise ValueError(f"clip ceiling must be positive or None, got {clip!r}")
+    pouter = np.outer(p, p)
+    live = pbar > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = np.where(live, pouter / pbar, 1.0)
+    offdiag = ~np.eye(p.size, dtype=bool)
+    if clip is None:
+        return raw, np.zeros_like(live)
+    exceed = live & offdiag & (raw > clip)
+    return np.where(live, np.minimum(raw, clip), 1.0), exceed
+
+
+def _clip_flags(exceed: np.ndarray, cats: np.ndarray) -> np.ndarray:
+    """Whether any sample pair of each draw (cats (..., N)) sits where exceed is set.
+
+    exceed is off-diagonal, so only pairs of distinct samples count.
+    """
+    return exceed[cats[..., :, None], cats[..., None, :]].any(axis=(-2, -1))
 
 
 def _realized_ratios(p: np.ndarray, cats: np.ndarray, law: np.ndarray, clip) -> RatioMatrix:
-    """RatioMatrix of p_i p_j / law[i, j] at the pairs a single draw realizes.
+    """The batched ratios of _analytic_ratio_matrix, for the pairs one draw realizes.
 
     A pair is realized when both categories occur among the samples (a
     diagonal pair when its category occurs twice).  Every other entry is
     unreadable by a pair estimator and holds a placeholder: the clip ceiling
     when clipping is active (an absent pair is an infinitely surprising one),
-    the inert 1 otherwise.  `clipped` looks at off-diagonal pairs only, since
-    a pair of samples in one category adds nothing to the estimate.
+    the inert 1 otherwise.  law need only be filled at the realized pairs.
+    `clipped` gathers exceed at the draw's sample pairs, as the batched clip
+    flags do, so a pair of samples in one category never sets it.
     """
+    ratios, exceed = _analytic_ratio_matrix(p, law, clip)
     present = np.bincount(cats, minlength=p.size)
     readable = np.outer(present > 0, present > 0)
     np.fill_diagonal(readable, present >= 2)
     readable &= law > 0.0
-    raw = np.outer(p, p)[readable] / law[readable]
-    offdiag = ~np.eye(p.size, dtype=bool)
-    ratios = np.full((p.size, p.size), 1.0 if clip is None else clip)
-    ratios[readable] = raw if clip is None else np.minimum(raw, clip)
-    clipped = clip is not None and bool(np.any(raw[offdiag[readable]] > clip))
-    return RatioMatrix(ratios, clip, clipped)
+    ratios[~readable] = 1.0 if clip is None else clip
+    return RatioMatrix(ratios, clip, bool(_clip_flags(exceed, cats)))
 
 
 def _inverse_cdf_categories_batch(
@@ -401,12 +428,8 @@ def sample_antithetic_inverse_cdf(
     raises UnsupportedPathError.
     """
     p = as_probs(p)
-    n_samples = _validate_sample_count(n_samples)
-    if copula.family != "dirichlet":
-        raise UnsupportedPathError(
-            "the inverse-CDF path needs the analytic pair CDF, which only the "
-            "Dirichlet copula provides; use the Gumbel path for the Gaussian"
-        )
+    n_samples = _validate_n(n_samples)
+    _check_inverse_cdf_copula(copula)
     cats = _inverse_cdf_categories_batch(1, n_samples, p, rng)[0]
     present = np.unique(cats)
     a, b = np.triu_indices(present.size)
@@ -596,7 +619,7 @@ def gumbel_pair_pmf(p, n_samples: int, copula: CopulaKind = DIRICHLET) -> np.nda
     returned array is read-only.
     """
     p = as_probs(p)
-    n = _validate_sample_count(n_samples)
+    n = _validate_n(n_samples)
     return _gumbel_pair_pmf_cached(p.tobytes(), n, copula, GUMBEL_NODES)
 
 
@@ -617,7 +640,7 @@ def sample_antithetic_gumbel(
     _realized_ratios.
     """
     p = as_probs(p)
-    n_samples = _validate_sample_count(n_samples)
+    n_samples = _validate_n(n_samples)
     cats = _gumbel_categories_batch(1, n_samples, p, rng, copula)[0]
     law = gumbel_pair_pmf(p, n_samples, copula)
     return onehot(cats, p.size), _realized_ratios(p, cats, law, clip)

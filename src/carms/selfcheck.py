@@ -166,7 +166,7 @@ def _check_impossible_pair(_rng) -> CheckResult:
 
 def _check_copula_uniformity(rng) -> CheckResult:
     # imported here: scipy.stats takes about 0.5 s to import, which every
-    # `import carms` and every CLI command would pay for this one check
+    # CLI command would pay for this one check
     from scipy import stats
 
     worst_p = 1.0

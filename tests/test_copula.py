@@ -317,6 +317,9 @@ def test_copula_kind_band_validation():
         kind.resolve_rho(3)  # band is [-0.5, 0]
     with pytest.raises(ValueError):
         CopulaKind("gaussian", rho=0.1).resolve_rho(3)  # positive side excluded
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            CopulaKind("gaussian", rho=bad).resolve_rho(3)
 
 
 def test_copula_kind_defaults_and_errors():

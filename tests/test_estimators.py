@@ -205,6 +205,8 @@ def test_carms_nonfinite_ratio_only_fails_when_read():
     r = np.ones((3, 3))
     r[0, 2] = r[2, 0] = np.inf  # category 2 absent: never read
     carms(f, z, r, [0.2, 0.3, 0.5])
+    r[0, 0] = np.inf  # category 0 drawn once: only a sample paired with itself
+    assert np.array_equal(carms(f, z, r, [0.2, 0.3, 0.5]), [0.5, -0.5, 0.0])
     r_bad = np.ones((3, 3))
     r_bad[0, 1] = np.inf  # realized pair
     with pytest.raises(ValueError):
@@ -216,6 +218,8 @@ def test_carms_shape_validation():
     z = onehot([0, 1], 2)
     with pytest.raises(ValueError):
         carms(f, z, np.ones((3, 3)), [0.5, 0.5])
+    with pytest.raises(ValueError):
+        carms(f, z, np.ones((3, 3)), [0.2, 0.3, 0.5])  # two-column samples
     with pytest.raises(ValueError):
         carms([1.0], z[:1], np.ones((2, 2)), [0.5, 0.5])
 

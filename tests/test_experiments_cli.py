@@ -17,7 +17,7 @@ import pytest
 
 from carms.cli import CORRELATION_COLUMNS, TOY_COLUMNS, main
 from carms.copula import DIRICHLET, CopulaKind
-from carms.estimators import carms, loorf
+from carms.estimators import carms_pair_sum, loorf
 from carms.experiments import (
     CorrelationConfig,
     ToyConfig,
@@ -36,6 +36,8 @@ from carms.sampling import (
     UnsupportedPathError,
     _inverse_cdf_categories_batch,
     bivariate_pmf_averaged,
+    sample_antithetic_gumbel,
+    sample_antithetic_inverse_cdf,
 )
 
 
@@ -133,9 +135,10 @@ def test_estimator_factory_inactive_dimension_is_zero_in_expectation():
         assert np.max(np.abs(moments.mean[1]) / moments.stderr[1]) <= 4.0, method
 
 
-def test_carms_core_matches_the_single_draw_estimator():
-    # the scatter-added batch core against estimators.carms draw by draw,
-    # with categories absent from most draws and one that never occurs
+def test_carms_core_matches_the_pair_sum_oracle():
+    # the scatter-added batch core (which estimators.carms runs at k = 1)
+    # against the explicit pair sum draw by draw, with categories absent from
+    # most draws and one that never occurs
     rng = np.random.default_rng(30)
     for n in (2, 3, 5):
         p = np.array([0.3, 0.0, 0.05, 0.25, 0.15, 0.25])
@@ -143,7 +146,7 @@ def test_carms_core_matches_the_single_draw_estimator():
         cats = _inverse_cdf_categories_batch(200, n, p, rng)
         f = rng.normal(size=(200, n)) * 5.0
         g = _carms_estimates(f, cats, ratios, p)
-        ref = [carms(f[i], np.eye(p.size)[cats[i]], ratios, p) for i in range(200)]
+        ref = [carms_pair_sum(f[i], np.eye(p.size)[cats[i]], ratios) for i in range(200)]
         assert np.max(np.abs(g - np.array(ref))) <= 1e-12, n
 
 
@@ -205,6 +208,18 @@ def test_empirical_joint_batch_properties_every_draw():
         assert np.all(joint >= 0.0)
         assert np.max(np.abs(joint.sum(axis=(1, 2)) - 1.0)) <= 1e-12
         assert np.array_equal(joint, joint.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("clip", [0.0, -1.0, float("nan")])
+def test_bad_clip_is_rejected_on_both_carms_paths(clip):
+    # a ceiling at or below 0 would zero or sign-flip every ratio
+    p = np.array([[0.5, 0.3, 0.2]])
+    for method in ("carms-i", "carms-g"):
+        with pytest.raises(ValueError, match="clip"):
+            make_gradient_estimator(method, p, 3, toy_objective(3, 1), clip=clip)
+    for sample in (sample_antithetic_inverse_cdf, sample_antithetic_gumbel):
+        with pytest.raises(ValueError, match="clip"):
+            sample(3, p[0], np.random.default_rng(0), clip=clip)
 
 
 def test_estimator_factory_gaussian_inverse_cdf_unsupported():
@@ -476,6 +491,23 @@ def test_cli_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit):
         main(["nonsense"])
     capsys.readouterr()
+
+
+def test_cli_nonfinite_clip_and_rho_exit_two(capsys):
+    # nan passes a "<= 0" test, so both must be rejected, not run to nan output
+    with pytest.raises(SystemExit) as exc:
+        main(["toy", "--clip", "nan", "--inner", "16"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "carms toy: error: argument --clip: clip must be positive or 'none'"
+    ]
+    argv = ["correlation", "--method", "gumbel", "--copula", "gaussian", "--rho", "nan"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
 
 
 def test_cli_nonfinite_log_variance_serializes(tmp_path):
