@@ -8,15 +8,14 @@ about 20 s on a 2-core machine; --quick cuts it to a smoke run.
 """
 
 import argparse
-import csv
 import sys
 import time
 
-from carms.cli import TOY_COLUMNS, _toy_csv_row
+from carms.cli import _write_records
 from carms.experiments import TOY_METHODS, ToyConfig, run_toy
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="toy_sweep.csv")
     ap.add_argument("--categories", type=int, default=10)
@@ -26,7 +25,7 @@ def main():
     ap.add_argument("--inner", type=int, default=10_000)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--quick", action="store_true", help="3 trials, 2000 inner draws")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     config = ToyConfig(
         methods=TOY_METHODS,
@@ -41,18 +40,16 @@ def main():
 
     start = time.perf_counter()
     records = []
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TOY_COLUMNS)
-        for rec in run_toy(config):
-            writer.writerow(_toy_csv_row(rec))
-            records.append(rec)
-            print(
-                f"alpha={rec['alpha']:<8g} trial={rec['trial']} "
-                f"{rec['method']:<10} var_sum={rec['var_sum']:.6g} "
-                f"clip_frac={rec['clip_fraction']:.3g}",
-                file=sys.stderr,
-            )
+    for rec in run_toy(config):
+        records.append(rec)
+        print(
+            f"alpha={rec['alpha']:<8g} trial={rec['trial']} "
+            f"{rec['method']:<10} var_sum={rec['var_sum']:.6g} "
+            f"clip_frac={rec['clip_fraction']:.3g}",
+            file=sys.stderr,
+        )
+    # the same writer as `carms toy`, so the CSV has its columns and format
+    _write_records(args.out, "csv", records)
     print(f"wrote {len(records)} records to {args.out} "
           f"in {time.perf_counter() - start:.1f}s", file=sys.stderr)
 

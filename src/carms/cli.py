@@ -28,95 +28,52 @@ from .experiments import (
 )
 from .selfcheck import run_selfcheck
 
-TOY_COLUMNS = [
-    "method", "copula", "categories", "dims", "samples", "alpha", "trials",
-    "trial", "inner", "seed", "clip", "probs", "var",
-    "var_sum", "log_var_sum", "log_var_mean", "clip_fraction",
-]
-CORRELATION_COLUMNS = [
-    "method", "copula", "categories", "samples", "draws", "seed", "corr",
-]
-SELFCHECK_COLUMNS = ["check", "status", "detail"]
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, float):
+        return "%.17g" % value
+    if isinstance(value, np.ndarray):
+        return ";".join("%.17g" % v for v in value.ravel().tolist())
+    return str(value)
 
 
-def _f17(x) -> str:
-    return "%.17g" % float(x)
+def _json_value(value):
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    return value
 
 
-def _join_floats(values) -> str:
-    return ";".join(_f17(v) for v in np.asarray(values, dtype=float).ravel())
-
-
-def _json_number(x):
-    x = float(x)
-    return x if math.isfinite(x) else None
-
-
-def _json_matrix(values):
-    return [[_json_number(v) for v in row] for row in values]
-
-
-def _toy_csv_row(rec) -> list[str]:
-    return [
-        rec["method"], rec["copula"], str(rec["categories"]), str(rec["dims"]),
-        str(rec["samples"]), _f17(rec["alpha"]), str(rec["trials"]),
-        str(rec["trial"]), str(rec["inner"]), str(rec["seed"]),
-        "none" if rec["clip"] is None else _f17(rec["clip"]),
-        _join_floats(rec["probs"]), _join_floats(rec["var"]),
-        _f17(rec["var_sum"]), _f17(rec["log_var_sum"]), _f17(rec["log_var_mean"]),
-        _f17(rec["clip_fraction"]),
-    ]
-
-
-def _toy_json_obj(rec) -> dict:
-    return {
-        "method": rec["method"], "copula": rec["copula"],
-        "categories": rec["categories"], "dims": rec["dims"],
-        "samples": rec["samples"], "alpha": rec["alpha"],
-        "trials": rec["trials"], "trial": rec["trial"], "inner": rec["inner"],
-        "seed": rec["seed"],
-        "clip": None if rec["clip"] is None else float(rec["clip"]),
-        "probs": _json_matrix(rec["probs"]), "var": _json_matrix(rec["var"]),
-        "var_sum": _json_number(rec["var_sum"]),
-        "log_var_sum": _json_number(rec["log_var_sum"]),
-        "log_var_mean": _json_number(rec["log_var_mean"]),
-        "clip_fraction": _json_number(rec["clip_fraction"]),
-    }
-
-
-def _corr_csv_row(rec) -> list[str]:
-    return [
-        rec["method"], rec["copula"], str(rec["categories"]), str(rec["samples"]),
-        str(rec["draws"]), str(rec["seed"]), _join_floats(rec["corr"]),
-    ]
-
-
-def _corr_json_obj(rec) -> dict:
-    return {
-        "method": rec["method"], "copula": rec["copula"],
-        "categories": rec["categories"], "samples": rec["samples"],
-        "draws": rec["draws"], "seed": rec["seed"],
-        "corr": _json_matrix(rec["corr"]),
-    }
-
-
-def _write_records(out_path, output, columns, rows, json_objs):
-    """Write CSV (with header) or JSON-lines to a file or stdout."""
+def _write_records(out_path, output, records):
+    """Write records (dicts) as CSV (with header) or JSON-lines to a file or stdout."""
     if out_path == "-":
-        _emit(sys.stdout, output, columns, rows, json_objs)
+        _emit(sys.stdout, output, records)
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            _emit(handle, output, columns, rows, json_objs)
+            _emit(handle, output, records)
 
 
-def _emit(handle, output, columns, rows, json_objs):
+def _emit(handle, output, records):
+    """CSV columns and JSON keys are the record keys in order.
+
+    A CSV cell is "none" for None, %.17g for a float, the %.17g entries of
+    an array joined by ";" in row-major order, and str() of anything else.
+    A JSON float is a number, or null when nonfinite; an array becomes
+    nested lists of such numbers.
+    """
     if output == "csv":
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerow(list(records[0]))
+        for rec in records:
+            writer.writerow([_csv_cell(v) for v in rec.values()])
     else:
-        for obj in json_objs:
+        for rec in records:
+            obj = {key: _json_value(v) for key, v in rec.items()}
             handle.write(json.dumps(obj, allow_nan=False))
             handle.write("\n")
 
@@ -209,11 +166,7 @@ def _cmd_toy(args) -> int:
     )
     start = time.perf_counter()
     records = list(run_toy(config))
-    _write_records(
-        args.out_path, args.output, TOY_COLUMNS,
-        (_toy_csv_row(r) for r in records),
-        (_toy_json_obj(r) for r in records),
-    )
+    _write_records(args.out_path, args.output, records)
     print(
         f"toy: {len(records)} records in {time.perf_counter() - start:.2f}s",
         file=sys.stderr,
@@ -232,10 +185,7 @@ def _cmd_correlation(args) -> int:
     )
     start = time.perf_counter()
     record = run_correlation(config)
-    _write_records(
-        args.out_path, args.output, CORRELATION_COLUMNS,
-        [_corr_csv_row(record)], [_corr_json_obj(record)],
-    )
+    _write_records(args.out_path, args.output, [record])
     print(
         f"correlation: 1 record in {time.perf_counter() - start:.2f}s",
         file=sys.stderr,
@@ -246,13 +196,15 @@ def _cmd_correlation(args) -> int:
 def _cmd_selfcheck(args) -> int:
     start = time.perf_counter()
     results = run_selfcheck(level=args.level, seed=args.seed)
-    rows = [
-        [r.name, "pass" if r.passed else "fail", r.detail] for r in results
-    ]
-    objs = [
-        {"check": r.name, "passed": r.passed, "detail": r.detail} for r in results
-    ]
-    _write_records(args.out_path, args.output, SELFCHECK_COLUMNS, rows, objs)
+    # the CSV reads pass/fail where the JSON has a boolean
+    if args.output == "csv":
+        rows = [
+            {"check": r.name, "status": "pass" if r.passed else "fail", "detail": r.detail}
+            for r in results
+        ]
+    else:
+        rows = [{"check": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+    _write_records(args.out_path, args.output, rows)
     n_failed = sum(1 for r in results if not r.passed)
     print(
         f"selfcheck[{args.level}]: {len(results) - n_failed}/{len(results)} passed "

@@ -85,25 +85,6 @@ DIRICHLET = CopulaKind("dirichlet")
 GAUSSIAN = CopulaKind("gaussian")
 
 
-@dataclass(frozen=True)
-class CopulaDraw:
-    """One joint draw of n dependent uniforms."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 2:
-            raise ValueError("a copula draw is a vector of at least two uniforms")
-        if not np.all((vals > 0.0) & (vals < 1.0)):
-            raise ValueError("copula draw coordinates must lie strictly inside (0, 1)")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.size
-
-
 def _sample_dirichlet_copula_batch(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """k independent Dirichlet-copula draws, shape (k, n)."""
     n = _validate_n(n)
@@ -115,11 +96,6 @@ def _sample_dirichlet_copula_batch(k: int, n: int, rng: np.random.Generator) -> 
     return np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS)
 
 
-def sample_dirichlet_copula(n: int, rng: np.random.Generator) -> CopulaDraw:
-    """Draw n uniforms coupled through the flat Dirichlet."""
-    return CopulaDraw(_sample_dirichlet_copula_batch(1, n, rng)[0])
-
-
 def _sample_gaussian_copula_batch(
     k: int, n: int, rho: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -128,9 +104,9 @@ def _sample_gaussian_copula_batch(
     An equicorrelated normal vector with unit variances decomposes into a
     centered part scaled by sqrt(1 - rho) and a mean part scaled by
     sqrt(1 + (n-1) rho); this stays exact at the singular edge rho = -1/(n-1).
+    rho is taken as given, already resolved by CopulaKind.resolve_rho.
     """
     n = _validate_n(n)
-    rho = GAUSSIAN.resolve_rho(n) if rho is None else CopulaKind("gaussian", rho).resolve_rho(n)
     a = np.sqrt(1.0 - rho)
     b = np.sqrt(max(1.0 + (n - 1) * rho, 0.0))
     w = rng.standard_normal((k, n))
@@ -139,17 +115,10 @@ def _sample_gaussian_copula_batch(
     return np.clip(ndtr(x), CLAMP_EPS, 1.0 - CLAMP_EPS)
 
 
-def sample_gaussian_copula(n: int, rho: float | None, rng: np.random.Generator) -> CopulaDraw:
-    """Draw n uniforms from the equicorrelated Gaussian copula.
-
-    rho=None selects the strongest feasible anticorrelation -1/(n-1).
-    """
-    return CopulaDraw(_sample_gaussian_copula_batch(1, n, rho, rng)[0])
-
-
 def sample_copula_batch(
     kind: CopulaKind, k: int, n: int, rng: np.random.Generator
 ) -> np.ndarray:
+    """k independent draws of n uniforms from the copula kind, shape (k, n)."""
     if kind.family == "dirichlet":
         return _sample_dirichlet_copula_batch(k, n, rng)
     return _sample_gaussian_copula_batch(k, n, kind.resolve_rho(n), rng)

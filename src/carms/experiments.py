@@ -22,7 +22,7 @@ from .estimators import _carms_estimates, _score_sums
 from .sampling import (
     _analytic_ratio_matrix,
     _categorize_batch,
-    _check_inverse_cdf_copula,
+    _check_clip,
     _clip_flags,
     _gumbel_categories_batch,
     _inverse_cdf_categories_batch,
@@ -33,6 +33,18 @@ from .sampling import (
 
 TOY_METHODS = ("carms-i", "carms-g", "loorf", "reinforce")
 CORRELATION_METHODS = ("inverse-cdf", "gumbel", "independent")
+
+
+class UnsupportedPathError(ValueError):
+    """A copula family was asked for on a path that cannot honor it."""
+
+
+def _check_inverse_cdf_copula(copula: CopulaKind) -> None:
+    if copula.family != "dirichlet":
+        raise UnsupportedPathError(
+            "the inverse-CDF path needs the analytic pair CDF, which only the "
+            "Dirichlet copula provides; use the Gumbel path for the Gaussian"
+        )
 
 
 @dataclass(frozen=True)
@@ -121,6 +133,7 @@ def make_gradient_estimator(
     if method == "reinforce":
         return lambda rng, k: score_weighted(rng, k, lambda f: f / n)
 
+    _check_clip(clip)  # before the D pair-law builds
     if method == "carms-i":
         _check_inverse_cdf_copula(copula)
 

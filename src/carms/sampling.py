@@ -45,18 +45,6 @@ from .copula import (
 )
 
 
-class UnsupportedPathError(ValueError):
-    """A copula family was asked for on a path that cannot honor it."""
-
-
-def _check_inverse_cdf_copula(copula: CopulaKind) -> None:
-    if copula.family != "dirichlet":
-        raise UnsupportedPathError(
-            "the inverse-CDF path needs the analytic pair CDF, which only the "
-            "Dirichlet copula provides; use the Gumbel path for the Gaussian"
-        )
-
-
 def as_probs(p) -> np.ndarray:
     """Validate and return a probability vector over at least two categories."""
     arr = np.asarray(p, dtype=float)
@@ -77,32 +65,6 @@ def onehot(categories, n_categories: int) -> np.ndarray:
     return np.eye(n_categories)[cats]
 
 
-@dataclass(frozen=True)
-class Boundaries:
-    """Consecutive half-open cells [left_j, right_j) partitioning [0, 1]."""
-
-    left: np.ndarray
-    right: np.ndarray
-
-    def __post_init__(self):
-        left = np.asarray(self.left, dtype=float)
-        right = np.asarray(self.right, dtype=float)
-        if left.shape != right.shape or left.ndim != 1:
-            raise ValueError("left and right boundaries must be matching vectors")
-        if left[0] != 0.0 or abs(right[-1] - 1.0) > 1e-12:
-            raise ValueError("cells must start at 0 and end at 1")
-        if not np.array_equal(left[1:], right[:-1]):
-            raise ValueError("cells must be adjacent")
-        if np.any(right - left < 0.0):
-            raise ValueError("cells must have nonnegative width")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    @property
-    def n_categories(self) -> int:
-        return self.left.size
-
-
 def _cell_edges(q: np.ndarray):
     """Left and right edges of consecutive cells of widths q along the last axis.
 
@@ -113,10 +75,6 @@ def _cell_edges(q: np.ndarray):
     right[..., -1] = 1.0
     left = np.concatenate([np.zeros_like(right[..., :1]), right[..., :-1]], axis=-1)
     return left, right
-
-
-def compute_boundaries(p) -> Boundaries:
-    return Boundaries(*_cell_edges(as_probs(p)))
 
 
 def _categorize_batch(u: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -249,9 +207,9 @@ def bivariate_pmf_one_ordering(p, ordering: Ordering, i: int, j: int, n: int) ->
         raise ValueError("ordering and probability vector disagree on C")
     if not (0 <= i < p.size and 0 <= j < p.size):
         raise ValueError("category index out of range")
-    b = compute_boundaries(ordering.permuted(p))
+    left, right = _cell_edges(ordering.permuted(p))
     ip, jp = ordering.perm[i], ordering.perm[j]
-    return float(_rectangle_mass(b.left[ip], b.right[ip], b.left[jp], b.right[jp], n))
+    return float(_rectangle_mass(left[ip], right[ip], left[jp], right[jp], n))
 
 
 def bivariate_pmf_matrix(p, ordering: Ordering, n: int) -> np.ndarray:
@@ -263,18 +221,20 @@ def bivariate_pmf_matrix(p, ordering: Ordering, n: int) -> np.ndarray:
     return _rectangle_mass(left.T, right.T, left, right, n)
 
 
-def _mean_over_orderings(p: np.ndarray, mass_of) -> np.ndarray:
+def _mean_over_orderings(p: np.ndarray, mass_of, width: int) -> np.ndarray:
     """Mean over all anchored orderings of mass_of(left, right).
 
     left and right are the (B, C) category edges under a block of B
-    orderings, and mass_of returns a fresh (B, ...) array.  Blocks hold about
-    8192 / C^2 orderings, so temporaries stay near 64 KiB at any C, as in
-    _gumbel_pair_offdiag, and every C <= 11 is a single block.  Adding the
-    running total into each block's first row keeps the orderings summed one
-    after another, exactly as a single sum over all of them would be.
+    orderings, and mass_of returns a fresh (B, ...) array of width entries
+    per ordering.  Blocks hold about 8192 / width orderings, so temporaries
+    stay near 64 KiB at any C, as in _gumbel_pair_offdiag; the full law
+    (width C^2) is a single block for every C <= 11.  Adding the running
+    total into each block's first row keeps the orderings summed one after
+    another, exactly as a single sum over all of them would be, so the
+    result does not depend on the block size.
     """
     perm, inverse = _ordering_table(p.size)
-    step = max(1, 8192 // p.size**2)
+    step = max(1, 8192 // max(width, 1))
     total = 0.0
     for lo in range(0, perm.shape[0], step):
         rows = slice(lo, lo + step)
@@ -293,6 +253,7 @@ def bivariate_pmf_averaged(p, n: int) -> np.ndarray:
         lambda left, right: _rectangle_mass(
             left[:, :, None], right[:, :, None], left[:, None, :], right[:, None, :], n
         ),
+        p.size**2,
     )
 
 
@@ -310,7 +271,7 @@ def bivariate_pmf_entries(p, n: int, pairs) -> np.ndarray:
         a, b = (np.take(edge, pairs, axis=1) for edge in (left, right))
         return _rectangle_mass(a[:, :, 0], b[:, :, 0], a[:, :, 1], b[:, :, 1], n)
 
-    return _mean_over_orderings(p, mass_of)
+    return _mean_over_orderings(p, mass_of, len(pairs))
 
 
 @dataclass(frozen=True)
@@ -342,6 +303,11 @@ class RatioMatrix:
         object.__setattr__(self, "ratios", ratios)
 
 
+def _check_clip(clip) -> None:
+    if clip is not None and not clip > 0.0:  # a nan ceiling fails this too
+        raise ValueError(f"clip ceiling must be positive or None, got {clip!r}")
+
+
 def _analytic_ratio_matrix(p: np.ndarray, pbar: np.ndarray, clip: float | None):
     """Fixed importance ratios p_i p_j / P(i, j) from an exact pair law P.
 
@@ -349,8 +315,7 @@ def _analytic_ratio_matrix(p: np.ndarray, pbar: np.ndarray, clip: float | None):
     ratio tops the clip ceiling, i.e. where clipping engages when realized.
     Zero-probability pairs can never be realized and get the inert 1.
     """
-    if clip is not None and not clip > 0.0:
-        raise ValueError(f"clip ceiling must be positive or None, got {clip!r}")
+    _check_clip(clip)
     pouter = np.outer(p, p)
     live = pbar > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -415,7 +380,6 @@ def sample_antithetic_inverse_cdf(
     p,
     rng: np.random.Generator,
     *,
-    copula: CopulaKind = DIRICHLET,
     clip: float | None = 10.0,
 ):
     """Draw N antithetically coupled categorical samples via the inverse CDF.
@@ -423,13 +387,11 @@ def sample_antithetic_inverse_cdf(
     Returns the one-hot sample matrix Z (N x C) and the RatioMatrix holding
     p_i p_j / P(i, j) at pairs realized in Z, with P the exact pair law
     averaged over all anchored orderings (bivariate_pmf_averaged), clipped
-    at `clip`; other entries hold the placeholder of _realized_ratios.  Only
-    the Dirichlet copula has that closed form; asking for the Gaussian
-    raises UnsupportedPathError.
+    at `clip`; other entries hold the placeholder of _realized_ratios.  The
+    copula is the Dirichlet one, the only family with that closed form.
     """
     p = as_probs(p)
     n_samples = _validate_n(n_samples)
-    _check_inverse_cdf_copula(copula)
     cats = _inverse_cdf_categories_batch(1, n_samples, p, rng)[0]
     present = np.unique(cats)
     a, b = np.triu_indices(present.size)

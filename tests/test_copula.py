@@ -43,7 +43,6 @@ from carms.copula import (
     CLAMP_EPS,
     DIRICHLET,
     GAUSSIAN,
-    CopulaDraw,
     CopulaKind,
     _pair_cdfs,
     _sample_dirichlet_copula_batch,
@@ -51,8 +50,6 @@ from carms.copula import (
     bernoulli_pair_correlation,
     dirichlet_bivariate_cdf,
     sample_copula_batch,
-    sample_dirichlet_copula,
-    sample_gaussian_copula,
 )
 
 
@@ -228,17 +225,19 @@ def test_draws_are_clamped_strictly_inside_unit_interval():
 def test_unit_samplers_validate_n():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        sample_dirichlet_copula(1, rng)
+        _sample_dirichlet_copula_batch(5, 1, rng)
     with pytest.raises(ValueError):
-        sample_gaussian_copula(1, -0.5, rng)
+        _sample_gaussian_copula_batch(5, 1, -0.5, rng)
+    for kind in (DIRICHLET, GAUSSIAN):
+        with pytest.raises(ValueError):
+            sample_copula_batch(kind, 5, 1, rng)
 
 
 def test_unit_samplers_return_copula_draws():
     rng = np.random.default_rng(0)
-    d = sample_dirichlet_copula(4, rng)
-    g = sample_gaussian_copula(3, -0.25, rng)
-    assert isinstance(d, CopulaDraw) and d.values.shape == (4,)
-    assert isinstance(g, CopulaDraw) and g.values.shape == (3,)
+    d = sample_copula_batch(DIRICHLET, 5, 4, rng)
+    g = sample_copula_batch(CopulaKind("gaussian", -0.25), 5, 3, rng)
+    assert d.shape == (5, 4) and g.shape == (5, 3)
 
 
 @pytest.mark.parametrize("kind", [DIRICHLET, GAUSSIAN], ids=["dirichlet", "gaussian"])
@@ -306,7 +305,7 @@ def test_gaussian_zero_correlation_is_independent():
 
 
 # ---------------------------------------------------------------------------
-# CopulaKind / CopulaDraw validation
+# CopulaKind validation
 
 
 def test_copula_kind_band_validation():
@@ -329,15 +328,6 @@ def test_copula_kind_defaults_and_errors():
         CopulaKind("dirichlet", rho=-0.5)
     with pytest.raises(ValueError):
         CopulaKind("logistic")
-
-
-def test_copula_draw_validation():
-    with pytest.raises(ValueError):
-        CopulaDraw(np.array([0.5]))  # too short
-    with pytest.raises(ValueError):
-        CopulaDraw(np.array([0.0, 0.5]))  # boundary value
-    with pytest.raises(ValueError):
-        CopulaDraw(np.array([[0.3, 0.7]]))  # not 1-D
 
 
 # ---------------------------------------------------------------------------

@@ -5,22 +5,26 @@ JSON lines, byte-identical reruns, and the exit-code contract.
 """
 
 import csv
+import importlib.util
 import json
 import subprocess
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from carms.cli import CORRELATION_COLUMNS, TOY_COLUMNS, main
+from carms import experiments
+from carms.cli import main
 from carms.copula import DIRICHLET, CopulaKind
 from carms.estimators import carms_pair_sum, loorf
 from carms.experiments import (
     CorrelationConfig,
     ToyConfig,
+    UnsupportedPathError,
     _analytic_ratio_matrix,
     _carms_estimates,
     _empirical_joint_batch,
@@ -33,7 +37,6 @@ from carms.experiments import (
 )
 from carms.oracle import TabulatedObjective, exact_gradient, mc_estimator_moments
 from carms.sampling import (
-    UnsupportedPathError,
     _inverse_cdf_categories_batch,
     bivariate_pmf_averaged,
     sample_antithetic_gumbel,
@@ -211,8 +214,14 @@ def test_empirical_joint_batch_properties_every_draw():
 
 
 @pytest.mark.parametrize("clip", [0.0, -1.0, float("nan")])
-def test_bad_clip_is_rejected_on_both_carms_paths(clip):
-    # a ceiling at or below 0 would zero or sign-flip every ratio
+def test_bad_clip_is_rejected_on_both_carms_paths(clip, monkeypatch):
+    # a ceiling at or below 0 would zero or sign-flip every ratio; the
+    # factory rejects it before it builds any pair law
+    def no_build(*args, **kwargs):
+        raise AssertionError("a pair law was built before the clip check")
+
+    monkeypatch.setattr(experiments, "bivariate_pmf_averaged", no_build)
+    monkeypatch.setattr(experiments, "gumbel_pair_pmf", no_build)
     p = np.array([[0.5, 0.3, 0.2]])
     for method in ("carms-i", "carms-g"):
         with pytest.raises(ValueError, match="clip"):
@@ -389,6 +398,12 @@ def test_indicator_correlation_matches_corrcoef_of_one_hot_indicators():
 # ---------------------------------------------------------------------------
 # CLI (in-process)
 
+TOY_HEADER = [
+    "method", "copula", "categories", "dims", "samples", "alpha", "trials",
+    "trial", "inner", "seed", "clip", "probs", "var",
+    "var_sum", "log_var_sum", "log_var_mean", "clip_fraction",
+]
+
 TOY_ARGS = [
     "toy", "--method", "carms-i,loorf", "--categories", "3", "--dims", "2",
     "--samples", "3", "--alpha", "1.0", "--trials", "2", "--inner", "64",
@@ -402,9 +417,9 @@ def test_cli_toy_csv_contract(tmp_path, capsys):
     assert "toy:" in capsys.readouterr().err  # timing goes to stderr
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == TOY_COLUMNS
+    assert rows[0] == TOY_HEADER
     assert len(rows) == 1 + 2 * 2
-    by_col = dict(zip(TOY_COLUMNS, rows[1]))
+    by_col = dict(zip(TOY_HEADER, rows[1]))
     assert by_col["method"] in ("carms-i", "loorf")
     assert by_col["categories"] == "3"
     # probs round-trip through %.17g bit-exactly
@@ -445,7 +460,7 @@ def test_cli_correlation_csv_and_jsonl(tmp_path):
     assert main(args + ["--output", "jsonl", "--out-path", str(out_jsonl)]) == 0
     with open(out_csv, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == CORRELATION_COLUMNS
+    assert rows[0] == ["method", "copula", "categories", "samples", "draws", "seed", "corr"]
     assert len(rows) == 2
     schema = _load_schema("correlation.schema.json")
     jsonschema.validate(json.loads(out_jsonl.read_text()), schema)
@@ -556,3 +571,40 @@ def test_module_reruns_are_byte_identical(tmp_path):
     assert _run_module(args + [str(out_b)]).returncode == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert out_a.stat().st_size > 0
+
+
+# ---------------------------------------------------------------------------
+# scripts and the benchmark's traced names
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _load_by_path(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_toy_sweep_script_writes_the_cli_toy_csv(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    sweep = _load_by_path("run_toy_sweep", REPO / "scripts" / "run_toy_sweep.py")
+    size = ["--categories", "3", "--dims", "2", "--trials", "1", "--inner", "50"]
+    sweep.main(size + ["--out", "sweep.csv"])
+    assert main(["toy", *size, "--out-path", "toy.csv"]) == 0
+    sweep_lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert sweep_lines[0] == (tmp_path / "toy.csv").read_text().splitlines()[0]
+    assert sweep_lines[0] == ",".join(TOY_HEADER)
+    assert len(sweep_lines) == 1 + 4 * 4  # methods x alphas, one trial
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    # the benchmark rebinds carms functions by name; a rename would leave
+    # its span empty without failing the run
+    spans = _load_by_path("perfbench_spans", REPO / "perfbench" / "spans.py")
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()

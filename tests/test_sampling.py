@@ -1,4 +1,4 @@
-"""Tests for boundaries, orderings, the analytic pair PMF, and both samplers."""
+"""Tests for cell edges, orderings, the analytic pair PMF, and both samplers."""
 
 import numpy as np
 import pytest
@@ -14,11 +14,10 @@ from carms.copula import (
 from carms.sampling import (
     GUMBEL_BLOCK,
     GUMBEL_NODES,
-    Boundaries,
     Ordering,
     RatioMatrix,
-    UnsupportedPathError,
     _categorize_batch,
+    _cell_edges,
     _gumbel_categories_batch,
     _gumbel_pair_pmf_cached,
     _inverse_cdf_categories_batch,
@@ -28,7 +27,6 @@ from carms.sampling import (
     bivariate_pmf_entries,
     bivariate_pmf_matrix,
     bivariate_pmf_one_ordering,
-    compute_boundaries,
     gumbel_pair_pmf,
     make_ordering,
     sample_antithetic_gumbel,
@@ -62,45 +60,41 @@ def test_as_probs_validation():
 
 
 def test_boundaries_frozen_examples():
-    b = compute_boundaries([0.1, 0.2, 0.7])
-    assert np.allclose(b.left, [0.0, 0.1, 0.3], atol=1e-15)
-    assert np.allclose(b.right, [0.1, 0.3, 1.0], atol=1e-15)
-    assert b.right[-1] == 1.0
-    b = compute_boundaries([0.5, 0.5])
-    assert np.array_equal(b.left, [0.0, 0.5])
-    assert np.array_equal(b.right, [0.5, 1.0])
-    b = compute_boundaries([0.6, 0.3, 0.1])
-    assert np.allclose(b.left, [0.0, 0.6, 0.9], atol=1e-15)
-    assert np.allclose(b.right, [0.6, 0.9, 1.0], atol=1e-15)
+    left, right = _cell_edges(as_probs([0.1, 0.2, 0.7]))
+    assert np.allclose(left, [0.0, 0.1, 0.3], atol=1e-15)
+    assert np.allclose(right, [0.1, 0.3, 1.0], atol=1e-15)
+    assert right[-1] == 1.0
+    left, right = _cell_edges(as_probs([0.5, 0.5]))
+    assert np.array_equal(left, [0.0, 0.5])
+    assert np.array_equal(right, [0.5, 1.0])
+    left, right = _cell_edges(as_probs([0.6, 0.3, 0.1]))
+    assert np.allclose(left, [0.0, 0.6, 0.9], atol=1e-15)
+    assert np.allclose(right, [0.6, 0.9, 1.0], atol=1e-15)
 
 
 def test_boundaries_shared_edges_are_identical_floats():
     rng = np.random.default_rng(0)
     for _ in range(50):
         p = _simplex(rng, int(rng.integers(2, 9)))
-        b = compute_boundaries(p)
-        assert np.array_equal(b.left[1:], b.right[:-1])
-        assert b.left[0] == 0.0 and b.right[-1] == 1.0
-        assert np.all(b.right - b.left >= 0.0)
-
-
-def test_boundaries_validation():
-    with pytest.raises(ValueError):
-        Boundaries(np.array([0.1, 0.5]), np.array([0.5, 1.0]))  # left[0] != 0
-    with pytest.raises(ValueError):
-        Boundaries(np.array([0.0, 0.5]), np.array([0.5, 0.9]))  # right[-1] != 1
-    with pytest.raises(ValueError):
-        Boundaries(np.array([0.0, 0.4]), np.array([0.5, 1.0]))  # edge mismatch
+        left, right = _cell_edges(p)
+        assert np.array_equal(left[1:], right[:-1])
+        assert left[0] == 0.0 and right[-1] == 1.0
+        assert np.all(right - left >= 0.0)
+    # one set of edges per row along the last axis, each row adjacent
+    rows = np.stack([_simplex(rng, 6) for _ in range(4)])
+    left, right = _cell_edges(rows)
+    assert np.array_equal(left[:, 1:], right[:, :-1])
+    assert np.all(left[:, 0] == 0.0) and np.all(right[:, -1] == 1.0)
 
 
 def test_categorize_half_open_convention():
-    right = compute_boundaries([0.1, 0.2, 0.7]).right
-    left2 = float(compute_boundaries([0.1, 0.2, 0.7]).left[2])
+    left, right = _cell_edges(as_probs([0.1, 0.2, 0.7]))
+    left2 = float(left[2])
     u = np.array([0.05, 0.1, left2, 0.35, 0.999])
     # a shared edge goes to the upper cell
     assert np.array_equal(_categorize_batch(u, right), [0, 1, 2, 2, 2])
     # one set of edges per row, as the inverse-CDF path lays out each draw
-    rows = np.stack([right, compute_boundaries([0.7, 0.2, 0.1]).right])
+    rows = np.stack([right, _cell_edges(as_probs([0.7, 0.2, 0.1]))[1]])
     u = np.array([[0.1, 0.35], [0.7, 0.95]])
     assert np.array_equal(_categorize_batch(u, rows), [[1, 2], [1, 2]])
     # the last cell absorbs u at its final edge
@@ -282,7 +276,7 @@ def test_averaged_pmf_is_the_mean_over_all_orderings():
 
 def test_pmf_entries_selected_pairs():
     rng = np.random.default_rng(21)
-    for c in (2, 3, 7, 12, 24):
+    for c in (2, 3, 7, 12, 24, 30):
         p = _simplex(rng, c)
         n = int(rng.integers(2, 9))
         avg = bivariate_pmf_averaged(p, n)
@@ -322,10 +316,8 @@ def test_inverse_cdf_shapes_and_onehot_rows():
     assert ratios.ratios.shape == (3, 3)
 
 
-def test_inverse_cdf_rejects_gaussian_copula_and_small_n():
+def test_inverse_cdf_rejects_small_n():
     rng = np.random.default_rng(0)
-    with pytest.raises(UnsupportedPathError):
-        sample_antithetic_inverse_cdf(3, [0.5, 0.5], rng, copula=GAUSSIAN)
     with pytest.raises(ValueError):
         sample_antithetic_inverse_cdf(1, [0.5, 0.5], rng)
 
