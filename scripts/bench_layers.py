@@ -8,12 +8,14 @@ columns one Gumbel draw uses, the inverse-CDF and Gumbel categorizations
 (copula draw included), the carms estimator core, the loorf/reinforce score
 core and the pair-correlation matrix.  Pair-law builds are timed in ms per
 build for both paths.  The single-draw API is timed in microseconds per
-call, over CALLS calls at the same C, N and p: both samplers (the Gumbel one
-with its pair law cached) and estimators.carms on the Gumbel draws.  A
-stage's figure is the median over repeats after one warm-up call.
+call, over CALLS calls at the same C and N: both samplers at the fixed
+uniform p, both again with a fresh Dirichlet(10) p per call (as in a
+training step, where p moves every call and no cache can answer), and
+estimators.carms on the Gumbel draws.  A stage's figure is the median over
+repeats after one warm-up call.
 
-    python scripts/bench_layers.py BENCH_4.json --label change
-    python scripts/bench_layers.py BENCH_4.json --label parent --src ../parent/src
+    python scripts/bench_layers.py BENCH_7.json --label change
+    python scripts/bench_layers.py BENCH_7.json --label parent --src ../parent/src
 
 --src times another checkout's package (default: this checkout's src/).
 Trees from before the scatter-add cores have no _score_sums or
@@ -118,14 +120,23 @@ def single_draw(repeats):
     per_call = {}
     for c in SIZES:
         p = np.full(c, 1.0 / c)
-        # the first call builds and caches the Gumbel pair law of this p
+        # trees that cache the Gumbel pair law per p build it on the first call
         draws = [sample_antithetic_gumbel(SAMPLES, p, rng) for _ in range(CALLS)]
         f = rng.normal(size=(CALLS, SAMPLES))
+        # one p per call of every repeat, so no per-p cache ever hits
+        fresh_i = iter(rng.dirichlet(np.full(c, 10.0), size=(repeats + 1) * CALLS))
+        fresh_g = iter(rng.dirichlet(np.full(c, 10.0), size=(repeats + 1) * CALLS))
         stages = {
             "sample_antithetic_inverse_cdf":
                 lambda: [sample_antithetic_inverse_cdf(SAMPLES, p, rng) for _ in range(CALLS)],
             "sample_antithetic_gumbel":
                 lambda: [sample_antithetic_gumbel(SAMPLES, p, rng) for _ in range(CALLS)],
+            "sample_antithetic_inverse_cdf_fresh_p": lambda: [
+                sample_antithetic_inverse_cdf(SAMPLES, next(fresh_i), rng) for _ in range(CALLS)
+            ],
+            "sample_antithetic_gumbel_fresh_p": lambda: [
+                sample_antithetic_gumbel(SAMPLES, next(fresh_g), rng) for _ in range(CALLS)
+            ],
             "estimators_carms":
                 lambda: [estimators.carms(f[i], z, r, p) for i, (z, r) in enumerate(draws)],
         }
@@ -166,7 +177,7 @@ def main():
         print(f"{args.label:<8} pair_law_{name:<15} {cells}  ms/build", file=sys.stderr)
     for name, by_c in record["us_per_call"].items():
         cells = "  ".join(f"C={c}: {v:8.3f}" for c, v in by_c.items())
-        print(f"{args.label:<8} {name:<24} {cells}  us/call", file=sys.stderr)
+        print(f"{args.label:<8} {name:<37} {cells}  us/call", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -162,6 +162,12 @@ def _pair_cdfs(kind: CopulaKind, n: int, p, q):
     return _gaussian_cdf(p, q, rho), _gaussian_conditional(p, q, rho)
 
 
+def _pair_cdf(kind: CopulaKind, n: int, p, q):
+    if kind.family == "dirichlet":
+        return _dirichlet_cdf(p, q, n)
+    return _gaussian_cdf(p, q, kind.resolve_rho(n))
+
+
 def _int_power(x, k: int):
     """x ** k for an integer k >= 1 by repeated squaring.
 

@@ -20,10 +20,10 @@ with F_k the Gumbel CDF shifted by log p_k, f_k its density and C the
 copula's bivariate CDF.  The diagonal follows from the row sums, except
 under the Dirichlet copula at N >= 3, where it is integrated over the
 copula's density on its own.  The law is evaluated by Gauss-Legendre
-quadrature once per (p, N, copula) and cached.
+quadrature; the batched path builds it once per (p, N, copula) and caches it.
 
-Both samplers return the one-hot sample matrix together with the importance
-ratios p_i p_j / P(i, j) that debias estimators built on sample pairs.
+Both samplers return the one-hot sample matrix and the importance ratios
+p_i p_j / P(i, j) at the off-diagonal pairs the draw realizes, built uncached.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .copula import (
     DIRICHLET,
     CopulaKind,
     _dirichlet_cdf,
+    _pair_cdf,
     _pair_cdfs,
     _sample_dirichlet_copula_batch,
     _validate_n,
@@ -281,7 +282,7 @@ class RatioMatrix:
     clip is the ceiling applied to every computed entry (None disables it);
     clipped records whether a ratio at a pair actually present in the sample
     exceeded the ceiling, i.e. whether clipping changed the estimate.
-    Entries at pairs the estimator can never read are inert placeholders.
+    Entries the estimator never reads, the diagonal and unrealized pairs, hold placeholders.
     """
 
     ratios: np.ndarray
@@ -315,15 +316,13 @@ def _analytic_ratio_matrix(p: np.ndarray, pbar: np.ndarray, clip: float | None):
     ratio tops the clip ceiling, i.e. where clipping engages when realized.
     Zero-probability pairs can never be realized and get the inert 1.
     """
-    _check_clip(clip)
     pouter = np.outer(p, p)
     live = pbar > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = np.where(live, pouter / pbar, 1.0)
-    offdiag = ~np.eye(p.size, dtype=bool)
     if clip is None:
         return raw, np.zeros_like(live)
-    exceed = live & offdiag & (raw > clip)
+    exceed = live & ~np.eye(p.size, dtype=bool) & (raw > clip)
     return np.where(live, np.minimum(raw, clip), 1.0), exceed
 
 
@@ -335,24 +334,19 @@ def _clip_flags(exceed: np.ndarray, cats: np.ndarray) -> np.ndarray:
     return exceed[cats[..., :, None], cats[..., None, :]].any(axis=(-2, -1))
 
 
-def _realized_ratios(p: np.ndarray, cats: np.ndarray, law: np.ndarray, clip) -> RatioMatrix:
+def _realized_ratios(p: np.ndarray, law: np.ndarray, clip) -> RatioMatrix:
     """The batched ratios of _analytic_ratio_matrix, for the pairs one draw realizes.
 
-    A pair is realized when both categories occur among the samples (a
-    diagonal pair when its category occurs twice).  Every other entry is
-    unreadable by a pair estimator and holds a placeholder: the clip ceiling
-    when clipping is active (an absent pair is an infinitely surprising one),
-    the inert 1 otherwise.  law need only be filled at the realized pairs.
-    `clipped` gathers exceed at the draw's sample pairs, as the batched clip
-    flags do, so a pair of samples in one category never sets it.
+    law holds the pair law at the draw's realized off-diagonal pairs, each a
+    pair of samples, so `clipped` is whether any of their ratios tops the
+    ceiling.  Elsewhere, the diagonal too (two samples in one category add
+    (f - f')(z - z') = 0), law is 0, no ratio is read, and the entry holds
+    the clip ceiling (an absent pair is infinitely surprising) or the inert 1.
     """
     ratios, exceed = _analytic_ratio_matrix(p, law, clip)
-    present = np.bincount(cats, minlength=p.size)
-    readable = np.outer(present > 0, present > 0)
-    np.fill_diagonal(readable, present >= 2)
-    readable &= law > 0.0
-    ratios[~readable] = 1.0 if clip is None else clip
-    return RatioMatrix(ratios, clip, bool(_clip_flags(exceed, cats)))
+    if clip is not None:
+        ratios[law == 0.0] = clip
+    return RatioMatrix(ratios, clip, bool(exceed.any()))
 
 
 def _inverse_cdf_categories_batch(
@@ -385,20 +379,20 @@ def sample_antithetic_inverse_cdf(
     """Draw N antithetically coupled categorical samples via the inverse CDF.
 
     Returns the one-hot sample matrix Z (N x C) and the RatioMatrix holding
-    p_i p_j / P(i, j) at pairs realized in Z, with P the exact pair law
+    p_i p_j / P(i, j) at off-diagonal pairs realized in Z, with P the pair law
     averaged over all anchored orderings (bivariate_pmf_averaged), clipped
     at `clip`; other entries hold the placeholder of _realized_ratios.  The
     copula is the Dirichlet one, the only family with that closed form.
     """
+    _check_clip(clip)
     p = as_probs(p)
     n_samples = _validate_n(n_samples)
     cats = _inverse_cdf_categories_batch(1, n_samples, p, rng)[0]
     present = np.unique(cats)
-    a, b = np.triu_indices(present.size)
-    i, j = present[a], present[b]
+    i, j = present[np.array(np.triu_indices(present.size, 1))]
     law = np.zeros((p.size, p.size))
     law[i, j] = law[j, i] = bivariate_pmf_entries(p, n_samples, np.stack([i, j], axis=1))
-    return onehot(cats, p.size), _realized_ratios(p, cats, law, clip)
+    return onehot(cats, p.size), _realized_ratios(p, law, clip)
 
 
 # copula uniforms (draws x categories x samples) per block of the Gumbel draw;
@@ -445,8 +439,8 @@ def _unit_nodes(nodes: int):
     return smooth(y), smooth(1.0 - y), w * 30.0 * (y * (1.0 - y)) ** 2
 
 
-def _gumbel_pair_offdiag(q, n, copula: CopulaKind, nodes: int) -> np.ndarray:
-    """Off-diagonal pair law of the Gumbel path for positive probabilities q.
+def _gumbel_pair_offdiag(q, n, copula: CopulaKind, nodes: int, rows) -> np.ndarray:
+    """Off-diagonal pair law of the Gumbel path for positive q, among the categories rows.
 
     A level s enters through x = 1 - exp(-e^{-s}) in (0, 1), where
     F_k(s) = exp(-q_k e^{-s}) = (1 - x)^{q_k} and f_k(s) ds = q_k (1 - x)^{q_k - 1} dx.
@@ -454,23 +448,29 @@ def _gumbel_pair_offdiag(q, n, copula: CopulaKind, nodes: int) -> np.ndarray:
     sample 2 below t in k) and H[k] = C(F_k(s), F_k(t)), the pair (i, j) is
     summed over the grid as (a_i / H_i) · (a_j^T / H_j) · ∏_k H_k, which is
     one matrix product for all pairs.  Where H_k underflows to 0 the grid
-    point carries no mass, so its a_k / H_k is set to 0.
+    point carries no mass, so its a_k / H_k is set to 0.  The mass takes every
+    H_k; a_k / H_k is formed for the rows only.
     """
     _, xc, w = _unit_nodes(nodes)
     u = np.power(xc, q[:, None])
-    dens = q[:, None] * u / xc * w
-    ratio = np.zeros((q.size, nodes, nodes))
+    dens = q[rows, None] * u[rows] / xc * w
+    ratio = np.zeros((rows.size, nodes, nodes))
     mass = np.ones((nodes, nodes))
     # a few categories at a time: temporaries under 64 KiB are recycled by
     # the allocator instead of being mapped afresh, about 1.5x faster
     step = max(1, 8192 // (nodes * nodes))
-    for lo in range(0, q.size, step):
+    for lo in range(0, rows.size, step):
         block = slice(lo, lo + step)
-        joint, cond = _pair_cdfs(copula, n, u[block, :, None], u[block, None, :])
+        ub = u[rows[block]]
+        joint, cond = _pair_cdfs(copula, n, ub[:, :, None], ub[:, None, :])
         np.divide(cond * dens[block, :, None], joint, out=ratio[block], where=joint > 0.0)
         mass *= joint.prod(axis=0)
-    left = (ratio * mass).reshape(q.size, -1)
-    right = ratio.transpose(0, 2, 1).reshape(q.size, -1)
+    others = np.delete(u, rows, axis=0)
+    for lo in range(0, others.shape[0], step):
+        ub = others[lo : lo + step]
+        mass *= _pair_cdf(copula, n, ub[:, :, None], ub[:, None, :]).prod(axis=0)
+    left = (ratio * mass).reshape(rows.size, -1)
+    right = ratio.transpose(0, 2, 1).reshape(rows.size, -1)
     return left @ right.T
 
 
@@ -546,26 +546,34 @@ def _gumbel_pair_diag_dirichlet(q, n, nodes: int) -> np.ndarray:
     return out
 
 
+def _gumbel_offdiag_law(p, n, copula: CopulaKind, nodes: int, cats=None) -> np.ndarray:
+    """The symmetrized off-diagonal Gumbel law among the categories cats
+    (default: every live one), (C, C) and 0 elsewhere."""
+    live = np.flatnonzero(p > 0.0)
+    cats = live if cats is None else cats
+    rows = np.searchsorted(live, cats)
+    if n == 2 and (copula.family == "dirichlet" or copula.resolve_rho(2) == -1.0):
+        off = _gumbel_pair_offdiag_antithetic(p[live], nodes)[np.ix_(rows, rows)]
+    else:
+        off = _gumbel_pair_offdiag(p[live], n, copula, nodes, rows)
+    off = 0.5 * (off + off.T)
+    np.fill_diagonal(off, 0.0)
+    law = np.zeros((p.size, p.size))
+    law[np.ix_(cats, cats)] = off
+    return law
+
+
 @functools.lru_cache(maxsize=1024)
 def _gumbel_pair_pmf_cached(p_bytes: bytes, n: int, copula: CopulaKind, nodes: int):
     p = np.frombuffer(p_bytes, dtype=float)
-    live = np.flatnonzero(p > 0.0)
-    q = p[live]
-    if n == 2 and (copula.family == "dirichlet" or copula.resolve_rho(2) == -1.0):
-        off = _gumbel_pair_offdiag_antithetic(q, nodes)
-    else:
-        off = _gumbel_pair_offdiag(q, n, copula, nodes)
-    off = 0.5 * (off + off.T)
-    np.fill_diagonal(off, 0.0)
+    pmf, live = _gumbel_offdiag_law(p, n, copula, nodes), np.flatnonzero(p > 0.0)
     if copula.family == "dirichlet" and n > 2:
-        diag = _gumbel_pair_diag_dirichlet(q, n, nodes)
+        diag = _gumbel_pair_diag_dirichlet(p[live], n, nodes)
     else:
         # the Gaussian kernels are smooth, so the row sums are accurate to
         # about 1e-13 (and N = 2 leaves all but the likeliest category at 0)
-        diag = np.maximum(q - off.sum(axis=1), 0.0)
-    np.fill_diagonal(off, diag)
-    pmf = np.zeros((p.size, p.size))
-    pmf[np.ix_(live, live)] = off
+        diag = np.maximum(p[live] - pmf[np.ix_(live, live)].sum(axis=1), 0.0)
+    pmf[live, live] = diag
     pmf.setflags(write=False)
     return pmf
 
@@ -597,12 +605,13 @@ def sample_antithetic_gumbel(
 
     Each category's Gumbel column comes from its own copula draw across the N
     samples (Dirichlet or Gaussian).  The importance ratios p_i p_j / P(i, j)
-    come from the exact pair law (gumbel_pair_pmf), clipped at `clip`, at the
-    pairs the draw realizes; other entries hold the placeholder of
-    _realized_ratios.
+    come from the exact pair law of gumbel_pair_pmf, clipped at `clip`, built
+    uncached at the off-diagonal pairs the draw realizes; other entries hold
+    the placeholder of _realized_ratios.
     """
+    _check_clip(clip)
     p = as_probs(p)
     n_samples = _validate_n(n_samples)
     cats = _gumbel_categories_batch(1, n_samples, p, rng, copula)[0]
-    law = gumbel_pair_pmf(p, n_samples, copula)
-    return onehot(cats, p.size), _realized_ratios(p, cats, law, clip)
+    law = _gumbel_offdiag_law(p, n_samples, copula, GUMBEL_NODES, np.unique(cats))
+    return onehot(cats, p.size), _realized_ratios(p, law, clip)

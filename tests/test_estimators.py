@@ -19,7 +19,9 @@ from carms.estimators import (
 )
 from carms.sampling import (
     bivariate_pmf_averaged,
+    gumbel_pair_pmf,
     onehot,
+    sample_antithetic_gumbel,
     sample_antithetic_inverse_cdf,
 )
 
@@ -197,6 +199,33 @@ def test_carms_ignores_diagonal_ratios():
         # the ratios themselves
         gap = np.max(np.abs(carms(f, z, other, p) - carms(f, z, r, p)))
         assert gap <= 1e-14 * np.max(other) * np.max(np.abs(f))
+
+
+def test_carms_on_realized_ratios_equals_carms_on_the_full_law():
+    # the samplers leave the diagonal at the placeholder; on draws with a
+    # category drawn twice, carms must match its value on the full law's
+    # ratios within test_carms_ignores_diagonal_ratios's bound
+    rng = np.random.default_rng(15)
+    repeated = 0
+    for case in range(40):
+        c, n = int(rng.integers(2, 9)), int(rng.integers(2, 8))
+        p = rng.dirichlet(np.ones(c))
+        if case % 2:
+            sample, law = sample_antithetic_gumbel, gumbel_pair_pmf(p, n)
+        else:
+            sample, law = sample_antithetic_inverse_cdf, bivariate_pmf_averaged(p, n)
+        with np.errstate(divide="ignore"):
+            full = np.where(law > 0.0, np.outer(p, p) / law, 1.0)
+        for _ in range(5):
+            z, ratios = sample(n, p, rng, clip=None)
+            if z.sum(axis=0).max() < 2:
+                continue
+            repeated += 1
+            f = rng.normal(size=n)
+            gap = np.max(np.abs(carms(f, z, ratios, p) - carms(f, z, full, p)))
+            scale = max(np.max(full), np.max(ratios.ratios)) * np.max(np.abs(f))
+            assert gap <= 1e-14 * scale
+    assert repeated >= 50
 
 
 def test_carms_nonfinite_ratio_only_fails_when_read():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from carms.copula import (
     DIRICHLET,
     GAUSSIAN,
+    CopulaKind,
     _sample_dirichlet_copula_batch,
     sample_copula_batch,
 )
@@ -448,6 +449,8 @@ def test_gumbel_absent_pair_entry_equals_clip():
 
 
 def test_gumbel_realized_ratio_entries_match_pair_law():
+    # the diagonal, like an unrealized pair, is never read by the estimator
+    # and holds the placeholder even when a category is drawn twice
     rng = np.random.default_rng(19)
     p = np.array([0.25, 0.35, 0.4])
     law = gumbel_pair_pmf(p, 4)
@@ -456,9 +459,43 @@ def test_gumbel_realized_ratio_entries_match_pair_law():
         counts = z.sum(axis=0)
         for i in range(3):
             for j in range(3):
-                realized = counts[i] >= 2 if i == j else counts[i] > 0 and counts[j] > 0
+                realized = i != j and counts[i] > 0 and counts[j] > 0
                 expected = p[i] * p[j] / law[i, j] if realized else 1.0
                 assert ratios.ratios[i, j] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "copula", [DIRICHLET, GAUSSIAN, CopulaKind("gaussian", -0.1)], ids=["dir", "gauss", "weak"]
+)
+def test_single_draw_ratios_match_the_full_pair_laws(copula):
+    # the single draws build their law at the realized pairs only; each
+    # realized off-diagonal ratio must match the full, cached law's
+    rng = np.random.default_rng(33)
+    case = 0
+    for c in (2, 3, 8, 10, 30):
+        for n in (2, 3, 4, 7):
+            case += 1
+            p = _simplex(rng, c)
+            if case % 5 == 0:
+                # a zero-probability category shifts the live categories'
+                # indices against the full ones
+                p[rng.integers(c)] = 0.0
+                p = p / p.sum()
+            laws = {sample_antithetic_gumbel: gumbel_pair_pmf(p, n, copula)}
+            if copula == DIRICHLET:
+                laws[sample_antithetic_inverse_cdf] = bivariate_pmf_averaged(p, n)
+            cache = _gumbel_pair_pmf_cached.cache_info()
+            for sample, law in laws.items():
+                kwargs = {"copula": copula} if sample is sample_antithetic_gumbel else {}
+                for _ in range(2 if c == 30 else 4):
+                    z, ratios = sample(n, p, rng, clip=None, **kwargs)
+                    present = np.unique(np.argmax(z, axis=1))
+                    for i in present:
+                        for j in present[present != i]:
+                            expected = p[i] * p[j] / law[i, j]
+                            assert ratios.ratios[i, j] == pytest.approx(expected, rel=1e-12)
+            # the Gumbel single draw neither reads nor fills the law cache
+            assert _gumbel_pair_pmf_cached.cache_info() == cache
 
 
 GUMBEL_LAW_P = np.array([0.45, 0.3, 0.15, 0.1])
@@ -580,6 +617,19 @@ def test_gumbel_gaussian_copula_supported():
     rng = np.random.default_rng(17)
     z, _ = sample_antithetic_gumbel(4, [0.5, 0.5], rng, copula=GAUSSIAN)
     assert z.shape == (4, 2)
+
+
+@pytest.mark.parametrize("clip", [0.0, -1.0, np.nan])
+def test_single_draws_check_clip_before_any_work(clip):
+    p = _simplex(np.random.default_rng(34), 30)
+    for sample in (sample_antithetic_gumbel, sample_antithetic_inverse_cdf):
+        rng = np.random.default_rng(35)
+        state = rng.bit_generator.state
+        cache = _gumbel_pair_pmf_cached.cache_info().currsize
+        with pytest.raises(ValueError, match="clip"):
+            sample(4, p, rng, clip=clip)
+        assert rng.bit_generator.state == state
+        assert _gumbel_pair_pmf_cached.cache_info().currsize == cache
 
 
 def test_gumbel_clip_none_keeps_raw_ratios():
