@@ -10,7 +10,7 @@ core and the pair-correlation matrix.  Pair-law builds are timed in ms per
 build for both paths.  The single-draw API is timed in microseconds per
 call, over CALLS calls at the same C and N: both samplers at the fixed
 uniform p, both again with a fresh Dirichlet(10) p per call (as in a
-training step, where p moves every call and no cache can answer), and
+training step, where p moves every call), and
 estimators.carms on the Gumbel draws.  A stage's figure is the median over
 repeats after one warm-up call.
 
@@ -18,9 +18,6 @@ repeats after one warm-up call.
     python scripts/bench_layers.py BENCH_7.json --label parent --src ../parent/src
 
 --src times another checkout's package (default: this checkout's src/).
-Trees from before the scatter-add cores have no _score_sums or
-_indicator_correlation; there the score core and the correlation are timed
-as the one-hot products those trees ran.
 Each label's numbers replace that label's earlier ones in the file; the
 machine and numpy/scipy versions (as the benchmark in perfbench/ reports
 them) are recorded beside them.
@@ -65,17 +62,6 @@ def layers(draws, repeats):
         gumbel_pair_pmf,
     )
 
-    def score_core(w, cats, p):
-        if hasattr(experiments, "_score_sums"):
-            return experiments._score_sums(w, cats, p)
-        return np.einsum("kn,knc->kc", w, np.eye(p.size)[cats] - p)
-
-    def correlation(a, b, c):
-        if hasattr(experiments, "_indicator_correlation"):
-            return experiments._indicator_correlation(a, b, c)
-        eye = np.eye(c)
-        return experiments._pearson_matrix(eye[a], eye[b])
-
     rng = np.random.default_rng(0)
     per_draw = {}
     build_ms = {}
@@ -92,14 +78,14 @@ def layers(draws, repeats):
             "categorize_gumbel":
                 lambda: _gumbel_categories_batch(draws, SAMPLES, p, rng, DIRICHLET),
             "carms_core": lambda: experiments._carms_estimates(f, cats, ratios, p),
-            "score_core": lambda: score_core(f, cats, p),
-            "correlation": lambda: correlation(cats[:, 0], cats[:, 1], c),
+            "score_core": lambda: experiments._score_sums(f, cats, p),
+            "correlation": lambda: experiments._indicator_correlation(cats[:, 0], cats[:, 1], c),
         }
         for name, fn in stages.items():
             per_draw.setdefault(name, {})[str(c)] = (
                 _median_seconds(fn, repeats) * 1e6 / draws
             )
-        # a fresh p per build, so no cache answers it
+        # a fresh p per build, as in a training step
         for name, build in (("inverse_cdf", lambda q: bivariate_pmf_averaged(q, SAMPLES)),
                             ("gumbel", lambda q: gumbel_pair_pmf(q, SAMPLES, DIRICHLET))):
             fresh = iter(rng.dirichlet(np.full(c, 10.0), size=repeats + 1))
@@ -120,10 +106,9 @@ def single_draw(repeats):
     per_call = {}
     for c in SIZES:
         p = np.full(c, 1.0 / c)
-        # trees that cache the Gumbel pair law per p build it on the first call
         draws = [sample_antithetic_gumbel(SAMPLES, p, rng) for _ in range(CALLS)]
         f = rng.normal(size=(CALLS, SAMPLES))
-        # one p per call of every repeat, so no per-p cache ever hits
+        # one p per call of every repeat
         fresh_i = iter(rng.dirichlet(np.full(c, 10.0), size=(repeats + 1) * CALLS))
         fresh_g = iter(rng.dirichlet(np.full(c, 10.0), size=(repeats + 1) * CALLS))
         stages = {

@@ -8,11 +8,11 @@ pair CDF there).
 """
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
+from carms.cli import _write_records
 from carms.copula import CopulaKind
 from carms.experiments import CorrelationConfig, run_correlation
 
@@ -30,7 +30,7 @@ def main():
     ap.add_argument("--categories", type=int, nargs="+", default=[2, 3, 4, 5, 10])
     ap.add_argument("--samples", type=int, nargs="+", default=[2, 3])
     ap.add_argument("--draws", type=int, default=10_000)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=CorrelationConfig.seed)
     args = ap.parse_args()
 
     rows = []
@@ -47,17 +47,15 @@ def main():
                         seed=args.seed,
                     )
                 )
-                corr = rec["corr"]
+                corr = rec.pop("corr")
                 diag = np.diag(corr)
                 off = corr[~np.eye(c, dtype=bool)]
-                rows.append(
-                    [
-                        method, family, c, n, args.draws, args.seed,
-                        "%.17g" % np.nanmean(diag), "%.17g" % np.nanmin(diag),
-                        "%.17g" % np.nanmax(diag), "%.17g" % np.nanmean(off),
-                        ";".join("%.17g" % v for v in corr.ravel()),
-                    ]
-                )
+                rows.append({
+                    **rec,
+                    "diag_mean": np.nanmean(diag), "diag_min": np.nanmin(diag),
+                    "diag_max": np.nanmax(diag), "offdiag_mean": np.nanmean(off),
+                    "corr": corr,
+                })
                 print(
                     f"{method:<12} {family:<10} C={c:<3} N={n}  "
                     f"diag mean {np.nanmean(diag):+.3f}  "
@@ -65,15 +63,8 @@ def main():
                     file=sys.stderr,
                 )
 
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "method", "copula", "categories", "samples", "draws", "seed",
-                "diag_mean", "diag_min", "diag_max", "offdiag_mean", "corr",
-            ]
-        )
-        writer.writerows(rows)
+    # the same writer as `carms correlation`, so the cells have its format
+    _write_records(args.out, "csv", rows)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
 
 

@@ -3,8 +3,9 @@
 Dirichlet concentration grid, written to CSV, with a carms-i vs loorf win
 table printed at the end.
 
-The default scale (C=D=10, N=4, 4 alphas, 10 trials, 10^4 inner draws) takes
-about 20 s on a 2-core machine; --quick cuts it to a smoke run.
+Every size flag left out keeps ToyConfig's default, the paper's
+configuration, which takes about 20 s on a 2-core machine; --quick cuts
+the trials and inner draws to a smoke run.
 """
 
 import argparse
@@ -12,31 +13,21 @@ import sys
 import time
 
 from carms.cli import _write_records
-from carms.experiments import TOY_METHODS, ToyConfig, run_toy
+from carms.experiments import ToyConfig, run_toy
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__, argument_default=argparse.SUPPRESS)
     ap.add_argument("--out", default="toy_sweep.csv")
-    ap.add_argument("--categories", type=int, default=10)
-    ap.add_argument("--dims", type=int, default=10)
-    ap.add_argument("--samples", type=int, default=4)
-    ap.add_argument("--trials", type=int, default=10)
-    ap.add_argument("--inner", type=int, default=10_000)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--quick", action="store_true", help="3 trials, 2000 inner draws")
-    args = ap.parse_args(argv)
-
-    config = ToyConfig(
-        methods=TOY_METHODS,
-        alphas=(1.0, 10.0, 100.0, 1000.0),
-        categories=args.categories,
-        dims=args.dims,
-        samples=args.samples,
-        trials=3 if args.quick else args.trials,
-        inner=2000 if args.quick else args.inner,
-        seed=args.seed,
-    )
+    for field in ("categories", "dims", "samples", "trials", "inner", "seed"):
+        ap.add_argument("--" + field, type=int)
+    ap.add_argument("--quick", action="store_true", default=False,
+                    help="3 trials, 2000 inner draws")
+    args = vars(ap.parse_args(argv))
+    out = args.pop("out")
+    if args.pop("quick"):
+        args.update(trials=3, inner=2000)
+    config = ToyConfig(**args)
 
     start = time.perf_counter()
     records = []
@@ -49,8 +40,8 @@ def main(argv=None):
             file=sys.stderr,
         )
     # the same writer as `carms toy`, so the CSV has its columns and format
-    _write_records(args.out, "csv", records)
-    print(f"wrote {len(records)} records to {args.out} "
+    _write_records(out, "csv", records)
+    print(f"wrote {len(records)} records to {out} "
           f"in {time.perf_counter() - start:.1f}s", file=sys.stderr)
 
     # paired comparison: how often does each method have the smallest var_sum,

@@ -1,5 +1,9 @@
 """Command-line entry points: toy benchmark, correlation scan, selfcheck.
 
+Each flag is declared once.  A flag that sets a ToyConfig or
+CorrelationConfig field has no default and stores under that field's name,
+so those configs hold every default and _config builds one from the flags given.
+
 Output files are deterministic given the flags and the seed: floats are
 written with 17 significant digits in CSV and as plain IEEE doubles in
 JSON-lines, rows appear in a fixed order, and timing goes to stderr only.
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -97,73 +102,61 @@ def _parse_alphas(text: str):
     return tuple(float(a) for a in text.split(","))
 
 
-def _copula_kind(args) -> CopulaKind:
-    rho = getattr(args, "rho", None)
-    if args.copula == "dirichlet" and rho is not None:
-        raise ValueError("--rho only applies to the Gaussian copula")
-    return CopulaKind(args.copula, rho)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carms",
         description="Antithetic categorical gradient estimation experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--output", choices=["csv", "jsonl"], default="csv")
+    common.add_argument("--out-path", default="-")
+    sampler = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    sampler.add_argument("--copula", dest="family", choices=["dirichlet", "gaussian"],
+                         default="dirichlet")
+    sampler.add_argument("--rho", type=float, default=None,
+                         help="Gaussian equicorrelation (default: -1/(N-1))")
+    sampler.add_argument("--categories", type=int)
+    sampler.add_argument("--samples", type=int)
 
-    toy = sub.add_parser("toy", help="gradient-variance benchmark on a linear objective")
-    toy.add_argument("--method", type=_parse_methods, default=TOY_METHODS,
+    toy = sub.add_parser("toy", parents=[common, sampler], argument_default=argparse.SUPPRESS,
+                         help="gradient-variance benchmark on a linear objective")
+    toy.add_argument("--method", dest="methods", metavar="METHOD", type=_parse_methods,
                      help="comma-separated subset of %s or 'all'" % (TOY_METHODS,))
-    toy.add_argument("--copula", choices=["dirichlet", "gaussian"], default="dirichlet")
-    toy.add_argument("--rho", type=float, default=None,
-                     help="Gaussian equicorrelation (default: -1/(N-1))")
-    toy.add_argument("--categories", type=int, default=10)
-    toy.add_argument("--dims", type=int, default=10)
-    toy.add_argument("--samples", type=int, default=4)
-    toy.add_argument("--alpha", type=_parse_alphas, default=(1.0, 10.0, 100.0, 1000.0),
+    toy.add_argument("--dims", type=int)
+    toy.add_argument("--alpha", dest="alphas", metavar="ALPHA", type=_parse_alphas,
                      help="comma-separated Dirichlet concentrations")
-    toy.add_argument("--trials", type=int, default=10)
-    toy.add_argument("--inner", type=int, default=10_000,
-                     help="Monte Carlo draws per variance estimate")
-    toy.add_argument("--seed", type=int, default=0)
-    toy.add_argument("--clip", type=_parse_clip, default=10.0,
-                     help="ratio ceiling, or 'none'")
-    toy.add_argument("--output", choices=["csv", "jsonl"], default="csv")
-    toy.add_argument("--out-path", default="-")
+    toy.add_argument("--trials", type=int)
+    toy.add_argument("--inner", type=int, help="Monte Carlo draws per variance estimate")
+    toy.add_argument("--clip", type=_parse_clip, help="ratio ceiling, or 'none'")
 
-    corr = sub.add_parser("correlation", help="pair correlation matrix of a sampler")
-    corr.add_argument("--method", choices=list(CORRELATION_METHODS), default="inverse-cdf")
-    corr.add_argument("--copula", choices=["dirichlet", "gaussian"], default="dirichlet")
-    corr.add_argument("--rho", type=float, default=None)
-    corr.add_argument("--categories", type=int, default=3)
-    corr.add_argument("--samples", type=int, default=2)
-    corr.add_argument("--trials", type=int, default=1000,
+    corr = sub.add_parser("correlation", parents=[common, sampler],
+                          argument_default=argparse.SUPPRESS,
+                          help="pair correlation matrix of a sampler")
+    corr.add_argument("--method", choices=list(CORRELATION_METHODS))
+    corr.add_argument("--trials", dest="draws", metavar="TRIALS", type=int,
                       help="number of joint draws")
-    corr.add_argument("--seed", type=int, default=0)
-    corr.add_argument("--output", choices=["csv", "jsonl"], default="csv")
-    corr.add_argument("--out-path", default="-")
 
-    check = sub.add_parser("selfcheck", help="run the built-in consistency checks")
+    check = sub.add_parser("selfcheck", parents=[common],
+                           help="run the built-in consistency checks")
     check.add_argument("--level", choices=["fast", "full"], default="fast")
-    check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--output", choices=["csv", "jsonl"], default="csv")
-    check.add_argument("--out-path", default="-")
     return parser
 
 
+def _given(args, names) -> dict:
+    """The flags among names that were given (a flag without a default is absent)."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
+def _config(cls, args):
+    """cls (ToyConfig or CorrelationConfig) from the flags given and the copula flags."""
+    given = _given(args, [field.name for field in dataclasses.fields(cls)])
+    return cls(copula=CopulaKind(args.family, args.rho), **given)
+
+
 def _cmd_toy(args) -> int:
-    config = ToyConfig(
-        methods=tuple(args.method),
-        alphas=tuple(args.alpha),
-        categories=args.categories,
-        dims=args.dims,
-        samples=args.samples,
-        trials=args.trials,
-        inner=args.inner,
-        seed=args.seed,
-        clip=args.clip,
-        copula=_copula_kind(args),
-    )
+    config = _config(ToyConfig, args)
     start = time.perf_counter()
     records = list(run_toy(config))
     _write_records(args.out_path, args.output, records)
@@ -175,14 +168,7 @@ def _cmd_toy(args) -> int:
 
 
 def _cmd_correlation(args) -> int:
-    config = CorrelationConfig(
-        method=args.method,
-        copula=_copula_kind(args),
-        categories=args.categories,
-        samples=args.samples,
-        draws=args.trials,
-        seed=args.seed,
-    )
+    config = _config(CorrelationConfig, args)
     start = time.perf_counter()
     record = run_correlation(config)
     _write_records(args.out_path, args.output, [record])
@@ -195,7 +181,7 @@ def _cmd_correlation(args) -> int:
 
 def _cmd_selfcheck(args) -> int:
     start = time.perf_counter()
-    results = run_selfcheck(level=args.level, seed=args.seed)
+    results = run_selfcheck(args.level, **_given(args, ["seed"]))
     # the CSV reads pass/fail where the JSON has a boolean
     if args.output == "csv":
         rows = [

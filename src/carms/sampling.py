@@ -20,10 +20,10 @@ with F_k the Gumbel CDF shifted by log p_k, f_k its density and C the
 copula's bivariate CDF.  The diagonal follows from the row sums, except
 under the Dirichlet copula at N >= 3, where it is integrated over the
 copula's density on its own.  The law is evaluated by Gauss-Legendre
-quadrature; the batched path builds it once per (p, N, copula) and caches it.
+quadrature; the batched path builds it once per (p, N, copula).
 
 Both samplers return the one-hot sample matrix and the importance ratios
-p_i p_j / P(i, j) at the off-diagonal pairs the draw realizes, built uncached.
+p_i p_j / P(i, j) at the off-diagonal pairs the draw realizes.
 """
 
 from __future__ import annotations
@@ -534,13 +534,16 @@ def _gumbel_pair_diag_dirichlet(q, n, nodes: int) -> np.ndarray:
     log_v = np.log(-np.expm1(m * np.log1p(-0.5 * yc)))[:, None]
     weight = m * (m - 1) * (y ** (n - 2) * wy)[:, None] * (v ** (n - 3) * wv)[None, :]
     c = q.size
-    r = (q[None, :] / q[:, None])[~np.eye(c, dtype=bool)].reshape(c, c - 1, 1, 1)
+    # a ratio past the largest float is an infinite power: U^r is 0 below U = 1
+    with np.errstate(over="ignore"):
+        r = np.minimum(q[None, :] / q[:, None], np.finfo(float).max)
+    r = r[~np.eye(c, dtype=bool)].reshape(c, c - 1, 1, 1)
     out = np.empty(c)
     # a few categories at a time, as in _gumbel_pair_offdiag
     step = max(1, 8192 // (max(c - 1, 1) * weight.size))
     for lo in range(0, c, step):
         block = r[lo : lo + step]
-        with np.errstate(under="ignore"):
+        with np.errstate(over="ignore", under="ignore"):
             joint = _dirichlet_cdf(np.exp(block * log_u), np.exp(block * log_v), n)
         out[lo : lo + step] = (joint.prod(axis=1) * weight).sum(axis=(1, 2))
     return out
@@ -563,9 +566,7 @@ def _gumbel_offdiag_law(p, n, copula: CopulaKind, nodes: int, cats=None) -> np.n
     return law
 
 
-@functools.lru_cache(maxsize=1024)
-def _gumbel_pair_pmf_cached(p_bytes: bytes, n: int, copula: CopulaKind, nodes: int):
-    p = np.frombuffer(p_bytes, dtype=float)
+def _gumbel_pair_pmf(p, n, copula: CopulaKind, nodes: int) -> np.ndarray:
     pmf, live = _gumbel_offdiag_law(p, n, copula, nodes), np.flatnonzero(p > 0.0)
     if copula.family == "dirichlet" and n > 2:
         diag = _gumbel_pair_diag_dirichlet(p[live], n, nodes)
@@ -574,7 +575,6 @@ def _gumbel_pair_pmf_cached(p_bytes: bytes, n: int, copula: CopulaKind, nodes: i
         # about 1e-13 (and N = 2 leaves all but the likeliest category at 0)
         diag = np.maximum(p[live] - pmf[np.ix_(live, live)].sum(axis=1), 0.0)
     pmf[live, live] = diag
-    pmf.setflags(write=False)
     return pmf
 
 
@@ -585,12 +585,9 @@ def gumbel_pair_pmf(p, n_samples: int, copula: CopulaKind = DIRICHLET) -> np.nda
     Gauss-Legendre quadrature with GUMBEL_NODES points per axis; N = 2 at
     full antithetic strength (the Dirichlet copula, or the Gaussian at
     rho = -1) has mirror samples and a quadrature of its own.  Zero-probability
-    categories get zero rows.  Built once per (p, N, copula) and cached; the
-    returned array is read-only.
+    categories get zero rows.  Each call builds a fresh array.
     """
-    p = as_probs(p)
-    n = _validate_n(n_samples)
-    return _gumbel_pair_pmf_cached(p.tobytes(), n, copula, GUMBEL_NODES)
+    return _gumbel_pair_pmf(as_probs(p), _validate_n(n_samples), copula, GUMBEL_NODES)
 
 
 def sample_antithetic_gumbel(
@@ -606,7 +603,7 @@ def sample_antithetic_gumbel(
     Each category's Gumbel column comes from its own copula draw across the N
     samples (Dirichlet or Gaussian).  The importance ratios p_i p_j / P(i, j)
     come from the exact pair law of gumbel_pair_pmf, clipped at `clip`, built
-    uncached at the off-diagonal pairs the draw realizes; other entries hold
+    at the off-diagonal pairs the draw realizes only; other entries hold
     the placeholder of _realized_ratios.
     """
     _check_clip(clip)

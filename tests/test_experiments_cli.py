@@ -5,6 +5,7 @@ JSON lines, byte-identical reruns, and the exit-code contract.
 """
 
 import csv
+import dataclasses
 import importlib.util
 import json
 import subprocess
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from carms import experiments
-from carms.cli import main
+from carms.cli import _config, build_parser, main
 from carms.copula import DIRICHLET, CopulaKind
 from carms.estimators import carms_pair_sum, loorf
 from carms.experiments import (
@@ -539,6 +540,52 @@ def test_cli_nonfinite_log_variance_serializes(tmp_path):
     jsonschema.validate(obj, _load_schema("toy.schema.json"))
 
 
+def test_cli_defaults_are_the_config_defaults():
+    parser = build_parser()
+    assert _config(ToyConfig, parser.parse_args(["toy"])) == ToyConfig()
+    assert _config(CorrelationConfig, parser.parse_args(["correlation"])) == CorrelationConfig()
+
+
+# every flag of a subcommand, a value of it that no default holds, and the
+# one config field it sets (None: no field; "copula": the copula flags)
+FLAG_FIELDS = {
+    "toy": {
+        "--method": ("loorf", "methods"), "--alpha": ("2,3", "alphas"),
+        "--categories": ("3", "categories"), "--dims": ("2", "dims"),
+        "--samples": ("3", "samples"), "--trials": ("2", "trials"),
+        "--inner": ("50", "inner"), "--seed": ("5", "seed"), "--clip": ("none", "clip"),
+    },
+    "correlation": {
+        "--method": ("gumbel", "method"), "--categories": ("4", "categories"),
+        "--samples": ("3", "samples"), "--trials": ("200", "draws"), "--seed": ("5", "seed"),
+    },
+}
+OTHER_FLAGS = {
+    "--copula": ("gaussian", "copula"), "--rho": ("-0.2", "copula"),
+    "--output": ("jsonl", None), "--out-path": ("x.csv", None),
+}
+
+
+@pytest.mark.parametrize(
+    "command, cls", [("toy", ToyConfig), ("correlation", CorrelationConfig)]
+)
+def test_each_config_field_is_set_by_exactly_one_flag(command, cls):
+    parser = build_parser()
+    sub = parser._subparsers._group_actions[0].choices[command]
+    flags = {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+    table = {**FLAG_FIELDS[command], **OTHER_FLAGS}
+    assert flags == set(table)
+    fields = [field.name for field in dataclasses.fields(cls)]
+    # every field but the copula has one flag of its own
+    assert sorted(f for _, f in FLAG_FIELDS[command].values()) == sorted(set(fields) - {"copula"})
+    default = cls()
+    for flag, (value, field) in table.items():
+        argv = [command, flag, value] + (["--copula", "gaussian"] if flag == "--rho" else [])
+        config = _config(cls, parser.parse_args(argv))
+        changed = [f for f in fields if getattr(config, f) != getattr(default, f)]
+        assert changed == ([field] if field else []), flag
+
+
 # ---------------------------------------------------------------------------
 # CLI (subprocess: the installed entry point and byte determinism)
 
@@ -557,6 +604,17 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     assert proc.stdout.startswith("check,status,detail")
     assert "selfcheck[fast]" in proc.stderr
+
+
+def test_module_subnormal_probability_warns_nothing():
+    # alpha = 0.001 draws probabilities far below the smallest normal float;
+    # the Gumbel diagonal must not turn their overflowing ratios into nan
+    args = ["toy", "--alpha", "0.001", "--categories", "30", "--dims", "2",
+            "--trials", "2", "--inner", "100", "--method", "carms-g"]
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "carms", *args],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_module_reruns_are_byte_identical(tmp_path):

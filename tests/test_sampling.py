@@ -20,7 +20,7 @@ from carms.sampling import (
     _categorize_batch,
     _cell_edges,
     _gumbel_categories_batch,
-    _gumbel_pair_pmf_cached,
+    _gumbel_pair_pmf,
     _inverse_cdf_categories_batch,
     all_orderings,
     as_probs,
@@ -469,7 +469,7 @@ def test_gumbel_realized_ratio_entries_match_pair_law():
 )
 def test_single_draw_ratios_match_the_full_pair_laws(copula):
     # the single draws build their law at the realized pairs only; each
-    # realized off-diagonal ratio must match the full, cached law's
+    # realized off-diagonal ratio must match the full law's
     rng = np.random.default_rng(33)
     case = 0
     for c in (2, 3, 8, 10, 30):
@@ -484,7 +484,6 @@ def test_single_draw_ratios_match_the_full_pair_laws(copula):
             laws = {sample_antithetic_gumbel: gumbel_pair_pmf(p, n, copula)}
             if copula == DIRICHLET:
                 laws[sample_antithetic_inverse_cdf] = bivariate_pmf_averaged(p, n)
-            cache = _gumbel_pair_pmf_cached.cache_info()
             for sample, law in laws.items():
                 kwargs = {"copula": copula} if sample is sample_antithetic_gumbel else {}
                 for _ in range(2 if c == 30 else 4):
@@ -494,8 +493,6 @@ def test_single_draw_ratios_match_the_full_pair_laws(copula):
                         for j in present[present != i]:
                             expected = p[i] * p[j] / law[i, j]
                             assert ratios.ratios[i, j] == pytest.approx(expected, rel=1e-12)
-            # the Gumbel single draw neither reads nor fills the law cache
-            assert _gumbel_pair_pmf_cached.cache_info() == cache
 
 
 GUMBEL_LAW_P = np.array([0.45, 0.3, 0.15, 0.1])
@@ -550,9 +547,9 @@ def test_gumbel_pair_pmf_is_a_symmetric_pair_law(copula, n):
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("copula", [DIRICHLET, GAUSSIAN], ids=["dirichlet", "gaussian"])
 def test_gumbel_pair_pmf_quadrature_converges(copula, n):
-    coarse = _gumbel_pair_pmf_cached(GUMBEL_LAW_P.tobytes(), n, copula, GUMBEL_NODES // 2)
+    coarse = _gumbel_pair_pmf(GUMBEL_LAW_P, n, copula, GUMBEL_NODES // 2)
     law = gumbel_pair_pmf(GUMBEL_LAW_P, n, copula)
-    fine = _gumbel_pair_pmf_cached(GUMBEL_LAW_P.tobytes(), n, copula, 2 * GUMBEL_NODES)
+    fine = _gumbel_pair_pmf(GUMBEL_LAW_P, n, copula, 2 * GUMBEL_NODES)
     assert np.max(np.abs(law - fine)) <= _quadrature_bound(copula, n)
     assert np.max(np.abs(law - fine)) <= np.max(np.abs(coarse - fine))
 
@@ -565,16 +562,26 @@ def test_gumbel_pair_pmf_diagonal_is_accurate_for_a_rare_category(copula, n):
     # quadrature error of its row: the Dirichlet N = 3 diagonal of the 0.01
     # category is about 2e-30
     law = gumbel_pair_pmf(SMALL_P, n, copula)
-    fine = _gumbel_pair_pmf_cached(SMALL_P.tobytes(), n, copula, 4 * GUMBEL_NODES)
+    fine = _gumbel_pair_pmf(SMALL_P, n, copula, 4 * GUMBEL_NODES)
     assert np.all(np.diag(fine) > 0.0)
     assert np.max(np.abs(np.diag(law) / np.diag(fine) - 1.0)) <= 1e-4
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [3, 4, 5, 10])
+def test_gumbel_pair_pmf_subnormal_probability(n):
+    # p_k / p_i overflows for a subnormal p_i: an infinite power, so both
+    # samples almost surely avoid category i, not a nan diagonal
+    p = np.array([0.999, 0.001 - 1e-310, 1e-310])
+    law = gumbel_pair_pmf(p / p.sum(), n)
+    assert np.all(np.isfinite(law)) and np.all(law >= 0.0)
+    assert law[2, 2] == 0.0
 
 
 def test_gumbel_pair_pmf_zero_category_and_validation():
     law = gumbel_pair_pmf([0.5, 0.0, 0.5], 3)
     assert np.all(law[1] == 0.0) and np.all(law[:, 1] == 0.0)
     assert np.max(np.abs(law.sum(axis=1) - [0.5, 0.0, 0.5])) <= _quadrature_bound(DIRICHLET, 3)
-    assert not law.flags.writeable
     with pytest.raises(ValueError):
         gumbel_pair_pmf([0.5, 0.5], 1)
 
@@ -625,11 +632,9 @@ def test_single_draws_check_clip_before_any_work(clip):
     for sample in (sample_antithetic_gumbel, sample_antithetic_inverse_cdf):
         rng = np.random.default_rng(35)
         state = rng.bit_generator.state
-        cache = _gumbel_pair_pmf_cached.cache_info().currsize
         with pytest.raises(ValueError, match="clip"):
             sample(4, p, rng, clip=clip)
         assert rng.bit_generator.state == state
-        assert _gumbel_pair_pmf_cached.cache_info().currsize == cache
 
 
 def test_gumbel_clip_none_keeps_raw_ratios():
