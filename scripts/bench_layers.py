@@ -12,10 +12,12 @@ call, over CALLS calls at the same C and N: both samplers at the fixed
 uniform p, both again with a fresh Dirichlet(10) p per call (as in a
 training step, where p moves every call), and
 estimators.carms on the Gumbel draws.  A stage's figure is the median over
-repeats after one warm-up call.
+repeats after one warm-up call.  With --toy, `carms toy` also runs at its
+defaults (the paper's configuration) TOY_RUNS times in fresh interpreters:
+the median wall-clock and the largest peak RSS are recorded.
 
-    python scripts/bench_layers.py BENCH_7.json --label change
-    python scripts/bench_layers.py BENCH_7.json --label parent --src ../parent/src
+    python scripts/bench_layers.py BENCH_9.json --label change --toy
+    python scripts/bench_layers.py BENCH_9.json --label parent --toy --src ../parent/src
 
 --src times another checkout's package (default: this checkout's src/).
 Each label's numbers replace that label's earlier ones in the file; the
@@ -26,6 +28,8 @@ them) are recorded beside them.
 import argparse
 import json
 import os
+import resource
+import subprocess
 import sys
 import time
 
@@ -38,6 +42,7 @@ for _var in BLAS_ENV:
 SIZES = (3, 10, 30)
 SAMPLES = 4
 CALLS = 200
+TOY_RUNS = 3
 
 
 def _median_seconds(fn, repeats):
@@ -132,6 +137,21 @@ def single_draw(repeats):
     return {"calls": CALLS, "us_per_call": per_call}
 
 
+def toy_default(src):
+    """`carms toy` at its defaults, each run a child interpreter on src."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    walls = []
+    for _ in range(TOY_RUNS):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "carms", "toy", "--out-path", os.devnull],
+                       env=env, check=True, stderr=subprocess.DEVNULL)
+        walls.append(time.perf_counter() - start)
+    # the largest peak over the children, all of them runs of this command
+    rss_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+    return {"toy_default": {"runs": TOY_RUNS, "wall_s": sorted(walls)[len(walls) // 2],
+                            "wall_s_each": walls, "peak_rss_mb": rss_mb}}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", help="JSON file to merge this label's numbers into")
@@ -140,11 +160,13 @@ def main():
                     help="source directory holding the carms package to time")
     ap.add_argument("--draws", type=int, default=4096)
     ap.add_argument("--repeats", type=int, default=9)
+    ap.add_argument("--toy", action="store_true",
+                    help="also time `carms toy` at its defaults, wall-clock and peak RSS")
     args = ap.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
 
-    record = {"machine": machine_info(), **layers(args.draws, args.repeats),
-              **single_draw(args.repeats)}
+    record = {"machine": machine_info(), **(toy_default(args.src) if args.toy else {}),
+              **layers(args.draws, args.repeats), **single_draw(args.repeats)}
     try:
         with open(args.out, encoding="utf-8") as handle:
             merged = json.load(handle)
@@ -163,6 +185,10 @@ def main():
     for name, by_c in record["us_per_call"].items():
         cells = "  ".join(f"C={c}: {v:8.3f}" for c, v in by_c.items())
         print(f"{args.label:<8} {name:<37} {cells}  us/call", file=sys.stderr)
+    if args.toy:
+        toy = record["toy_default"]
+        print(f"{args.label:<8} carms toy at its defaults: {toy['wall_s']:.2f} s, "
+              f"peak RSS {toy['peak_rss_mb']:.1f} MB", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -85,15 +85,42 @@ DIRICHLET = CopulaKind("dirichlet")
 GAUSSIAN = CopulaKind("gaussian")
 
 
+def _row_sum(columns):
+    """Row sums of the matrix with these columns, a whole column at a time in
+    numpy's own order, so bit for bit a.sum(axis=1): left to right from 0
+    below 8 entries; up to 128, 8 interleaved accumulators combined pairwise,
+    then the rest; beyond, halves split at a multiple of 8.  Adding 0.0 to an
+    accumulator clears a -0.0, as numpy's starting 0 does."""
+    n = len(columns)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sum(columns[:half]) + _row_sum(columns[half:])
+    if n < 8:
+        total = columns[0] + 0.0
+        for column in columns[1:]:
+            total += column
+        return total
+    acc = [column + 0.0 for column in columns[:8]]
+    tail = n - n % 8
+    for lo in range(8, tail, 8):
+        for j in range(8):
+            acc[j] += columns[lo + j]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for column in columns[tail:]:
+        total += column
+    return total
+
+
 def _sample_dirichlet_copula_batch(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """k independent Dirichlet-copula draws, shape (k, n)."""
     n = _validate_n(n)
     e = rng.standard_exponential((k, n))
-    # numpy sums a row shorter than 8 left to right, as this sum over the
-    # columns (0 + e_0 + e_1 + ...) does, without a reduction call per row
-    total = e.sum(axis=1) if n >= 8 else sum(e.T)
-    u = 1.0 - np.power(1.0 - e / total[:, None], n - 1)
-    return np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    # u = 1 - (1 - e / sum(e))^(n - 1), formed in place a whole column at a time
+    u = np.divide(e.T, _row_sum(e.T), order="C")
+    np.subtract(1.0, u, out=u)
+    np.power(u, n - 1, out=u)
+    np.subtract(1.0, u, out=u)
+    return np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS, out=e.T).T
 
 
 def _sample_gaussian_copula_batch(
@@ -157,7 +184,8 @@ def _pair_cdfs(kind: CopulaKind, n: int, p, q):
     large grids, where every full-size pass counts.
     """
     if kind.family == "dirichlet":
-        return _dirichlet_cdf(p, q, n), _dirichlet_conditional(p, q, n)
+        t = _dirichlet_t(p, q, n) if n > 2 else None
+        return _dirichlet_cdf(p, q, n, t), _dirichlet_conditional(p, q, n, t)
     rho = kind.resolve_rho(n)
     return _gaussian_cdf(p, q, rho), _gaussian_conditional(p, q, rho)
 
@@ -185,26 +213,27 @@ def _int_power(x, k: int):
 
 
 def _dirichlet_t(p_arr, q_arr, n):
+    """max(0, (1-p)^(1/(n-1)) + (1-q)^(1/(n-1)) - 1), shared by the CDF and dC/dp."""
     inv = 1.0 / (n - 1)
-    return np.power(1.0 - p_arr, inv) + np.power(1.0 - q_arr, inv) - 1.0
+    return np.maximum(np.power(1.0 - p_arr, inv) + np.power(1.0 - q_arr, inv) - 1.0, 0.0)
 
 
-def _dirichlet_cdf(p_arr, q_arr, n):
+def _dirichlet_cdf(p_arr, q_arr, n, t=None):
     excess = p_arr + q_arr - 1.0
     if n == 2:
         return np.maximum(excess, 0.0)
-    raw = excess + _int_power(np.maximum(_dirichlet_t(p_arr, q_arr, n), 0.0), n - 1)
+    t = _dirichlet_t(p_arr, q_arr, n) if t is None else t
+    raw = excess + _int_power(t, n - 1)
     return np.minimum(np.maximum(raw, np.maximum(excess, 0.0)), np.minimum(p_arr, q_arr))
 
 
-def _dirichlet_conditional(p_arr, q_arr, n):
+def _dirichlet_conditional(p_arr, q_arr, n, t):
     if n == 2:
         return (p_arr + q_arr > 1.0).astype(float)
-    # at p = 1, t <= 0 and the tail vanishes, whatever (1 - p)^(inv - 1) is
+    # at p = 1, t = 0 and the tail vanishes, whatever (1 - p)^(inv - 1) is
     with np.errstate(divide="ignore"):
         slope = np.where(p_arr < 1.0, np.power(1.0 - p_arr, 1.0 / (n - 1) - 1.0), 0.0)
-    tail = _int_power(np.maximum(_dirichlet_t(p_arr, q_arr, n), 0.0), n - 2) * slope
-    return np.clip(1.0 - tail, 0.0, 1.0)
+    return np.clip(1.0 - _int_power(t, n - 2) * slope, 0.0, 1.0)
 
 
 def _normal_scores(p_arr):

@@ -62,7 +62,11 @@ class LinearToyObjective:
     def values_at(self, assignments) -> np.ndarray:
         """Values at an (..., D) integer array of assignments."""
         cats = np.asarray(assignments, dtype=np.int64)
-        return ((cats + 1) * (np.arange(self.dims) + 1)).sum(axis=-1).astype(float)
+        # integer column sums, exact in any order
+        total = cats[..., 0] + 1
+        for d in range(1, self.dims):
+            total += (cats[..., d] + 1) * (d + 1)
+        return total.astype(float)
 
 
 def toy_objective(n_categories: int, dims: int) -> LinearToyObjective:

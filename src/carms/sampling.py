@@ -39,9 +39,9 @@ from .copula import (
     _dirichlet_cdf,
     _pair_cdf,
     _pair_cdfs,
+    _row_sum,
     _sample_dirichlet_copula_batch,
     _validate_n,
-    dirichlet_bivariate_cdf,
     sample_copula_batch,
 )
 
@@ -81,14 +81,18 @@ def _cell_edges(q: np.ndarray):
 def _categorize_batch(u: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Cell index of each u under the half-open convention.
 
-    right holds the right cell edges along its last axis, either one set for
-    all of u or one set per row of u (shape u.shape[:-1] + (C,)).  Counting
-    the edges at or below u is searchsorted(side="right"): a u exactly on an
-    edge goes to the upper cell, and the last cell absorbs u at (or within
-    roundoff above) the final edge.
+    right holds nondecreasing right cell edges along its last axis, either
+    one set for all of u or one set per row of u (shape u.shape[:-1] + (C,)).
+    Counting the edges at or below u, one edge against whole columns of u at
+    a time, is searchsorted(side="right"): a u on an edge goes to the upper
+    cell.  The last edge is not counted, so the last cell absorbs u at (or
+    within roundoff above) it.
     """
-    below = (u[..., None] >= right[..., None, :]).sum(axis=-1)
-    return np.minimum(below, right.shape[-1] - 1)
+    columns = np.ascontiguousarray(u.T)
+    below = np.zeros(columns.shape, dtype=np.intp)
+    for edge in right.T[:-1]:
+        below += columns >= edge
+    return np.ascontiguousarray(below.T)
 
 
 @dataclass(frozen=True)
@@ -165,12 +169,16 @@ def _rectangle_mass(left_a, right_a, left_b, right_b, n: int):
 
     Inclusion-exclusion of the Dirichlet copula CDF over the cell rectangle
     for two coordinates of one draw; the edges broadcast against each other.
+    The CDF is exact at edges of 0 (its clamp) and of 1 (set, as p + 1 - 1
+    need not round to p); edges in [0, 1] need no argument checks.
     """
+
+    def cdf(p, q):
+        out = np.where(q >= 1.0, p, _dirichlet_cdf(p, q, n))
+        return np.where(p >= 1.0, q, out)
+
     return np.maximum(
-        dirichlet_bivariate_cdf(right_a, right_b, n)
-        - dirichlet_bivariate_cdf(right_a, left_b, n)
-        - dirichlet_bivariate_cdf(left_a, right_b, n)
-        + dirichlet_bivariate_cdf(left_a, left_b, n),
+        cdf(right_a, right_b) - cdf(right_a, left_b) - cdf(left_a, right_b) + cdf(left_a, left_b),
         0.0,
     )
 
@@ -365,7 +373,8 @@ def _inverse_cdf_categories_batch(
         inverse = ordering.inverse[None]
         idx = np.zeros(k, dtype=np.int64)
     u = _sample_dirichlet_copula_batch(k, n_samples, rng)
-    cum = np.cumsum(p[inverse], axis=1)[idx]
+    # each draw's edges, (k, C), stored edge by edge for _categorize_batch
+    cum = np.cumsum(p[inverse], axis=1).T.take(idx, axis=1).T
     return inverse[idx[:, None], _categorize_batch(u, cum)]
 
 
@@ -406,14 +415,20 @@ def _gumbel_categories_batch(
     """k joint Gumbel-max draws of N categories each, shape (k, N)."""
     c = p.size
     with np.errstate(divide="ignore"):
-        shift = np.log(p)[:, None]
+        shift = np.log(p)
     out = np.empty((k, n_samples), dtype=np.intp)
     step = max(1, GUMBEL_BLOCK // (c * n_samples))
     for start in range(0, k, step):
         u = sample_copula_batch(copula, min(step, k - start) * c, n_samples, rng)
-        scores = shift - np.log(-np.log(u.reshape(-1, c, n_samples)))
+        # scores log p - log(-log u), in place, laid out (N, draws, C) so that
+        # the argmax runs over contiguous categories
+        scores = np.ascontiguousarray(u.T).reshape(n_samples, -1, c)
+        np.log(scores, out=scores)
+        np.negative(scores, out=scores)
+        np.log(scores, out=scores)
+        np.subtract(shift, scores, out=scores)
         # np.argmax takes the first maximum, i.e. ties break to the lowest index.
-        out[start : start + step] = np.argmax(scores, axis=1)
+        out[start : start + step] = np.argmax(scores, axis=2).T
     return out
 
 
@@ -474,8 +489,9 @@ def _gumbel_pair_offdiag(q, n, copula: CopulaKind, nodes: int, rows) -> np.ndarr
     return left @ right.T
 
 
-def _gumbel_pair_offdiag_antithetic(q, nodes: int) -> np.ndarray:
-    """Off-diagonal pair law when the two samples are exact mirrors u' = 1 - u.
+def _gumbel_pair_offdiag_antithetic(q, nodes: int, rows) -> np.ndarray:
+    """Off-diagonal pair law when the two samples are exact mirrors u' = 1 - u,
+    among the categories rows (ascending).
 
     In race form sample 1 goes to the least E_k / q_k with E_k = -log u_k
     ~ Exp(1), and sample 2 to the least E'_k / q_k with E'_k = -log(1 - u_k).
@@ -488,7 +504,8 @@ def _gumbel_pair_offdiag_antithetic(q, nodes: int) -> np.ndarray:
 
     The copula CDF max(u + v - 1, 0) vanishes outside that window, so the
     product over k ≠ i, j comes from prefix and suffix products, not from
-    dividing the full product by m_i m_j.
+    dividing the full product by m_i m_j.  A pair costs O(C G^2) on G nodes
+    per axis, so the one pair of a single draw skips the full C x C block.
     """
     x, xc, w = _unit_nodes(nodes)
     t = -np.where(x < 0.5, np.log1p(-x), np.log(xc))
@@ -496,19 +513,30 @@ def _gumbel_pair_offdiag_antithetic(q, nodes: int) -> np.ndarray:
     bound = -np.log(-np.expm1(-q_max * t)) / q_max
     s = bound[:, None] * x[None, :]
     qk = q[:, None, None]
-    window = np.maximum(np.exp(-qk * s) + np.expm1(-qk * t[:, None]), 0.0)
-    first = q[:, None] * np.exp(-q[:, None] * t) * w / xc
-    second = qk * np.exp(-qk * s) * (bound[:, None] * w[None, :])
-    ones = np.ones((1,) + s.shape)
-    before = np.cumprod(np.concatenate([ones, window[:-1]]), axis=0)
-    after = np.cumprod(np.concatenate([ones, window[:0:-1]]), axis=0)[::-1]
-    out = np.zeros((q.size, q.size))
-    for i in range(q.size - 1):
-        # ∏_{k≠i,j} m_k for every j > i: before i, between i and j, after j
-        between = np.cumprod(np.concatenate([ones, window[i + 1 : -1]]), axis=0)
-        rest = before[i] * between * after[i + 1 :]
-        out[i, i + 1 :] = np.einsum("g,jgh->j", first[i], second[i + 1 :] * rest)
-        out[i + 1 :, i] = np.einsum("jg,jgh->j", first[i + 1 :], second[i] * rest)
+    decay = np.exp(-qk * s)
+    window = np.maximum(decay + np.expm1(-qk * t[:, None]), 0.0)
+    first = q[rows, None] * np.exp(-q[rows, None] * t) * w / xc
+    second = qk[rows] * decay[rows] * (bound[:, None] * w[None, :])
+    before = _running_products(window[:-1])
+    after = _running_products(window[:0:-1])[::-1]
+    out = np.zeros((rows.size, rows.size))
+    for a, i in enumerate(rows[:-1]):
+        # ∏_{k≠i,j} m_k for the rows j > i: before i, between i and j, after j
+        js = rows[a + 1 :]
+        between = _running_products(window[i + 1 : js[-1]])
+        rest = before[i] * between[js - i - 1] * after[js]
+        out[a, a + 1 :] = np.einsum("g,jgh->j", first[a], second[a + 1 :] * rest)
+        out[a + 1 :, a] = np.einsum("jg,jgh->j", first[a + 1 :], second[a] * rest)
+    return out
+
+
+def _running_products(factors) -> np.ndarray:
+    """np.cumprod of [1, f_0, f_1, ...] along the first axis, one whole f_k
+    at a time: the same products, without cumprod's loop over the short axis."""
+    out = np.empty((len(factors) + 1,) + factors.shape[1:])
+    out[0] = 1.0
+    for k, factor in enumerate(factors):
+        np.multiply(out[k], factor, out=out[k + 1])
     return out
 
 
@@ -554,14 +582,16 @@ def _gumbel_offdiag_law(p, n, copula: CopulaKind, nodes: int, cats=None) -> np.n
     (default: every live one), (C, C) and 0 elsewhere."""
     live = np.flatnonzero(p > 0.0)
     cats = live if cats is None else cats
+    law = np.zeros((p.size, p.size))
+    if cats.size < 2:  # no off-diagonal pair to build
+        return law
     rows = np.searchsorted(live, cats)
     if n == 2 and (copula.family == "dirichlet" or copula.resolve_rho(2) == -1.0):
-        off = _gumbel_pair_offdiag_antithetic(p[live], nodes)[np.ix_(rows, rows)]
+        off = _gumbel_pair_offdiag_antithetic(p[live], nodes, rows)
     else:
         off = _gumbel_pair_offdiag(p[live], n, copula, nodes, rows)
     off = 0.5 * (off + off.T)
     np.fill_diagonal(off, 0.0)
-    law = np.zeros((p.size, p.size))
     law[np.ix_(cats, cats)] = off
     return law
 

@@ -177,7 +177,7 @@ def _check_copula_uniformity(rng) -> CheckResult:
             for coord in range(n):
                 worst_p = min(worst_p, stats.kstest(u[:, coord], "uniform").pvalue)
     return CheckResult(
-        "copula-uniformity", worst_p > 0.01, f"min KS p-value {worst_p:.4f}"
+        "copula-uniformity", bool(worst_p > 0.01), f"min KS p-value {worst_p:.4f}"
     )
 
 

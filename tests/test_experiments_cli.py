@@ -154,6 +154,35 @@ def test_carms_core_matches_the_pair_sum_oracle():
         assert np.max(np.abs(g - np.array(ref))) <= 1e-12, n
 
 
+def _carms_broadcast(f, cats, ratios, p):
+    # the (k, N, N) broadcast form that the column-wise core replaced
+    k, n = cats.shape
+    rsel = ratios[cats[:, :, None], cats[:, None, :]]
+    rsel.reshape(k, n * n)[:, :: n + 1] = 0.0
+    w = (rsel * (f[:, :, None] - f[:, None, :])).sum(axis=-1) / (n * (n - 1))
+    flat = (np.arange(k)[:, None] * p.size + cats).ravel()
+    g = np.bincount(flat, weights=w.ravel(), minlength=k * p.size).reshape(k, p.size)
+    g -= w.sum(axis=1)[:, None] * p
+    return g
+
+
+def test_carms_core_is_bit_identical_to_the_broadcast_form():
+    # every sample count numpy sums differently, and a nonfinite placeholder
+    # on the diagonal of a category drawn at most once per draw, which no
+    # sample paired with itself may read
+    rng = np.random.default_rng(31)
+    p = np.array([0.3, 0.05, 0.25, 0.15, 0.25])
+    for n in (2, 3, 4, 8, 10):
+        ratios, _ = _analytic_ratio_matrix(p, bivariate_pmf_averaged(p, n), 10.0)
+        ratios[1, 1] = np.inf
+        cats = rng.choice([0, 2, 3, 4], size=(3000, n))
+        cats[::3, -1] = 1
+        f = rng.normal(size=(3000, n)) * 5.0
+        g = _carms_estimates(f, cats, ratios, p)
+        assert np.array_equal(g, _carms_broadcast(f, cats, ratios, p)), n
+        assert g.flags.c_contiguous
+
+
 def test_score_estimators_match_their_single_draw_forms():
     # loorf and reinforce from the factory against estimators.loorf and
     # f/N (z - p), on the categories the factory draws from the same stream
@@ -477,6 +506,17 @@ def test_cli_selfcheck_exit_zero_and_schema(tmp_path, capsys):
         obj = json.loads(line)
         jsonschema.validate(obj, schema)
         assert obj["passed"] is True
+
+
+def test_cli_selfcheck_full_level_writes_jsonl(tmp_path):
+    # every check's passed field is a JSON boolean, the statistical ones too
+    out = tmp_path / "full.jsonl"
+    assert main(["selfcheck", "--level", "full", "--output", "jsonl", "--out-path", str(out)]) == 0
+    schema = _load_schema("selfcheck.schema.json")
+    lines = out.read_text().strip().split("\n")
+    assert len(lines) == 11
+    for line in lines:
+        jsonschema.validate(json.loads(line), schema)
 
 
 def test_selfcheck_full_level_all_pass():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import carms.sampling
 from carms.copula import (
     DIRICHLET,
     GAUSSIAN,
@@ -20,8 +21,10 @@ from carms.sampling import (
     _categorize_batch,
     _cell_edges,
     _gumbel_categories_batch,
+    _gumbel_pair_offdiag_antithetic,
     _gumbel_pair_pmf,
     _inverse_cdf_categories_batch,
+    _realized_ratios,
     all_orderings,
     as_probs,
     bivariate_pmf_averaged,
@@ -100,6 +103,31 @@ def test_categorize_half_open_convention():
     assert np.array_equal(_categorize_batch(u, rows), [[1, 2], [1, 2]])
     # the last cell absorbs u at its final edge
     assert _categorize_batch(np.array([1.0]), right)[0] == 2
+
+
+def test_categorize_exact_edges_and_zero_width_cells():
+    # cells 1 and 3 have zero width: no u lands there, and a u on their
+    # repeated edge goes past them; shared and per-row edges agree, the latter
+    # stored row by row or edge by edge, and the cells come back C-ordered
+    right = np.array([0.25, 0.25, 0.5, 0.5, 1.0])
+    u = np.array([[0.0, 0.25], [np.nextafter(0.5, 0.0), 0.5], [0.75, 1.0]])
+    expected = [[0, 2], [2, 4], [4, 4]]
+    rows = np.tile(right, (3, 1))
+    for edges in (right, rows, np.asfortranarray(rows)):
+        cats = _categorize_batch(u, edges)
+        assert np.array_equal(cats, expected) and cats.flags.c_contiguous
+
+
+def test_category_batches_are_c_ordered():
+    # downstream reductions follow memory order, so their bits need C order
+    rng = np.random.default_rng(71)
+    p = _simplex(rng, 5)
+    for cats in (
+        _inverse_cdf_categories_batch(300, 4, p, rng),
+        _gumbel_categories_batch(300, 4, p, rng, DIRICHLET),
+        _gumbel_categories_batch(300, 4, p, rng, GAUSSIAN),
+    ):
+        assert cats.shape == (300, 4) and cats.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +628,7 @@ def _gumbel_one_shot(k, n, p, rng, copula):
     # the whole-batch Gumbel-max draw: one copula call for all k C columns
     u = sample_copula_batch(copula, k * p.size, n, rng).reshape(k, p.size, n)
     with np.errstate(divide="ignore"):
-        return np.argmax(-np.log(-np.log(u)) + np.log(p)[None, :, None], axis=1)
+        return np.argmax(np.log(p)[None, :, None] - np.log(-np.log(u)), axis=1)
 
 
 @pytest.mark.parametrize("copula", [DIRICHLET, GAUSSIAN], ids=["dirichlet", "gaussian"])
@@ -608,16 +636,57 @@ def test_gumbel_blocks_are_bit_identical_to_one_draw(copula):
     # k = 1, exactly one block, and several blocks with a partial last one,
     # with a category that can never win
     p = np.array([0.2, 0.0, 0.35, 0.05, 0.4])
-    n = 3
-    step = GUMBEL_BLOCK // (p.size * n)
-    for k in (1, step, 3 * step + 7):
-        ref_rng, rng = np.random.default_rng(k), np.random.default_rng(k)
-        ref = _gumbel_one_shot(k, n, p, ref_rng, copula)
-        cats = _gumbel_categories_batch(k, n, p, rng, copula)
-        assert cats.shape == (k, n) and np.array_equal(cats, ref), k
-        assert np.all(cats != 1)
-        # the blocks leave the stream where the one draw does
-        assert np.array_equal(rng.random(4), ref_rng.random(4)), k
+    for n in (2, 3, 4, 10):
+        step = GUMBEL_BLOCK // (p.size * n)
+        for k in (1, step, 3 * step + 7):
+            ref_rng, rng = np.random.default_rng(k), np.random.default_rng(k)
+            ref = _gumbel_one_shot(k, n, p, ref_rng, copula)
+            cats = _gumbel_categories_batch(k, n, p, rng, copula)
+            assert cats.shape == (k, n) and np.array_equal(cats, ref), (n, k)
+            assert cats.flags.c_contiguous and np.all(cats != 1)
+            # the blocks leave the stream where the one draw does
+            assert np.array_equal(rng.random(4), ref_rng.random(4)), (n, k)
+
+
+def test_gumbel_single_category_draw_builds_no_law(monkeypatch):
+    # samples that all land in one category realize no off-diagonal pair:
+    # no quadrature runs, and every entry holds the placeholder
+    def kernel(*args):
+        raise AssertionError("the pair-law kernel ran")
+
+    monkeypatch.setattr(carms.sampling, "_gumbel_pair_offdiag", kernel)
+    p = np.array([1.0 - 7e-4] + [1e-4] * 7)
+    rng = np.random.default_rng(72)
+    for clip, fill in ((10.0, 10.0), (None, 1.0)):
+        for _ in range(20):
+            z, r = sample_antithetic_gumbel(4, p, rng, clip=clip)
+            assert np.all(z[:, 0] == 1.0)
+            assert np.array_equal(r.ratios, np.full((8, 8), fill)) and r.clipped is False
+            ref = _realized_ratios(p, np.zeros((8, 8)), clip)
+            assert np.array_equal(r.ratios, ref.ratios) and r.clipped == ref.clipped
+
+
+@pytest.mark.parametrize(
+    "copula", [DIRICHLET, CopulaKind("gaussian", -1.0)], ids=["dirichlet", "gaussian-rho-1"]
+)
+def test_n2_mirror_single_draw_builds_its_pair_bit_for_bit(copula):
+    # the one realized pair of an N = 2 mirror draw, against the same pair
+    # read from the full C x C block that the batched path builds
+    rng = np.random.default_rng(73)
+    pairs = 0
+    for c in (3, 8, 30):
+        p = _simplex(rng, c)
+        full = _gumbel_pair_offdiag_antithetic(p, GUMBEL_NODES, np.arange(c))
+        full = 0.5 * (full + full.T)
+        for _ in range(4):
+            z, r = sample_antithetic_gumbel(2, p, rng, copula=copula)
+            i, j = np.argmax(z, axis=1)
+            law = np.zeros((c, c))
+            if i != j:
+                law[i, j], law[j, i] = full[i, j], full[j, i]
+                pairs += 1
+            assert np.array_equal(r.ratios, _realized_ratios(p, law, 10.0).ratios)
+    assert pairs >= 8
 
 
 def test_gumbel_gaussian_copula_supported():
