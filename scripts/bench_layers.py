@@ -10,14 +10,15 @@ core and the pair-correlation matrix.  Pair-law builds are timed in ms per
 build for both paths.  The single-draw API is timed in microseconds per
 call, over CALLS calls at the same C and N: both samplers at the fixed
 uniform p, both again with a fresh Dirichlet(10) p per call (as in a
-training step, where p moves every call), and
-estimators.carms on the Gumbel draws.  A stage's figure is the median over
-repeats after one warm-up call.  With --toy, `carms toy` also runs at its
+training step, where p moves every call), the inverse-CDF sampler at a p
+with 1e-4 on every category but the first (nearly every draw lands in one
+category), and estimators.carms on the Gumbel draws.  A stage's figure is
+the median over repeats after one warm-up call.  With --toy, `carms toy` also runs at its
 defaults (the paper's configuration) TOY_RUNS times in fresh interpreters:
 the median wall-clock and the largest peak RSS are recorded.
 
-    python scripts/bench_layers.py BENCH_9.json --label change --toy
-    python scripts/bench_layers.py BENCH_9.json --label parent --toy --src ../parent/src
+    python scripts/bench_layers.py BENCH_10.json --label change --toy
+    python scripts/bench_layers.py BENCH_10.json --label parent --toy --src ../parent/src
 
 --src times another checkout's package (default: this checkout's src/).
 Each label's numbers replace that label's earlier ones in the file; the
@@ -116,6 +117,8 @@ def single_draw(repeats):
         # one p per call of every repeat
         fresh_i = iter(rng.dirichlet(np.full(c, 10.0), size=(repeats + 1) * CALLS))
         fresh_g = iter(rng.dirichlet(np.full(c, 10.0), size=(repeats + 1) * CALLS))
+        one = np.full(c, 1e-4)
+        one[0] = 1.0 - one[1:].sum()
         stages = {
             "sample_antithetic_inverse_cdf":
                 lambda: [sample_antithetic_inverse_cdf(SAMPLES, p, rng) for _ in range(CALLS)],
@@ -127,6 +130,8 @@ def single_draw(repeats):
             "sample_antithetic_gumbel_fresh_p": lambda: [
                 sample_antithetic_gumbel(SAMPLES, next(fresh_g), rng) for _ in range(CALLS)
             ],
+            "sample_antithetic_inverse_cdf_one_category":
+                lambda: [sample_antithetic_inverse_cdf(SAMPLES, one, rng) for _ in range(CALLS)],
             "estimators_carms":
                 lambda: [estimators.carms(f[i], z, r, p) for i, (z, r) in enumerate(draws)],
         }

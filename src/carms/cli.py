@@ -155,32 +155,16 @@ def _config(cls, args):
     return cls(copula=CopulaKind(args.family, args.rho), **given)
 
 
-def _cmd_toy(args) -> int:
-    config = _config(ToyConfig, args)
-    start = time.perf_counter()
-    records = list(run_toy(config))
-    _write_records(args.out_path, args.output, records)
-    print(
-        f"toy: {len(records)} records in {time.perf_counter() - start:.2f}s",
-        file=sys.stderr,
-    )
-    return 0
+def _toy(args):
+    records = list(run_toy(_config(ToyConfig, args)))
+    return records, f"toy: {len(records)} records", 0
 
 
-def _cmd_correlation(args) -> int:
-    config = _config(CorrelationConfig, args)
-    start = time.perf_counter()
-    record = run_correlation(config)
-    _write_records(args.out_path, args.output, [record])
-    print(
-        f"correlation: 1 record in {time.perf_counter() - start:.2f}s",
-        file=sys.stderr,
-    )
-    return 0
+def _correlation(args):
+    return [run_correlation(_config(CorrelationConfig, args))], "correlation: 1 record", 0
 
 
-def _cmd_selfcheck(args) -> int:
-    start = time.perf_counter()
+def _selfcheck(args):
     results = run_selfcheck(args.level, **_given(args, ["seed"]))
     # the CSV reads pass/fail where the JSON has a boolean
     if args.output == "csv":
@@ -190,28 +174,26 @@ def _cmd_selfcheck(args) -> int:
         ]
     else:
         rows = [{"check": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-    _write_records(args.out_path, args.output, rows)
     n_failed = sum(1 for r in results if not r.passed)
-    print(
-        f"selfcheck[{args.level}]: {len(results) - n_failed}/{len(results)} passed "
-        f"in {time.perf_counter() - start:.2f}s",
-        file=sys.stderr,
-    )
-    return 1 if n_failed else 0
+    summary = f"selfcheck[{args.level}]: {len(results) - n_failed}/{len(results)} passed"
+    return rows, summary, 1 if n_failed else 0
+
+
+# each subcommand returns (records, summary, exit code)
+_COMMANDS = {"toy": _toy, "correlation": _correlation, "selfcheck": _selfcheck}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
-        if args.command == "toy":
-            return _cmd_toy(args)
-        if args.command == "correlation":
-            return _cmd_correlation(args)
-        return _cmd_selfcheck(args)
+        records, summary, code = _COMMANDS[args.command](args)
+        _write_records(args.out_path, args.output, records)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(f"{summary} in {time.perf_counter() - start:.2f}s", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

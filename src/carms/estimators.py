@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sampling import RatioMatrix, _row_sum, as_probs
+from .sampling import RatioMatrix, _blocks, _row_sum, as_probs
 
 
 def _as_values(f) -> np.ndarray:
@@ -100,22 +100,20 @@ def _carms_estimates(
     f and cats have shape (k, N), ratios (C, C); returns (k, C).  Sample m's
     score weighs sum_m' r(c_m, c_m') (f_m - f_m') / (N (N - 1)), 0 at m' = m.
     The (m, m') terms are laid out (N, N, draws), so every pass runs along
-    the draws; a few hundred draws at a time keep the temporaries under
-    64 KiB, where the allocator recycles them instead of mapping them afresh.
+    the draws, a block of draws at a time.
     """
     k, n = cats.shape
     ct, ft = np.ascontiguousarray(cats.T), np.ascontiguousarray(f.T)
     flat = ratios.ravel()
     w = np.empty((n, k))
-    step = max(1, 8192 // (n * n))
-    for lo in range(0, k, step):
-        cb, fb = ct[:, lo : lo + step], ft[:, lo : lo + step]
+    for block in _blocks(k, n * n):
+        cb, fb = ct[:, block], ft[:, block]
         terms = flat.take(cb[:, None] * ratios.shape[0] + cb[None, :])
         # a sample paired with itself adds 0 whatever r(c_m, c_m) holds: a
         # category drawn once may carry a nonfinite placeholder there
         terms.reshape(n * n, -1)[:: n + 1] = 0.0
         terms *= fb[:, None] - fb[None, :]
-        w[:, lo : lo + step] = _row_sum(terms.swapaxes(0, 1))
+        w[:, block] = _row_sum(terms.swapaxes(0, 1))
     w /= n * (n - 1)
     return _score_sums(w.T, cats, p_row)
 

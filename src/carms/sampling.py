@@ -230,24 +230,34 @@ def bivariate_pmf_matrix(p, ordering: Ordering, n: int) -> np.ndarray:
     return _rectangle_mass(left.T, right.T, left, right, n)
 
 
-def _mean_over_orderings(p: np.ndarray, mass_of, width: int) -> np.ndarray:
-    """Mean over all anchored orderings of mass_of(left, right).
+def _blocks(total: int, width: int) -> list[slice]:
+    """Slices that cover range(total) in order, about 8192 / width items each.
 
-    left and right are the (B, C) category edges under a block of B
-    orderings, and mass_of returns a fresh (B, ...) array of width entries
-    per ordering.  Blocks hold about 8192 / width orderings, so temporaries
-    stay near 64 KiB at any C, as in _gumbel_pair_offdiag; the full law
-    (width C^2) is a single block for every C <= 11.  Adding the running
-    total into each block's first row keeps the orderings summed one after
-    another, exactly as a single sum over all of them would be, so the
-    result does not depend on the block size.
+    With width floats per item, a block's temporaries stay near 64 KiB,
+    which the allocator recycles instead of mapping afresh (about 1.5x
+    faster); the loops over these blocks give the same result at any size.
+    """
+    step = max(1, 8192 // max(width, 1))
+    return [slice(lo, lo + step) for lo in range(0, total, step)]
+
+
+def _ordering_mean_mass(p: np.ndarray, n: int, first, second) -> np.ndarray:
+    """Mean over all anchored orderings of the rectangle mass of cells first x second.
+
+    first and second are category index arrays that broadcast together, and
+    the result has their broadcast shape.  take keeps each block's edges
+    C-ordered, and adding the running total into each block's first row keeps
+    the orderings summed one after another, exactly as a single sum over all
+    of them would be, so an entry does not depend on the block size or on
+    the other entries asked for, as long as there are at least two (numpy
+    sums a single column pairwise).
     """
     perm, inverse = _ordering_table(p.size)
-    step = max(1, 8192 // max(width, 1))
     total = 0.0
-    for lo in range(0, perm.shape[0], step):
-        rows = slice(lo, lo + step)
-        mass = mass_of(*_category_edges(p, perm[rows], inverse[rows]))
+    for rows in _blocks(perm.shape[0], np.broadcast(first, second).size):
+        left, right = _category_edges(p, perm[rows], inverse[rows])
+        edges = [edge.take(idx, axis=1) for idx in (first, second) for edge in (left, right)]
+        mass = _rectangle_mass(*edges, n)
         mass[0] += total
         total = mass.sum(axis=0)
     return total / perm.shape[0]
@@ -257,13 +267,8 @@ def bivariate_pmf_averaged(p, n: int) -> np.ndarray:
     """The inverse-CDF pair law: the single-ordering PMFs averaged over all
     C (C - 1) / 2 anchored orderings, built a block of orderings at a time."""
     p = as_probs(p)
-    return _mean_over_orderings(
-        p,
-        lambda left, right: _rectangle_mass(
-            left[:, :, None], right[:, :, None], left[:, None, :], right[:, None, :], n
-        ),
-        p.size**2,
-    )
+    cats = np.arange(p.size)
+    return _ordering_mean_mass(p, n, cats[:, None], cats[None, :])
 
 
 def bivariate_pmf_entries(p, n: int, pairs) -> np.ndarray:
@@ -272,15 +277,7 @@ def bivariate_pmf_entries(p, n: int, pairs) -> np.ndarray:
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if np.any((pairs < 0) | (pairs >= p.size)):
         raise ValueError("category index out of range")
-
-    def mass_of(left, right):
-        # np.take keeps the (B, K) edges C-ordered (left[:, i] would be
-        # F-ordered), so the orderings are summed in the same order as in the
-        # full build and the entries match bivariate_pmf_averaged bit for bit
-        a, b = (np.take(edge, pairs, axis=1) for edge in (left, right))
-        return _rectangle_mass(a[:, :, 0], b[:, :, 0], a[:, :, 1], b[:, :, 1], n)
-
-    return _mean_over_orderings(p, mass_of, len(pairs))
+    return _ordering_mean_mass(p, n, pairs[:, 0], pairs[:, 1])
 
 
 @dataclass(frozen=True)
@@ -398,9 +395,10 @@ def sample_antithetic_inverse_cdf(
     n_samples = _validate_n(n_samples)
     cats = _inverse_cdf_categories_batch(1, n_samples, p, rng)[0]
     present = np.unique(cats)
-    i, j = present[np.array(np.triu_indices(present.size, 1))]
     law = np.zeros((p.size, p.size))
-    law[i, j] = law[j, i] = bivariate_pmf_entries(p, n_samples, np.stack([i, j], axis=1))
+    if present.size > 1:  # else no off-diagonal pair to build
+        i, j = present[np.array(np.triu_indices(present.size, 1))]
+        law[i, j] = law[j, i] = bivariate_pmf_entries(p, n_samples, np.stack([i, j], axis=1))
     return onehot(cats, p.size), _realized_ratios(p, law, clip)
 
 
@@ -471,18 +469,14 @@ def _gumbel_pair_offdiag(q, n, copula: CopulaKind, nodes: int, rows) -> np.ndarr
     dens = q[rows, None] * u[rows] / xc * w
     ratio = np.zeros((rows.size, nodes, nodes))
     mass = np.ones((nodes, nodes))
-    # a few categories at a time: temporaries under 64 KiB are recycled by
-    # the allocator instead of being mapped afresh, about 1.5x faster
-    step = max(1, 8192 // (nodes * nodes))
-    for lo in range(0, rows.size, step):
-        block = slice(lo, lo + step)
+    for block in _blocks(rows.size, nodes * nodes):
         ub = u[rows[block]]
         joint, cond = _pair_cdfs(copula, n, ub[:, :, None], ub[:, None, :])
         np.divide(cond * dens[block, :, None], joint, out=ratio[block], where=joint > 0.0)
         mass *= joint.prod(axis=0)
     others = np.delete(u, rows, axis=0)
-    for lo in range(0, others.shape[0], step):
-        ub = others[lo : lo + step]
+    for block in _blocks(others.shape[0], nodes * nodes):
+        ub = others[block]
         mass *= _pair_cdf(copula, n, ub[:, :, None], ub[:, None, :]).prod(axis=0)
     left = (ratio * mass).reshape(rows.size, -1)
     right = ratio.transpose(0, 2, 1).reshape(rows.size, -1)
@@ -567,13 +561,10 @@ def _gumbel_pair_diag_dirichlet(q, n, nodes: int) -> np.ndarray:
         r = np.minimum(q[None, :] / q[:, None], np.finfo(float).max)
     r = r[~np.eye(c, dtype=bool)].reshape(c, c - 1, 1, 1)
     out = np.empty(c)
-    # a few categories at a time, as in _gumbel_pair_offdiag
-    step = max(1, 8192 // (max(c - 1, 1) * weight.size))
-    for lo in range(0, c, step):
-        block = r[lo : lo + step]
+    for block in _blocks(c, (c - 1) * weight.size):
         with np.errstate(over="ignore", under="ignore"):
-            joint = _dirichlet_cdf(np.exp(block * log_u), np.exp(block * log_v), n)
-        out[lo : lo + step] = (joint.prod(axis=1) * weight).sum(axis=(1, 2))
+            joint = _dirichlet_cdf(np.exp(r[block] * log_u), np.exp(r[block] * log_v), n)
+        out[block] = (joint.prod(axis=1) * weight).sum(axis=(1, 2))
     return out
 
 

@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 import time
@@ -532,6 +533,38 @@ def test_cli_stdout_dash(capsys):
     assert main(["selfcheck"]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("check,status,detail")
+
+
+@pytest.mark.parametrize(
+    "argv, summary",
+    [
+        (TOY_ARGS, r"toy: 4 records"),
+        (["correlation", "--categories", "2", "--trials", "200"], r"correlation: 1 record"),
+        (["selfcheck"], r"selfcheck\[fast\]: 6/6 passed"),
+    ],
+    ids=["toy", "correlation", "selfcheck"],
+)
+def test_cli_prints_one_summary_line_per_command(argv, summary, tmp_path, capsys):
+    assert main(argv + ["--out-path", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and re.fullmatch(summary + r" in \d+\.\d\ds", lines[0]), lines
+
+
+def test_cli_failed_check_exits_one_and_bad_value_two(monkeypatch, capsys):
+    from carms import selfcheck
+
+    def failing(rng):
+        return selfcheck.CheckResult("always-fails", False, "by construction")
+
+    monkeypatch.setattr(selfcheck, "_FAST_CHECKS", (failing,) + selfcheck._FAST_CHECKS[1:])
+    assert main(["selfcheck"]) == 1
+    captured = capsys.readouterr()
+    assert "always-fails,fail,by construction" in captured.out
+    assert re.fullmatch(r"selfcheck\[fast\]: 5/6 passed in \d+\.\d\ds\n", captured.err)
+    assert main(["toy", "--categories", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need C >= 2 categories and D >= 1 dimensions\n"
 
 
 def test_cli_usage_errors_exit_two(capsys):

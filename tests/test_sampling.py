@@ -18,6 +18,7 @@ from carms.sampling import (
     GUMBEL_NODES,
     Ordering,
     RatioMatrix,
+    _blocks,
     _categorize_batch,
     _cell_edges,
     _gumbel_categories_batch,
@@ -312,8 +313,22 @@ def test_pmf_entries_selected_pairs():
         pairs = rng.integers(0, c, size=(9, 2))
         vals = bivariate_pmf_entries(p, n, pairs)
         assert np.array_equal(vals, avg[pairs[:, 0], pairs[:, 1]])
+        # every pair at once is the full law, bit for bit
+        every = np.stack(np.meshgrid(np.arange(c), np.arange(c), indexing="ij"), axis=-1)
+        assert np.array_equal(bivariate_pmf_entries(p, n, every).reshape(c, c), avg)
+        assert bivariate_pmf_entries(p, n, np.zeros((0, 2), dtype=int)).shape == (0,)
     with pytest.raises(ValueError):
         bivariate_pmf_entries([0.5, 0.5], 2, [(0, 2)])
+
+
+@pytest.mark.parametrize("width", [0, 1, 16, 4096, 8192, 10**5])
+def test_blocks_cover_the_range_once_in_order(width):
+    longest = max(1, 8192 // max(width, 1))
+    for total in (0, 1, 7, 1000):
+        blocks = _blocks(total, width)
+        covered = np.concatenate([np.arange(total)[b] for b in blocks] + [np.arange(0)])
+        assert np.array_equal(covered, np.arange(total))
+        assert all(0 < len(range(total)[b]) <= longest for b in blocks)
 
 
 def test_pmf_entries_past_sixty_categories_match_the_scalar_reference():
@@ -662,6 +677,25 @@ def test_gumbel_single_category_draw_builds_no_law(monkeypatch):
             z, r = sample_antithetic_gumbel(4, p, rng, clip=clip)
             assert np.all(z[:, 0] == 1.0)
             assert np.array_equal(r.ratios, np.full((8, 8), fill)) and r.clipped is False
+            ref = _realized_ratios(p, np.zeros((8, 8)), clip)
+            assert np.array_equal(r.ratios, ref.ratios) and r.clipped == ref.clipped
+
+
+def test_inverse_cdf_single_category_draw_builds_no_law(monkeypatch):
+    # as for the Gumbel draw: no off-diagonal pair, no pair-law entries, and
+    # the categories are those of the batched draw on the same stream
+    def entries(*args):
+        raise AssertionError("the pair-law entries were built")
+
+    monkeypatch.setattr(carms.sampling, "bivariate_pmf_entries", entries)
+    p = np.array([1.0 - 7e-4] + [1e-4] * 7)
+    for clip in (None, 10.0):
+        rng, ref_rng = np.random.default_rng(74), np.random.default_rng(74)
+        for _ in range(20):
+            z, r = sample_antithetic_inverse_cdf(4, p, rng, clip=clip)
+            assert np.all(z[:, 0] == 1.0)
+            cats = _inverse_cdf_categories_batch(1, 4, p, ref_rng)[0]
+            assert np.array_equal(z.argmax(axis=1), cats)
             ref = _realized_ratios(p, np.zeros((8, 8)), clip)
             assert np.array_equal(r.ratios, ref.ratios) and r.clipped == ref.clipped
 
