@@ -17,6 +17,16 @@ the median over repeats after one warm-up call.  With --toy, `carms toy` also ru
 defaults (the paper's configuration) TOY_RUNS times in fresh interpreters:
 the median wall-clock and the largest peak RSS are recorded.
 
+A cold-start record always follows, from fresh interpreters on the same
+source: the seconds `import carms.cli` takes (median of COLD_RUNS), and the
+ms and minor page faults (ru_minflt) per step of a training-step-like loop
+at C = 8, D = 4, N = 4, where each step draws both single-draw samplers and
+runs estimators.carms in every dimension at a fresh Dirichlet(10) p (median
+of COLD_RUNS loops of COLD_STEPS steps, after a short warm-up).  The figures
+above run in this process after large arrays, whose release raises glibc's
+heap thresholds, so they cannot see pages that a fresh process faults in
+again on every call.
+
     python scripts/bench_layers.py BENCH_10.json --label change --toy
     python scripts/bench_layers.py BENCH_10.json --label parent --toy --src ../parent/src
 
@@ -44,6 +54,41 @@ SIZES = (3, 10, 30)
 SAMPLES = 4
 CALLS = 200
 TOY_RUNS = 3
+COLD_RUNS = 5
+COLD_STEPS = 60
+
+IMPORT_CHILD = """
+import time
+start = time.perf_counter()
+import carms.cli
+print(time.perf_counter() - start)
+"""
+
+STEP_CHILD = """
+import resource, sys, time
+import numpy as np
+from carms import estimators, sampling
+c, d, n, warm, steps = 8, 4, 4, 5, int(sys.argv[1])
+rng = np.random.default_rng(0)
+probs = rng.dirichlet(np.full(c, 10.0), size=(warm + steps, d))
+f = rng.normal(size=n)
+
+def step(p):
+    for k in range(d):
+        for sample in (sampling.sample_antithetic_inverse_cdf, sampling.sample_antithetic_gumbel):
+            z, r = sample(n, p[k], rng)
+            estimators.carms(f, z, r, p[k])
+
+for p in probs[:warm]:
+    step(p)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+start = time.perf_counter()
+for p in probs[warm:]:
+    step(p)
+seconds = time.perf_counter() - start
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+print(1e3 * seconds / steps, faults / steps)
+"""
 
 
 def _median_seconds(fn, repeats):
@@ -157,6 +202,26 @@ def toy_default(src):
                             "wall_s_each": walls, "peak_rss_mb": rss_mb}}
 
 
+def cold_start(src):
+    """Import time and a training-step-like loop, each in fresh interpreters on src."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+
+    def child(*argv):
+        proc = subprocess.run([sys.executable, "-c", *argv], env=env, check=True,
+                              capture_output=True, text=True)
+        return [float(v) for v in proc.stdout.split()]
+
+    imports = [child(IMPORT_CHILD)[0] for _ in range(COLD_RUNS)]
+    loops = sorted(child(STEP_CHILD, str(COLD_STEPS)) for _ in range(COLD_RUNS))
+    mid = len(loops) // 2
+    return {"cold_start": {
+        "runs": COLD_RUNS, "steps": COLD_STEPS,
+        "import_s": sorted(imports)[len(imports) // 2], "import_s_each": imports,
+        "ms_per_step": loops[mid][0], "minflt_per_step": sorted(v for _, v in loops)[mid],
+        "loops_each": loops,
+    }}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", help="JSON file to merge this label's numbers into")
@@ -171,7 +236,8 @@ def main():
     sys.path.insert(0, os.path.abspath(args.src))
 
     record = {"machine": machine_info(), **(toy_default(args.src) if args.toy else {}),
-              **layers(args.draws, args.repeats), **single_draw(args.repeats)}
+              **cold_start(args.src), **layers(args.draws, args.repeats),
+              **single_draw(args.repeats)}
     try:
         with open(args.out, encoding="utf-8") as handle:
             merged = json.load(handle)
@@ -190,6 +256,10 @@ def main():
     for name, by_c in record["us_per_call"].items():
         cells = "  ".join(f"C={c}: {v:8.3f}" for c, v in by_c.items())
         print(f"{args.label:<8} {name:<37} {cells}  us/call", file=sys.stderr)
+    cold = record["cold_start"]
+    print(f"{args.label:<8} cold start: import carms.cli {cold['import_s']:.3f} s, "
+          f"{cold['ms_per_step']:.2f} ms and {cold['minflt_per_step']:.1f} minor faults "
+          "per train-like step", file=sys.stderr)
     if args.toy:
         toy = record["toy_default"]
         print(f"{args.label:<8} carms toy at its defaults: {toy['wall_s']:.2f} s, "

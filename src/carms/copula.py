@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri, owens_t
 
 # Copula outputs are clamped into [CLAMP_EPS, 1 - CLAMP_EPS] so downstream
 # log/log-log transforms never see an exact endpoint.
@@ -133,6 +132,7 @@ def _sample_gaussian_copula_batch(
     sqrt(1 + (n-1) rho); this stays exact at the singular edge rho = -1/(n-1).
     rho is taken as given, already resolved by CopulaKind.resolve_rho.
     """
+    from scipy.special import ndtr
     n = _validate_n(n)
     a = np.sqrt(1.0 - rho)
     b = np.sqrt(max(1.0 + (n - 1) * rho, 0.0))
@@ -168,12 +168,12 @@ def dirichlet_bivariate_cdf(p, q, n: int):
         raise ValueError("CDF arguments must lie in [0, 1]")
     scalar = p_arr.ndim == 0 and q_arr.ndim == 0
 
-    out = _dirichlet_cdf(p_arr, q_arr, n)
+    out = _dirichlet_cdf(np.atleast_1d(p_arr), q_arr, n)
     # Boundary rows and columns of a copula CDF are exact.
     out = np.where(q_arr >= 1.0, p_arr, out)
     out = np.where(p_arr >= 1.0, np.where(q_arr >= 1.0, 1.0, q_arr), out)
     out = np.where((p_arr <= 0.0) | (q_arr <= 0.0), 0.0, out)
-    return float(out) if scalar else out
+    return out.item() if scalar else out
 
 
 def _pair_cdfs(kind: CopulaKind, n: int, p, q):
@@ -181,7 +181,8 @@ def _pair_cdfs(kind: CopulaKind, n: int, p, q):
 
     Without the public CDFs' argument checks and exact boundary rows, for
     arguments known to lie in (0, 1]: the Gumbel pair law evaluates these on
-    large grids, where every full-size pass counts.
+    large grids, where every full-size pass counts.  The Dirichlet kernels
+    write only arrays they make, so p and q must be arrays, not numpy scalars.
     """
     if kind.family == "dirichlet":
         t = _dirichlet_t(p, q, n) if n > 2 else None
@@ -197,11 +198,13 @@ def _pair_cdf(kind: CopulaKind, n: int, p, q):
 
 
 def _int_power(x, k: int):
-    """x ** k for an integer k >= 1 by repeated squaring.
+    """x ** k for an integer k >= 1 by repeated squaring, as a fresh array.
 
     np.power takes its general path for any exponent but 2 and is several
     times slower, more so at x = 0, which the clamped t hits often.
     """
+    if k == 1:
+        return x.copy()
     result = None
     while True:
         if k & 1:
@@ -215,16 +218,21 @@ def _int_power(x, k: int):
 def _dirichlet_t(p_arr, q_arr, n):
     """max(0, (1-p)^(1/(n-1)) + (1-q)^(1/(n-1)) - 1), shared by the CDF and dC/dp."""
     inv = 1.0 / (n - 1)
-    return np.maximum(np.power(1.0 - p_arr, inv) + np.power(1.0 - q_arr, inv) - 1.0, 0.0)
+    t = np.power(1.0 - p_arr, inv) + np.power(1.0 - q_arr, inv)
+    t -= 1.0
+    return np.maximum(t, 0.0, out=t)
 
 
 def _dirichlet_cdf(p_arr, q_arr, n, t=None):
-    excess = p_arr + q_arr - 1.0
+    excess = p_arr + q_arr
+    excess -= 1.0
     if n == 2:
-        return np.maximum(excess, 0.0)
+        return np.maximum(excess, 0.0, out=excess)
     t = _dirichlet_t(p_arr, q_arr, n) if t is None else t
-    raw = excess + _int_power(t, n - 1)
-    return np.minimum(np.maximum(raw, np.maximum(excess, 0.0)), np.minimum(p_arr, q_arr))
+    raw = _int_power(t, n - 1)
+    raw += excess
+    np.maximum(raw, np.maximum(excess, 0.0, out=excess), out=raw)
+    return np.minimum(raw, np.minimum(p_arr, q_arr, out=excess), out=raw)
 
 
 def _dirichlet_conditional(p_arr, q_arr, n, t):
@@ -233,10 +241,13 @@ def _dirichlet_conditional(p_arr, q_arr, n, t):
     # at p = 1, t = 0 and the tail vanishes, whatever (1 - p)^(inv - 1) is
     with np.errstate(divide="ignore"):
         slope = np.where(p_arr < 1.0, np.power(1.0 - p_arr, 1.0 / (n - 1) - 1.0), 0.0)
-    return np.clip(1.0 - _int_power(t, n - 2) * slope, 0.0, 1.0)
+    tail = _int_power(t, n - 2)
+    np.subtract(1.0, np.multiply(tail, slope, out=tail), out=tail)
+    return np.clip(tail, 0.0, 1.0, out=tail)
 
 
 def _normal_scores(p_arr):
+    from scipy.special import ndtri
     # Phi^-1 of the argument, kept finite: the samplers clamp their uniforms
     # the same way.
     h = ndtri(np.clip(p_arr, CLAMP_EPS, 1.0 - CLAMP_EPS))
@@ -257,6 +268,7 @@ def _gaussian_cdf(p_arr, q_arr, rho):
     """
     if rho == -1.0:
         return np.maximum(p_arr + q_arr - 1.0, 0.0)
+    from scipy.special import ndtr, owens_t
     h, k = _normal_scores(p_arr), _normal_scores(q_arr)
     r = np.sqrt(1.0 - rho * rho)
     beta = np.where(h * k < 0.0, 0.5, 0.0)
@@ -274,6 +286,7 @@ def _gaussian_conditional(p_arr, q_arr, rho):
     """Phi((Phi^-1(q) - rho Phi^-1(p)) / sqrt(1 - rho^2)), a step at rho = -1."""
     if rho == -1.0:
         return (p_arr + q_arr > 1.0).astype(float)
+    from scipy.special import ndtr
     h, k = _normal_scores(p_arr), _normal_scores(q_arr)
     return ndtr((k - rho * h) / np.sqrt(1.0 - rho * rho))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .copula import DIRICHLET, CopulaKind
 from .estimators import _carms_estimates, _score_sums
@@ -185,8 +186,8 @@ class ToyConfig:
     def __post_init__(self):
         if not self.methods or any(m not in TOY_METHODS for m in self.methods):
             raise ValueError(f"methods must be drawn from {TOY_METHODS}")
-        if not self.alphas or any(a <= 0 for a in self.alphas):
-            raise ValueError("alphas must be positive")
+        if not self.alphas or any(not 0.0 < a < np.inf for a in self.alphas):  # a nan fails too
+            raise ValueError("alphas must be positive and finite")
         if self.categories < 2 or self.dims < 1:
             raise ValueError("need C >= 2 categories and D >= 1 dimensions")
         if self.samples < 2:
@@ -207,9 +208,7 @@ def run_toy(config: ToyConfig):
     objective = toy_objective(config.categories, config.dims)
     for a_idx, alpha in enumerate(config.alphas):
         for trial in range(config.trials):
-            probs_rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed, a_idx, trial, 0])
-            )
+            probs_rng = default_rng(SeedSequence([config.seed, a_idx, trial, 0]))
             p = probs_rng.dirichlet(
                 np.full(config.categories, float(alpha)), size=config.dims
             )
@@ -222,9 +221,7 @@ def run_toy(config: ToyConfig):
                     copula=config.copula,
                     clip=config.clip,
                 )
-                est_rng = np.random.default_rng(
-                    np.random.SeedSequence([config.seed, a_idx, trial, 1])
-                )
+                est_rng = default_rng(SeedSequence([config.seed, a_idx, trial, 1]))
                 g, flags = estimate(est_rng, config.inner)
                 var = g.var(axis=0, ddof=1)
                 var_sum = float(var.sum())
@@ -292,7 +289,7 @@ def run_correlation(config: CorrelationConfig) -> dict:
     """Correlation matrix of the first two samples' indicators at uniform p."""
     c = config.categories
     p = np.full(c, 1.0 / c)
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
+    rng = default_rng(SeedSequence([config.seed]))
     if config.method == "inverse-cdf":
         _check_inverse_cdf_copula(config.copula)
         cats = _inverse_cdf_categories_batch(config.draws, config.samples, p, rng)

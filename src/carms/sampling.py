@@ -32,6 +32,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .copula import (
     DIRICHLET,
@@ -54,7 +55,7 @@ def as_probs(p) -> np.ndarray:
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ValueError("probabilities must be finite and nonnegative")
     if abs(arr.sum() - 1.0) > 1e-12:
-        raise ValueError(f"probabilities must sum to 1, got {arr.sum()!r}")
+        raise ValueError(f"probabilities must sum to 1, got {float(arr.sum())!r}")
     return arr
 
 
@@ -217,8 +218,8 @@ def bivariate_pmf_one_ordering(p, ordering: Ordering, i: int, j: int, n: int) ->
     if not (0 <= i < p.size and 0 <= j < p.size):
         raise ValueError("category index out of range")
     left, right = _cell_edges(ordering.permuted(p))
-    ip, jp = ordering.perm[i], ordering.perm[j]
-    return float(_rectangle_mass(left[ip], right[ip], left[jp], right[jp], n))
+    ip, jp = ordering.perm[[i]], ordering.perm[[j]]
+    return _rectangle_mass(left[ip], right[ip], left[jp], right[jp], n).item()
 
 
 def bivariate_pmf_matrix(p, ordering: Ordering, n: int) -> np.ndarray:
@@ -233,9 +234,12 @@ def bivariate_pmf_matrix(p, ordering: Ordering, n: int) -> np.ndarray:
 def _blocks(total: int, width: int) -> list[slice]:
     """Slices that cover range(total) in order, about 8192 / width items each.
 
-    With width floats per item, a block's temporaries stay near 64 KiB,
-    which the allocator recycles instead of mapping afresh (about 1.5x
-    faster); the loops over these blocks give the same result at any size.
+    With width floats per item, a block's temporaries stay near 64 KiB.
+    They come from glibc's heap, which gives free top past 128 KiB back to
+    the system until a large mapping is freed: a call whose temporaries
+    reach further faults them in again each time, so the Gumbel kernels work
+    in place and free each block's arrays before the next.  The loops over
+    these blocks give the same result at any size.
     """
     step = max(1, 8192 // max(width, 1))
     return [slice(lo, lo + step) for lo in range(0, total, step)]
@@ -394,7 +398,7 @@ def sample_antithetic_inverse_cdf(
     p = as_probs(p)
     n_samples = _validate_n(n_samples)
     cats = _inverse_cdf_categories_batch(1, n_samples, p, rng)[0]
-    present = np.unique(cats)
+    present = np.flatnonzero(np.bincount(cats))  # np.unique, without its numpy.ma import
     law = np.zeros((p.size, p.size))
     if present.size > 1:  # else no off-diagonal pair to build
         i, j = present[np.array(np.triu_indices(present.size, 1))]
@@ -443,7 +447,7 @@ def _unit_nodes(nodes: int):
     Gumbel tails leave at both ends; 1 - x is the same map at 1 - y, so it
     keeps full precision near x = 1.
     """
-    y, w = np.polynomial.legendre.leggauss(nodes)
+    y, w = leggauss(nodes)
     y, w = 0.5 * (y + 1.0), 0.5 * w
 
     def smooth(v):
@@ -472,15 +476,17 @@ def _gumbel_pair_offdiag(q, n, copula: CopulaKind, nodes: int, rows) -> np.ndarr
     for block in _blocks(rows.size, nodes * nodes):
         ub = u[rows[block]]
         joint, cond = _pair_cdfs(copula, n, ub[:, :, None], ub[:, None, :])
-        np.divide(cond * dens[block, :, None], joint, out=ratio[block], where=joint > 0.0)
+        cond *= dens[block, :, None]
+        np.divide(cond, joint, out=ratio[block], where=joint > 0.0)
         mass *= joint.prod(axis=0)
+        del joint, cond  # freed before the next block's are made (see _blocks)
     others = np.delete(u, rows, axis=0)
     for block in _blocks(others.shape[0], nodes * nodes):
         ub = others[block]
         mass *= _pair_cdf(copula, n, ub[:, :, None], ub[:, None, :]).prod(axis=0)
-    left = (ratio * mass).reshape(rows.size, -1)
     right = ratio.transpose(0, 2, 1).reshape(rows.size, -1)
-    return left @ right.T
+    ratio *= mass
+    return ratio.reshape(rows.size, -1) @ right.T
 
 
 def _gumbel_pair_offdiag_antithetic(q, nodes: int, rows) -> np.ndarray:
@@ -631,5 +637,6 @@ def sample_antithetic_gumbel(
     p = as_probs(p)
     n_samples = _validate_n(n_samples)
     cats = _gumbel_categories_batch(1, n_samples, p, rng, copula)[0]
-    law = _gumbel_offdiag_law(p, n_samples, copula, GUMBEL_NODES, np.unique(cats))
+    present = np.flatnonzero(np.bincount(cats))  # np.unique, without its numpy.ma import
+    law = _gumbel_offdiag_law(p, n_samples, copula, GUMBEL_NODES, present)
     return onehot(cats, p.size), _realized_ratios(p, law, clip)

@@ -44,6 +44,10 @@ from carms.copula import (
     DIRICHLET,
     GAUSSIAN,
     CopulaKind,
+    _dirichlet_cdf,
+    _dirichlet_conditional,
+    _dirichlet_t,
+    _int_power,
     _pair_cdfs,
     _row_sum,
     _sample_dirichlet_copula_batch,
@@ -155,6 +159,55 @@ def test_dirichlet_pair_cdfs_are_the_cdf_and_its_first_partial():
             joint, cond = _pair_cdfs(DIRICHLET, n, *args)
             assert np.all(cond == 1.0)
             assert np.max(np.abs(joint - grid)) <= 1e-15
+
+
+# (C(p, q), dC/dp(p, q)) at p in (0.2, 0.55, 0.9) down, q in (0.35, 0.7) across
+DIRICHLET_PAIR_CDFS = {
+    2: ([[0.0, 0.0], [0.0, 0.25], [0.25, 0.6000000000000001]],
+        [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+    3: ([[0.040914578526054124, 0.0954964001031072],
+         [0.12757304647961312, 0.2977610213247474],
+         [0.2649948696658927, 0.6000000000000001]],
+        [[0.2166461698838974, 0.5056615530541002],
+         [0.28886155984519657, 0.6742154040721337],
+         [0.6127679033719868, 1.0]]),
+    4: ([[0.05162013943495669, 0.11357986946416787],
+         [0.15309383606754662, 0.3327350266079774],
+         [0.2860671797830988, 0.6023841837891062]],
+        [[0.26741731152926684, 0.585383208535234],
+         [0.3186357083402608, 0.6766660820765682],
+         [0.49331102287054807, 0.9171625946919855]]),
+    6: ([[0.059410405898151164, 0.12545501609829926],
+         [0.1704126243392704, 0.35603973240101866],
+         [0.29960421025780787, 0.6126030079422481]],
+        [[0.30308107160701125, 0.6369420657697556],
+         [0.3346478579952046, 0.6853665535909357],
+         [0.42929085495246533, 0.8092874083461927]]),
+}
+
+
+@pytest.mark.parametrize("n", sorted(DIRICHLET_PAIR_CDFS))
+def test_dirichlet_kernels_write_only_the_arrays_they_make(n):
+    # the kernels work in place: p, q and the t that the CDF and dC/dp share
+    # must come out as they went in, and the values as frozen
+    p, q = np.array([[0.2], [0.55], [0.9]]), np.array([[0.35, 0.7]])
+    joint, cond = _pair_cdfs(DIRICHLET, n, p, q)
+    frozen_joint, frozen_cond = DIRICHLET_PAIR_CDFS[n]
+    np.testing.assert_allclose(joint, frozen_joint, rtol=1e-15, atol=1e-17)
+    np.testing.assert_allclose(cond, frozen_cond, rtol=1e-15, atol=1e-17)
+    assert np.array_equal(_dirichlet_cdf(p, q, n), joint)
+    if n > 2:
+        t = _dirichlet_t(p, q, n)
+        shared = t.copy()
+        assert np.array_equal(_dirichlet_cdf(p, q, n, t), joint)
+        assert np.array_equal(_dirichlet_conditional(p, q, n, t), cond)
+        assert np.array_equal(t, shared)
+        assert _int_power(t, 1) is not t
+    assert np.array_equal(p, [[0.2], [0.55], [0.9]]) and np.array_equal(q, [[0.35, 0.7]])
+    # one point in, one float out, equal to the same point of an array call
+    for i, j in np.ndindex(joint.shape):
+        value = dirichlet_bivariate_cdf(p[i, 0], q[0, j], n)
+        assert isinstance(value, float) and value == joint[i, j]
 
 
 @pytest.mark.parametrize("rho", [-1.0, -0.9, -0.5, -1 / 3, 0.0])

@@ -40,6 +40,7 @@ from carms.experiments import (
 from carms.oracle import TabulatedObjective, exact_gradient, mc_estimator_moments
 from carms.sampling import (
     _inverse_cdf_categories_batch,
+    as_probs,
     bivariate_pmf_averaged,
     sample_antithetic_gumbel,
     sample_antithetic_inverse_cdf,
@@ -327,8 +328,9 @@ def test_run_toy_deterministic():
 def test_toy_config_validation():
     with pytest.raises(ValueError):
         _tiny_toy_config(methods=("nope",))
-    with pytest.raises(ValueError):
-        _tiny_toy_config(alphas=(0.0,))
+    for alpha in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alphas must be positive and finite"):
+            _tiny_toy_config(alphas=(1.0, alpha))
     with pytest.raises(ValueError):
         _tiny_toy_config(samples=1)
     with pytest.raises(ValueError):
@@ -599,6 +601,24 @@ def test_cli_nonfinite_clip_and_rho_exit_two(capsys):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_cli_nonfinite_alpha_exits_two(alpha, capsys):
+    # rejected with the config's own message before any probability is drawn
+    assert main(["toy", "--alpha", f"1,{alpha}", "--inner", "16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: alphas must be positive and finite\n"
+
+
+def test_cli_probability_sum_error_prints_a_plain_float(capsys):
+    # alpha = 1e308 overflows the Dirichlet draw to all-zero probabilities
+    argv = ["toy", "--alpha", "1e308", "--categories", "3", "--dims", "1", "--inner", "16"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: probabilities must sum to 1, got 0.0\n"
+    with pytest.raises(ValueError, match=r"^probabilities must sum to 1, got 1\.1$"):
+        as_probs(np.array([0.5, 0.6]))
+
+
 def test_cli_nonfinite_log_variance_serializes(tmp_path):
     # constant objective can produce zero variance -> log is -inf -> null in
     # jsonl, "-inf" text in csv; both must stay loadable
@@ -702,6 +722,35 @@ def test_module_reruns_are_byte_identical(tmp_path):
     assert _run_module(args + [str(out_b)]).returncode == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert out_a.stat().st_size > 0
+
+
+# scipy.special takes most of a cold import; only the Gaussian copula uses it
+FRESH_IMPORT_RUN = """
+import json, sys
+from carms.cli import main
+out = sys.argv[1]
+small = ["--categories", "3", "--out-path", out]
+seen = ["scipy" in sys.modules]
+toy = ["toy", "--dims", "1", "--trials", "1", "--inner", "16", *small]
+codes = [main([*toy, "--method", "carms-i,carms-g"])]
+seen.append("scipy" in sys.modules)
+codes.append(main(["correlation", "--method", "gumbel", "--copula", "gaussian",
+                   "--trials", "200", *small]))
+codes.append(main([*toy, "--method", "carms-g", "--copula", "gaussian"]))
+seen.append("scipy.special" in sys.modules)
+print(json.dumps({"seen": seen, "codes": codes}))
+"""
+
+
+def test_scipy_is_imported_on_first_gaussian_use_only(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_IMPORT_RUN, str(tmp_path / "out.jsonl")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    # import carms.cli and a Dirichlet toy leave scipy out; the Gaussian runs load it
+    assert result == {"seen": [False, False, True], "codes": [0, 0, 0]}
 
 
 # ---------------------------------------------------------------------------
