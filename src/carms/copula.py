@@ -84,29 +84,16 @@ DIRICHLET = CopulaKind("dirichlet")
 GAUSSIAN = CopulaKind("gaussian")
 
 
-def _row_sum(columns):
-    """Row sums of the matrix with these columns, a whole column at a time in
-    numpy's own order, so bit for bit a.sum(axis=1): left to right from 0
-    below 8 entries; up to 128, 8 interleaved accumulators combined pairwise,
-    then the rest; beyond, halves split at a multiple of 8.  Adding 0.0 to an
-    accumulator clears a -0.0, as numpy's starting 0 does."""
-    n = len(columns)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _row_sum(columns[:half]) + _row_sum(columns[half:])
-    if n < 8:
-        total = columns[0] + 0.0
-        for column in columns[1:]:
-            total += column
-        return total
-    acc = [column + 0.0 for column in columns[:8]]
-    tail = n - n % 8
-    for lo in range(8, tail, 8):
-        for j in range(8):
-            acc[j] += columns[lo + j]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for column in columns[tail:]:
-        total += column
+def _sum_in_order(terms):
+    """terms[0] + terms[1] + ... added left to right, a whole term at a time.
+
+    numpy's own sum adds a contiguous run pairwise from eight terms on, so a
+    draw's sum would depend on how many draws share the call.  Adding 0.0
+    first clears a -0.0, as numpy's starting 0 does.
+    """
+    total = terms[0] + 0.0
+    for term in terms[1:]:
+        total += term
     return total
 
 
@@ -115,7 +102,7 @@ def _sample_dirichlet_copula_batch(k: int, n: int, rng: np.random.Generator) -> 
     n = _validate_n(n)
     e = rng.standard_exponential((k, n))
     # u = 1 - (1 - e / sum(e))^(n - 1), formed in place a whole column at a time
-    u = np.divide(e.T, _row_sum(e.T), order="C")
+    u = np.divide(e.T, _sum_in_order(e.T), order="C")
     np.subtract(1.0, u, out=u)
     np.power(u, n - 1, out=u)
     np.subtract(1.0, u, out=u)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sampling import RatioMatrix, _blocks, _row_sum, as_probs
+from .copula import _sum_in_order
+from .sampling import RatioMatrix, _blocks, as_probs
 
 
 def _as_values(f) -> np.ndarray:
@@ -88,7 +89,7 @@ def _score_sums(w: np.ndarray, cats: np.ndarray, p_row: np.ndarray) -> np.ndarra
     k, c = cats.shape[0], p_row.size
     flat = (np.arange(k)[:, None] * c + cats).ravel()
     g = np.bincount(flat, weights=w.ravel(), minlength=k * c).reshape(k, c)
-    g -= _row_sum(w.T)[:, None] * p_row
+    g -= _sum_in_order(w.T)[:, None] * p_row
     return g
 
 
@@ -113,7 +114,7 @@ def _carms_estimates(
         # category drawn once may carry a nonfinite placeholder there
         terms.reshape(n * n, -1)[:: n + 1] = 0.0
         terms *= fb[:, None] - fb[None, :]
-        w[:, block] = _row_sum(terms.swapaxes(0, 1))
+        w[:, block] = _sum_in_order(terms.swapaxes(0, 1))
     w /= n * (n - 1)
     return _score_sums(w.T, cats, p_row)
 

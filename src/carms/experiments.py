@@ -190,6 +190,9 @@ class ToyConfig:
             raise ValueError("alphas must be positive and finite")
         if self.categories < 2 or self.dims < 1:
             raise ValueError("need C >= 2 categories and D >= 1 dimensions")
+        if any(float(a) * self.categories >= np.finfo(float).max for a in self.alphas):
+            # the Dirichlet draw of p would overflow to all-zero probabilities
+            raise ValueError("alphas times categories must stay below the largest float")
         if self.samples < 2:
             raise ValueError("pair-based methods need N >= 2 samples")
         if self.trials < 1 or self.inner < 2:

@@ -10,8 +10,9 @@ the sampler draws its ordering uniformly from all of them.
 
 Gumbel-max path: each category owns an independent copula draw across the N
 samples, the uniforms become Gumbels, and each sample takes the argmax of
-Gumbel + log p.  Its pair law is a 2-D integral over the levels s and t at
-which the two samples are won,
+Gumbel + log p, in race form: the largest log(u) / p, i.e. the least
+exponential time -log(u) / p.  Its pair law is a 2-D integral over the
+levels s and t at which the two samples are won,
 
     P(i, j) = ∬ ∂1C(F_i(s), F_i(t)) f_i(s) · ∂1C(F_j(t), F_j(s)) f_j(t)
                 · ∏_{k≠i,j} C(F_k(s), F_k(t)) ds dt,
@@ -40,7 +41,6 @@ from .copula import (
     _dirichlet_cdf,
     _pair_cdf,
     _pair_cdfs,
-    _row_sum,
     _sample_dirichlet_copula_batch,
     _validate_n,
     sample_copula_batch,
@@ -246,39 +246,40 @@ def _blocks(total: int, width: int) -> list[slice]:
 
 
 def _ordering_mean_mass(p: np.ndarray, n: int, first, second) -> np.ndarray:
-    """Mean over all anchored orderings of the rectangle mass of cells first x second.
+    """Mean over all anchored orderings of the rectangle mass of the cells
+    first[k] x second[k], for (K,) category index arrays.
 
-    first and second are category index arrays that broadcast together, and
-    the result has their broadcast shape.  take keeps each block's edges
-    C-ordered, and adding the running total into each block's first row keeps
-    the orderings summed one after another, exactly as a single sum over all
-    of them would be, so an entry does not depend on the block size or on
-    the other entries asked for, as long as there are at least two (numpy
-    sums a single column pairwise).
+    Each block's first row takes the running total and cumsum adds down the
+    rows, so the orderings are summed strictly one after another: an entry
+    depends neither on the block size nor on the other entries asked for.
     """
     perm, inverse = _ordering_table(p.size)
     total = 0.0
-    for rows in _blocks(perm.shape[0], np.broadcast(first, second).size):
+    for rows in _blocks(perm.shape[0], first.size):
         left, right = _category_edges(p, perm[rows], inverse[rows])
         edges = [edge.take(idx, axis=1) for idx in (first, second) for edge in (left, right)]
         mass = _rectangle_mass(*edges, n)
         mass[0] += total
-        total = mass.sum(axis=0)
+        total = np.cumsum(mass, axis=0, out=mass)[-1]
     return total / perm.shape[0]
 
 
 def bivariate_pmf_averaged(p, n: int) -> np.ndarray:
     """The inverse-CDF pair law: the single-ordering PMFs averaged over all
-    C (C - 1) / 2 anchored orderings, built a block of orderings at a time."""
+    C (C - 1) / 2 anchored orderings, built a block of orderings at a time.
+    The law is symmetric, so its upper triangle is built and mirrored."""
     p = as_probs(p)
     cats = np.arange(p.size)
-    return _ordering_mean_mass(p, n, cats[:, None], cats[None, :])
+    i, j = np.nonzero(cats[:, None] <= cats)  # np.triu_indices, at a fraction of its cost
+    law = np.empty((p.size, p.size))
+    law[i, j] = law[j, i] = _ordering_mean_mass(p, n, i, j)
+    return law
 
 
 def bivariate_pmf_entries(p, n: int, pairs) -> np.ndarray:
     """bivariate_pmf_averaged at the given (i, j) pairs only, shape (K,)."""
     p = as_probs(p)
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
     if np.any((pairs < 0) | (pairs >= p.size)):
         raise ValueError("category index out of range")
     return _ordering_mean_mass(p, n, pairs[:, 0], pairs[:, 1])
@@ -416,19 +417,17 @@ def _gumbel_categories_batch(
 ) -> np.ndarray:
     """k joint Gumbel-max draws of N categories each, shape (k, N)."""
     c = p.size
-    with np.errstate(divide="ignore"):
-        shift = np.log(p)
     out = np.empty((k, n_samples), dtype=np.intp)
     step = max(1, GUMBEL_BLOCK // (c * n_samples))
     for start in range(0, k, step):
         u = sample_copula_batch(copula, min(step, k - start) * c, n_samples, rng)
-        # scores log p - log(-log u), in place, laid out (N, draws, C) so that
-        # the argmax runs over contiguous categories
+        # race form of the argmax of log p - log(-log u): the largest
+        # log(u) / p, in place, laid out (N, draws, C) so that the argmax runs
+        # over contiguous categories; p = 0 and a subnormal p give -inf
         scores = np.ascontiguousarray(u.T).reshape(n_samples, -1, c)
         np.log(scores, out=scores)
-        np.negative(scores, out=scores)
-        np.log(scores, out=scores)
-        np.subtract(shift, scores, out=scores)
+        with np.errstate(divide="ignore", over="ignore"):
+            np.divide(scores, p, out=scores)
         # np.argmax takes the first maximum, i.e. ties break to the lowest index.
         out[start : start + step] = np.argmax(scores, axis=2).T
     return out

@@ -157,21 +157,23 @@ def test_carms_core_matches_the_pair_sum_oracle():
 
 
 def _carms_broadcast(f, cats, ratios, p):
-    # the (k, N, N) broadcast form that the column-wise core replaced
+    # the (k, N, N) broadcast form that the column-wise core replaced, its sums
+    # over samples taken left to right (cumsum) as the core takes them
     k, n = cats.shape
     rsel = ratios[cats[:, :, None], cats[:, None, :]]
     rsel.reshape(k, n * n)[:, :: n + 1] = 0.0
-    w = (rsel * (f[:, :, None] - f[:, None, :])).sum(axis=-1) / (n * (n - 1))
+    w = np.cumsum(rsel * (f[:, :, None] - f[:, None, :]), axis=-1)[..., -1] / (n * (n - 1))
     flat = (np.arange(k)[:, None] * p.size + cats).ravel()
     g = np.bincount(flat, weights=w.ravel(), minlength=k * p.size).reshape(k, p.size)
-    g -= w.sum(axis=1)[:, None] * p
+    g -= np.cumsum(w, axis=1)[:, -1:] * p
     return g
 
 
 def test_carms_core_is_bit_identical_to_the_broadcast_form():
-    # every sample count numpy sums differently, and a nonfinite placeholder
-    # on the diagonal of a category drawn at most once per draw, which no
-    # sample paired with itself may read
+    # sample counts on both sides of the eight terms from which numpy would
+    # sum pairwise, one draw alone summed as in the batch, and a nonfinite
+    # placeholder on the diagonal of a category drawn at most once per draw,
+    # which no sample paired with itself may read
     rng = np.random.default_rng(31)
     p = np.array([0.3, 0.05, 0.25, 0.15, 0.25])
     for n in (2, 3, 4, 8, 10):
@@ -182,6 +184,7 @@ def test_carms_core_is_bit_identical_to_the_broadcast_form():
         f = rng.normal(size=(3000, n)) * 5.0
         g = _carms_estimates(f, cats, ratios, p)
         assert np.array_equal(g, _carms_broadcast(f, cats, ratios, p)), n
+        assert np.array_equal(_carms_estimates(f[:1], cats[:1], ratios, p), g[:1]), n
         assert g.flags.c_contiguous
 
 
@@ -331,6 +334,8 @@ def test_toy_config_validation():
     for alpha in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="alphas must be positive and finite"):
             _tiny_toy_config(alphas=(1.0, alpha))
+    with pytest.raises(ValueError, match="alphas times categories"):
+        _tiny_toy_config(alphas=(np.finfo(float).max / 2,))
     with pytest.raises(ValueError):
         _tiny_toy_config(samples=1)
     with pytest.raises(ValueError):
@@ -610,13 +615,19 @@ def test_cli_nonfinite_alpha_exits_two(alpha, capsys):
     assert captured.err == "error: alphas must be positive and finite\n"
 
 
-def test_cli_probability_sum_error_prints_a_plain_float(capsys):
-    # alpha = 1e308 overflows the Dirichlet draw to all-zero probabilities
-    argv = ["toy", "--alpha", "1e308", "--categories", "3", "--dims", "1", "--inner", "16"]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == "error: probabilities must sum to 1, got 0.0\n"
+def test_cli_probability_sum_error_prints_a_plain_float():
     with pytest.raises(ValueError, match=r"^probabilities must sum to 1, got 1\.1$"):
         as_probs(np.array([0.5, 0.6]))
+
+
+@pytest.mark.parametrize("alpha, categories", [("1e308", "10"), ("1e307", "30")])
+def test_cli_alpha_that_overflows_the_dirichlet_draw_exits_two(alpha, categories, capsys):
+    # alpha * C past the largest float would draw all-zero probabilities
+    argv = ["toy", "--alpha", alpha, "--categories", categories, "--dims", "1", "--inner", "16"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: alphas times categories must stay below the largest float\n"
 
 
 def test_cli_nonfinite_log_variance_serializes(tmp_path):

@@ -18,6 +18,7 @@ from carms.sampling import (
     GUMBEL_NODES,
     Ordering,
     RatioMatrix,
+    _analytic_ratio_matrix,
     _blocks,
     _categorize_batch,
     _cell_edges,
@@ -291,8 +292,9 @@ def test_binary_case_has_single_ordering():
 
 def test_averaged_pmf_is_the_mean_over_all_orderings():
     # the blocked build against the per-ordering matrices, within one block
-    # (C <= 11) and over several (C = 12, 24, 33); both sum the orderings in
-    # the same order, so they agree bit for bit
+    # and over several (C = 24, 33); both sum the orderings in the same order,
+    # so they agree bit for bit on the upper triangle the build computes, and
+    # the lower triangle is its mirror
     rng = np.random.default_rng(20)
     for c in (*range(2, 13), 24, 33):
         for alpha in (0.3, 3.0):
@@ -301,7 +303,24 @@ def test_averaged_pmf_is_the_mean_over_all_orderings():
             reference = np.mean(
                 [bivariate_pmf_matrix(p, o, n) for o in all_orderings(c)], axis=0
             )
-            assert np.array_equal(bivariate_pmf_averaged(p, n), reference)
+            law = bivariate_pmf_averaged(p, n)
+            upper = np.triu_indices(c)
+            assert np.array_equal(law[upper], reference[upper])
+            assert np.array_equal(law, law.T)
+
+
+def test_pair_law_has_one_value_per_pair():
+    # the averaged law is symmetric, and an entry asked for at (i, j), at
+    # (j, i) or alone is the law's, bit for bit
+    rng = np.random.default_rng(22)
+    for _ in range(100):
+        c, n = int(rng.integers(2, 14)), int(rng.integers(2, 11))
+        p = _simplex(rng, c)
+        law = bivariate_pmf_averaged(p, n)
+        assert np.array_equal(law, law.T), (c, n)
+        i, j = rng.integers(0, c, size=2)
+        assert np.array_equal(bivariate_pmf_entries(p, n, [(i, j), (j, i)]), [law[i, j]] * 2)
+        assert bivariate_pmf_entries(p, n, [(j, i)])[0] == law[i, j], (c, n, i, j)
 
 
 def test_pmf_entries_selected_pairs():
@@ -512,7 +531,9 @@ def test_gumbel_realized_ratio_entries_match_pair_law():
 )
 def test_single_draw_ratios_match_the_full_pair_laws(copula):
     # the single draws build their law at the realized pairs only; each
-    # realized off-diagonal ratio must match the full law's
+    # realized off-diagonal ratio must match the full law's: the inverse-CDF
+    # draw's the batched ratios bit for bit, the Gumbel draw's (a quadrature
+    # over the realized rows) to rounding
     rng = np.random.default_rng(33)
     case = 0
     for c in (2, 3, 8, 10, 30):
@@ -527,6 +548,7 @@ def test_single_draw_ratios_match_the_full_pair_laws(copula):
             laws = {sample_antithetic_gumbel: gumbel_pair_pmf(p, n, copula)}
             if copula == DIRICHLET:
                 laws[sample_antithetic_inverse_cdf] = bivariate_pmf_averaged(p, n)
+                batched, _ = _analytic_ratio_matrix(p, laws[sample_antithetic_inverse_cdf], None)
             for sample, law in laws.items():
                 kwargs = {"copula": copula} if sample is sample_antithetic_gumbel else {}
                 for _ in range(2 if c == 30 else 4):
@@ -534,8 +556,11 @@ def test_single_draw_ratios_match_the_full_pair_laws(copula):
                     present = np.unique(np.argmax(z, axis=1))
                     for i in present:
                         for j in present[present != i]:
-                            expected = p[i] * p[j] / law[i, j]
-                            assert ratios.ratios[i, j] == pytest.approx(expected, rel=1e-12)
+                            if sample is sample_antithetic_inverse_cdf:
+                                assert ratios.ratios[i, j] == batched[i, j]
+                            else:
+                                expected = p[i] * p[j] / law[i, j]
+                                assert ratios.ratios[i, j] == pytest.approx(expected, rel=1e-12)
 
 
 GUMBEL_LAW_P = np.array([0.45, 0.3, 0.15, 0.1])
@@ -640,10 +665,11 @@ def test_gumbel_marginals_quick():
 
 
 def _gumbel_one_shot(k, n, p, rng, copula):
-    # the whole-batch Gumbel-max draw: one copula call for all k C columns
+    # the whole-batch Gumbel-max draw in race form: one copula call for all
+    # k C columns, each sample to the largest log(u) / p
     u = sample_copula_batch(copula, k * p.size, n, rng).reshape(k, p.size, n)
     with np.errstate(divide="ignore"):
-        return np.argmax(np.log(p)[None, :, None] - np.log(-np.log(u)), axis=1)
+        return np.argmax(np.log(u) / p[None, :, None], axis=1)
 
 
 @pytest.mark.parametrize("copula", [DIRICHLET, GAUSSIAN], ids=["dirichlet", "gaussian"])
