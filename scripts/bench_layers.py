@@ -7,10 +7,12 @@ samples in one dimension.  The stages are the Dirichlet-copula draw of the C
 columns one Gumbel draw uses, the inverse-CDF and Gumbel categorizations
 (copula draw included), the carms estimator core, the loorf/reinforce score
 core and the pair-correlation matrix.  Pair-law builds are timed in ms per
-build for both paths.  The single-draw API is timed in microseconds per
-call, over CALLS calls at the same C and N: both samplers at the fixed
-uniform p, both again with a fresh Dirichlet(10) p per call (as in a
-training step, where p moves every call), the inverse-CDF sampler at a p
+build for both paths: the public full laws and, where the source has them,
+the off-diagonal laws that make_gradient_estimator builds.  The single-draw
+API is timed in microseconds per call, over CALLS calls at the same C and
+N: both samplers at the fixed uniform p, both again with a fresh
+Dirichlet(10) p per call (as in a training step, where p moves every
+call), the inverse-CDF sampler at a p
 with 1e-4 on every category but the first (nearly every draw lands in one
 category), and estimators.carms on the Gumbel draws.  A stage's figure is
 the median over repeats after one warm-up call.  With --toy, `carms toy` also runs at its
@@ -27,8 +29,8 @@ above run in this process after large arrays, whose release raises glibc's
 heap thresholds, so they cannot see pages that a fresh process faults in
 again on every call.
 
-    python scripts/bench_layers.py BENCH_10.json --label change --toy
-    python scripts/bench_layers.py BENCH_10.json --label parent --toy --src ../parent/src
+    python scripts/bench_layers.py BENCH_13.json --label change --toy
+    python scripts/bench_layers.py BENCH_13.json --label parent --toy --src ../parent/src
 
 --src times another checkout's package (default: this checkout's src/).
 Each label's numbers replace that label's earlier ones in the file; the
@@ -104,7 +106,7 @@ def _median_seconds(fn, repeats):
 def layers(draws, repeats):
     import numpy as np
 
-    from carms import experiments
+    from carms import experiments, sampling
     from carms.copula import DIRICHLET, sample_copula_batch
     from carms.sampling import (
         _gumbel_categories_batch,
@@ -112,6 +114,12 @@ def layers(draws, repeats):
         bivariate_pmf_averaged,
         gumbel_pair_pmf,
     )
+
+    builds = {"inverse_cdf": lambda q: bivariate_pmf_averaged(q, SAMPLES),
+              "gumbel": lambda q: gumbel_pair_pmf(q, SAMPLES, DIRICHLET)}
+    if hasattr(sampling, "_inverse_cdf_offdiag_law"):
+        builds["inverse_cdf_offdiag"] = lambda q: sampling._inverse_cdf_offdiag_law(q, SAMPLES)
+        builds["gumbel_offdiag"] = lambda q: sampling._gumbel_offdiag_law(q, SAMPLES, DIRICHLET)
 
     rng = np.random.default_rng(0)
     per_draw = {}
@@ -137,8 +145,7 @@ def layers(draws, repeats):
                 _median_seconds(fn, repeats) * 1e6 / draws
             )
         # a fresh p per build, as in a training step
-        for name, build in (("inverse_cdf", lambda q: bivariate_pmf_averaged(q, SAMPLES)),
-                            ("gumbel", lambda q: gumbel_pair_pmf(q, SAMPLES, DIRICHLET))):
+        for name, build in builds.items():
             fresh = iter(rng.dirichlet(np.full(c, 10.0), size=repeats + 1))
             build_ms.setdefault(name, {})[str(c)] = (
                 _median_seconds(lambda: build(next(fresh)), repeats) * 1e3
@@ -252,7 +259,7 @@ def main():
         print(f"{args.label:<8} {name:<24} {cells}  us/(draw, dim)", file=sys.stderr)
     for name, by_c in record["pair_law_ms_per_build"].items():
         cells = "  ".join(f"C={c}: {v:8.3f}" for c, v in by_c.items())
-        print(f"{args.label:<8} pair_law_{name:<15} {cells}  ms/build", file=sys.stderr)
+        print(f"{args.label:<8} pair_law_{name:<19} {cells}  ms/build", file=sys.stderr)
     for name, by_c in record["us_per_call"].items():
         cells = "  ".join(f"C={c}: {v:8.3f}" for c, v in by_c.items())
         print(f"{args.label:<8} {name:<37} {cells}  us/call", file=sys.stderr)

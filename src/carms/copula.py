@@ -153,14 +153,8 @@ def dirichlet_bivariate_cdf(p, q, n: int):
         raise ValueError("CDF arguments must be finite")
     if np.any((p_arr < 0.0) | (p_arr > 1.0)) or np.any((q_arr < 0.0) | (q_arr > 1.0)):
         raise ValueError("CDF arguments must lie in [0, 1]")
-    scalar = p_arr.ndim == 0 and q_arr.ndim == 0
-
-    out = _dirichlet_cdf(np.atleast_1d(p_arr), q_arr, n)
-    # Boundary rows and columns of a copula CDF are exact.
-    out = np.where(q_arr >= 1.0, p_arr, out)
-    out = np.where(p_arr >= 1.0, np.where(q_arr >= 1.0, 1.0, q_arr), out)
-    out = np.where((p_arr <= 0.0) | (q_arr <= 0.0), 0.0, out)
-    return out.item() if scalar else out
+    out = _dirichlet_cdf_exact_edges(np.atleast_1d(p_arr), q_arr, n)
+    return out.item() if p_arr.ndim == 0 and q_arr.ndim == 0 else out
 
 
 def _pair_cdfs(kind: CopulaKind, n: int, p, q):
@@ -220,6 +214,13 @@ def _dirichlet_cdf(p_arr, q_arr, n, t=None):
     raw += excess
     np.maximum(raw, np.maximum(excess, 0.0, out=excess), out=raw)
     return np.minimum(raw, np.minimum(p_arr, q_arr, out=excess), out=raw)
+
+
+def _dirichlet_cdf_exact_edges(p_arr, q_arr, n):
+    """_dirichlet_cdf on [0, 1], exact at 0 (its clamp) and at 1: C(p, 1) = p
+    and C(1, q) = q are set, as p + 1 - 1 need not round to p."""
+    out = np.where(q_arr >= 1.0, p_arr, _dirichlet_cdf(p_arr, q_arr, n))
+    return np.where(p_arr >= 1.0, q_arr, out)
 
 
 def _dirichlet_conditional(p_arr, q_arr, n, t):

@@ -77,11 +77,17 @@ def two_sample_loorf(f_z: float, f_zp: float, z, zp) -> np.ndarray:
 
 
 def carts(f_z: float, f_zp: float, z, zp, ratios) -> np.ndarray:
-    """One antithetic pair debiased by its importance ratio z^T R z'."""
+    """One antithetic pair debiased by its importance ratio z^T R z'; a pair
+    in one category adds (f - f')(z - z') = 0 and reads no ratio."""
     z = _as_onehot_row(z)
     zp = _as_onehot_row(zp)
-    r = float(z @ _ratio_array(ratios) @ zp)
-    return two_sample_loorf(f_z, f_zp, z, zp) * r
+    r = _ratio_array(ratios)
+    if r.shape != (z.size, z.size) or zp.size != z.size:
+        raise ValueError("ratio matrix or sample width does not match the category count")
+    i, j = z.argmax(), zp.argmax()
+    if i == j:
+        return np.zeros(z.size)
+    return two_sample_loorf(f_z, f_zp, z, zp) * float(r[i, j])
 
 
 def _score_sums(w: np.ndarray, cats: np.ndarray, p_row: np.ndarray) -> np.ndarray:
@@ -98,10 +104,10 @@ def _carms_estimates(
 ) -> np.ndarray:
     """Matrix-form carms for a batch of draws in one dimension.
 
-    f and cats have shape (k, N), ratios (C, C); returns (k, C).  Sample m's
-    score weighs sum_m' r(c_m, c_m') (f_m - f_m') / (N (N - 1)), 0 at m' = m.
-    The (m, m') terms are laid out (N, N, draws), so every pass runs along
-    the draws, a block of draws at a time.
+    f and cats have shape (k, N), ratios (C, C) with a zero diagonal; returns
+    (k, C).  Sample m's score weighs sum_m' r(c_m, c_m') (f_m - f_m') /
+    (N (N - 1)).  The (m, m') terms are laid out (N, N, draws), so every pass
+    runs along the draws, a block of draws at a time.
     """
     k, n = cats.shape
     ct, ft = np.ascontiguousarray(cats.T), np.ascontiguousarray(f.T)
@@ -110,9 +116,6 @@ def _carms_estimates(
     for block in _blocks(k, n * n):
         cb, fb = ct[:, block], ft[:, block]
         terms = flat.take(cb[:, None] * ratios.shape[0] + cb[None, :])
-        # a sample paired with itself adds 0 whatever r(c_m, c_m) holds: a
-        # category drawn once may carry a nonfinite placeholder there
-        terms.reshape(n * n, -1)[:: n + 1] = 0.0
         terms *= fb[:, None] - fb[None, :]
         w[:, block] = _sum_in_order(terms.swapaxes(0, 1))
     w /= n * (n - 1)
@@ -124,23 +127,22 @@ def carms(f, z, ratios, p) -> np.ndarray:
 
     O = (1/(N-1)) (1 - I) o (Z R Z^T), D = diag(O 1), and the estimate is
     (1/N) f^T (D - O) (Z - 1 p^T), which the core sums sample by sample.
+    A pair in one category adds an exact 0, whatever R's diagonal holds.
     """
     f = _as_values(f)
     z = _as_onehot_matrix(z, f.size)
     p = as_probs(p)
-    r = _ratio_array(ratios)
+    r = np.array(_ratio_array(ratios), dtype=float)
     n = f.size
     if n < 2:
         raise ValueError("carms needs N >= 2 samples")
     if r.shape != (p.size, p.size) or z.shape[1] != p.size:
         raise ValueError("ratio matrix or sample width does not match the category count")
+    np.fill_diagonal(r, 0.0)
     # index rather than multiply out Z R Z^T: entries at categories absent
-    # from the batch must stay unread (0 * inf would leak a nan); the core
-    # reads every sample pair but a sample paired with itself
+    # from the batch must stay unread (0 * inf would leak a nan)
     cats = np.argmax(z, axis=1)
-    read = r[cats[:, None], cats]
-    read.flat[:: n + 1] = 0.0
-    if not np.isfinite(read).all():
+    if not np.isfinite(r[cats[:, None], cats]).all():
         raise ValueError("nonfinite importance ratio at a realized sample pair")
     return _carms_estimates(f[None], cats[None], r, p)[0]
 

@@ -26,10 +26,10 @@ from .sampling import (
     _check_clip,
     _clip_flags,
     _gumbel_categories_batch,
+    _gumbel_offdiag_law,
     _inverse_cdf_categories_batch,
+    _inverse_cdf_offdiag_law,
     as_probs,
-    bivariate_pmf_averaged,
-    gumbel_pair_pmf,
 )
 
 TOY_METHODS = ("carms-i", "carms-g", "loorf", "reinforce")
@@ -145,12 +145,12 @@ def make_gradient_estimator(
         def draw(k, row, rng):
             return _inverse_cdf_categories_batch(k, n, row, rng)
 
-        laws = [bivariate_pmf_averaged(row, n) for row in p]
+        laws = [_inverse_cdf_offdiag_law(row, n) for row in p]
     else:
         def draw(k, row, rng):
             return _gumbel_categories_batch(k, n, row, rng, copula)
 
-        laws = [gumbel_pair_pmf(row, n, copula) for row in p]
+        laws = [_gumbel_offdiag_law(row, n, copula) for row in p]
     fixed = [_analytic_ratio_matrix(p[d], laws[d], clip) for d in range(dims)]
 
     def estimate_pairs(rng, k):

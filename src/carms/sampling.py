@@ -24,7 +24,8 @@ copula's density on its own.  The law is evaluated by Gauss-Legendre
 quadrature; the batched path builds it once per (p, N, copula).
 
 Both samplers return the one-hot sample matrix and the importance ratios
-p_i p_j / P(i, j) at the off-diagonal pairs the draw realizes.
+p_i p_j / P(i, j) at the off-diagonal pairs the draw realizes, 0 elsewhere,
+from the off-diagonal law builder that the batched estimator also calls.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .copula import (
     DIRICHLET,
     CopulaKind,
     _dirichlet_cdf,
+    _dirichlet_cdf_exact_edges,
     _pair_cdf,
     _pair_cdfs,
     _sample_dirichlet_copula_batch,
@@ -168,16 +170,12 @@ def all_orderings(n_categories: int) -> list[Ordering]:
 def _rectangle_mass(left_a, right_a, left_b, right_b, n: int):
     """P(u in [left_a, right_a), u' in [left_b, right_b)), clamped at 0.
 
-    Inclusion-exclusion of the Dirichlet copula CDF over the cell rectangle
-    for two coordinates of one draw; the edges broadcast against each other.
-    The CDF is exact at edges of 0 (its clamp) and of 1 (set, as p + 1 - 1
-    need not round to p); edges in [0, 1] need no argument checks.
+    Inclusion-exclusion of the Dirichlet copula CDF, exact at edges of 0
+    and 1, over the cell rectangle for two coordinates of one draw; the
+    edges broadcast against each other and, in [0, 1], need no checks.
     """
 
-    def cdf(p, q):
-        out = np.where(q >= 1.0, p, _dirichlet_cdf(p, q, n))
-        return np.where(p >= 1.0, q, out)
-
+    cdf = functools.partial(_dirichlet_cdf_exact_edges, n=n)
     return np.maximum(
         cdf(right_a, right_b) - cdf(right_a, left_b) - cdf(left_a, right_b) + cdf(left_a, left_b),
         0.0,
@@ -285,14 +283,25 @@ def bivariate_pmf_entries(p, n: int, pairs) -> np.ndarray:
     return _ordering_mean_mass(p, n, pairs[:, 0], pairs[:, 1])
 
 
+def _inverse_cdf_offdiag_law(p, n, cats=None) -> np.ndarray:
+    """The off-diagonal inverse-CDF law (bivariate_pmf_entries) among the
+    drawn categories cats (default: every live one), (C, C) and 0 elsewhere."""
+    cats = np.flatnonzero(p > 0.0 if cats is None else np.bincount(cats))
+    law = np.zeros((p.size, p.size))
+    i, j = cats[np.array(np.nonzero(cats[:, None] < cats))]
+    if i.size:  # else no off-diagonal pair to build
+        law[i, j] = law[j, i] = bivariate_pmf_entries(p, n, np.stack([i, j], axis=1))
+    return law
+
+
 @dataclass(frozen=True)
 class RatioMatrix:
     """Importance ratios p_i p_j / P(i, j) for sample pairs.
 
-    clip is the ceiling applied to every computed entry (None disables it);
-    clipped records whether a ratio at a pair actually present in the sample
-    exceeded the ceiling, i.e. whether clipping changed the estimate.
-    Entries the estimator never reads, the diagonal and unrealized pairs, hold placeholders.
+    Ratios are clipped at clip (None disables the ceiling) and 0 where no
+    estimate reads them: on the diagonal and at pairs whose law is 0 or was
+    not built.  clipped records whether a ratio at a pair actually present in
+    the sample exceeded the ceiling, i.e. whether clipping changed the estimate.
     """
 
     ratios: np.ndarray
@@ -307,8 +316,6 @@ class RatioMatrix:
             raise ValueError("ratios must be finite")
         if np.any(ratios < 0.0):
             raise ValueError("ratios must be nonnegative")
-        # the ceiling binds computed entries only; placeholders at pairs the
-        # estimator never reads may sit above it, so no entry-wise check here
         if self.clip is not None and not self.clip > 0.0:
             raise ValueError("clip ceiling must be positive")
         object.__setattr__(self, "ratios", ratios)
@@ -320,20 +327,21 @@ def _check_clip(clip) -> None:
 
 
 def _analytic_ratio_matrix(p: np.ndarray, pbar: np.ndarray, clip: float | None):
-    """Fixed importance ratios p_i p_j / P(i, j) from an exact pair law P.
+    """Importance ratios p_i p_j / P(i, j) from an exact pair law P: (ratios, exceed).
 
-    Returns (ratios, exceed) where exceed marks off-diagonal pairs whose raw
-    ratio tops the clip ceiling, i.e. where clipping engages when realized.
-    Zero-probability pairs can never be realized and get the inert 1.
+    ratios holds the ratio, clipped at clip, where P is positive off the
+    diagonal, and 0 elsewhere: two samples in one category add
+    (f - f')(z - z') = 0 and a pair of law 0 is never realized, so no
+    estimate reads those.  exceed marks where clipping engages when realized.
     """
-    pouter = np.outer(p, p)
     live = pbar > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = np.where(live, pouter / pbar, 1.0)
+    np.fill_diagonal(live, False)
+    ratios = np.zeros(live.shape)
+    np.divide(np.outer(p, p), pbar, out=ratios, where=live)
     if clip is None:
-        return raw, np.zeros_like(live)
-    exceed = live & ~np.eye(p.size, dtype=bool) & (raw > clip)
-    return np.where(live, np.minimum(raw, clip), 1.0), exceed
+        return ratios, np.zeros_like(live)
+    exceed = ratios > clip
+    return np.minimum(ratios, clip, out=ratios), exceed
 
 
 def _clip_flags(exceed: np.ndarray, cats: np.ndarray) -> np.ndarray:
@@ -345,17 +353,10 @@ def _clip_flags(exceed: np.ndarray, cats: np.ndarray) -> np.ndarray:
 
 
 def _realized_ratios(p: np.ndarray, law: np.ndarray, clip) -> RatioMatrix:
-    """The batched ratios of _analytic_ratio_matrix, for the pairs one draw realizes.
-
-    law holds the pair law at the draw's realized off-diagonal pairs, each a
-    pair of samples, so `clipped` is whether any of their ratios tops the
-    ceiling.  Elsewhere, the diagonal too (two samples in one category add
-    (f - f')(z - z') = 0), law is 0, no ratio is read, and the entry holds
-    the clip ceiling (an absent pair is infinitely surprising) or the inert 1.
-    """
+    """The ratios of _analytic_ratio_matrix from the off-diagonal law at the
+    pairs one draw realizes, each a pair of samples, so `clipped` is whether
+    any of their ratios tops the ceiling."""
     ratios, exceed = _analytic_ratio_matrix(p, law, clip)
-    if clip is not None:
-        ratios[law == 0.0] = clip
     return RatioMatrix(ratios, clip, bool(exceed.any()))
 
 
@@ -392,18 +393,14 @@ def sample_antithetic_inverse_cdf(
     Returns the one-hot sample matrix Z (N x C) and the RatioMatrix holding
     p_i p_j / P(i, j) at off-diagonal pairs realized in Z, with P the pair law
     averaged over all anchored orderings (bivariate_pmf_averaged), clipped
-    at `clip`; other entries hold the placeholder of _realized_ratios.  The
-    copula is the Dirichlet one, the only family with that closed form.
+    at `clip`, and 0 elsewhere.  The copula is the Dirichlet one, the only
+    family with that closed form.
     """
     _check_clip(clip)
     p = as_probs(p)
     n_samples = _validate_n(n_samples)
     cats = _inverse_cdf_categories_batch(1, n_samples, p, rng)[0]
-    present = np.flatnonzero(np.bincount(cats))  # np.unique, without its numpy.ma import
-    law = np.zeros((p.size, p.size))
-    if present.size > 1:  # else no off-diagonal pair to build
-        i, j = present[np.array(np.triu_indices(present.size, 1))]
-        law[i, j] = law[j, i] = bivariate_pmf_entries(p, n_samples, np.stack([i, j], axis=1))
+    law = _inverse_cdf_offdiag_law(p, n_samples, cats)
     return onehot(cats, p.size), _realized_ratios(p, law, clip)
 
 
@@ -573,11 +570,12 @@ def _gumbel_pair_diag_dirichlet(q, n, nodes: int) -> np.ndarray:
     return out
 
 
-def _gumbel_offdiag_law(p, n, copula: CopulaKind, nodes: int, cats=None) -> np.ndarray:
-    """The symmetrized off-diagonal Gumbel law among the categories cats
-    (default: every live one), (C, C) and 0 elsewhere."""
+def _gumbel_offdiag_law(p, n, copula: CopulaKind, nodes=GUMBEL_NODES, cats=None) -> np.ndarray:
+    """The symmetrized off-diagonal Gumbel law among the drawn categories
+    cats (default: every live one), (C, C) and 0 elsewhere."""
     live = np.flatnonzero(p > 0.0)
-    cats = live if cats is None else cats
+    # np.bincount, not np.unique, which imports numpy.ma
+    cats = live if cats is None else np.flatnonzero(np.bincount(cats))
     law = np.zeros((p.size, p.size))
     if cats.size < 2:  # no off-diagonal pair to build
         return law
@@ -629,13 +627,11 @@ def sample_antithetic_gumbel(
     Each category's Gumbel column comes from its own copula draw across the N
     samples (Dirichlet or Gaussian).  The importance ratios p_i p_j / P(i, j)
     come from the exact pair law of gumbel_pair_pmf, clipped at `clip`, built
-    at the off-diagonal pairs the draw realizes only; other entries hold
-    the placeholder of _realized_ratios.
+    at the off-diagonal pairs the draw realizes only, and are 0 elsewhere.
     """
     _check_clip(clip)
     p = as_probs(p)
     n_samples = _validate_n(n_samples)
     cats = _gumbel_categories_batch(1, n_samples, p, rng, copula)[0]
-    present = np.flatnonzero(np.bincount(cats))  # np.unique, without its numpy.ma import
-    law = _gumbel_offdiag_law(p, n_samples, copula, GUMBEL_NODES, present)
+    law = _gumbel_offdiag_law(p, n_samples, copula, cats=cats)
     return onehot(cats, p.size), _realized_ratios(p, law, clip)

@@ -93,6 +93,15 @@ def test_carts_identical_samples_vanish():
     z = [1.0, 0.0, 0.0]
     r = np.full((3, 3), 7.0)
     assert np.array_equal(carts(1.0, 5.0, z, z, r), np.zeros(3))
+    # R is not read for a same-category pair, so a nonfinite diagonal stays out
+    for bad in (np.inf, np.nan):
+        np.fill_diagonal(r, bad)
+        assert np.array_equal(carts(1.0, 2.0, z, z, r), np.zeros(3))
+        f, zs = [1.0, 2.0, 4.0], onehot([0, 0, 1], 3)
+        assert np.all(np.isfinite(carms_pair_sum(f, zs, r)))
+    for bad_r, zp in ((np.ones((4, 4)), z), (np.ones((3, 3)), [1.0, 0.0])):
+        with pytest.raises(ValueError):
+            carts(1.0, 2.0, z, zp, bad_r)
 
 
 def test_carts_unit_ratios_reduce_to_two_sample_loorf():
@@ -185,26 +194,26 @@ def test_carms_permutation_equivariance():
 
 def test_carms_ignores_diagonal_ratios():
     # a pair of samples in one category contributes (f_m - f_m')(z_m - z_m')
-    # = 0, so the ratio at (i, i) never enters the estimate; the clip flags
-    # of both samplers cover off-diagonal pairs only
+    # = 0, so the ratio at (i, i) never enters the estimate: the result is
+    # the same bit for bit whatever the diagonal holds
     rng = np.random.default_rng(9)
     for _ in range(50):
         n, c = int(rng.integers(2, 8)), int(rng.integers(2, 6))
         f, z, p = _random_batch(rng, n, c)
         r = np.exp(rng.normal(size=(c, c)))
         r = 0.5 * (r + r.T)
-        other = r.copy()
-        np.fill_diagonal(other, np.exp(rng.normal(size=c) * 5.0))
-        # equal up to the rounding of the cancelled terms, which scale with
-        # the ratios themselves
-        gap = np.max(np.abs(carms(f, z, other, p) - carms(f, z, r, p)))
-        assert gap <= 1e-14 * np.max(other) * np.max(np.abs(f))
+        np.fill_diagonal(r, 0.0)
+        ref = carms(f, z, r, p)
+        for diag in (np.exp(rng.normal(size=c) * 5.0), np.inf, np.nan, -1.0):
+            other = r.copy()
+            np.fill_diagonal(other, diag)
+            assert np.array_equal(carms(f, z, other, p), ref)
 
 
 def test_carms_on_realized_ratios_equals_carms_on_the_full_law():
-    # the samplers leave the diagonal at the placeholder; on draws with a
+    # the samplers build the ratios at realized pairs only; on draws with a
     # category drawn twice, carms must match its value on the full law's
-    # ratios within test_carms_ignores_diagonal_ratios's bound
+    # ratios to rounding (the Gumbel draw's quadrature runs on fewer rows)
     rng = np.random.default_rng(15)
     repeated = 0
     for case in range(40):
@@ -234,7 +243,7 @@ def test_carms_nonfinite_ratio_only_fails_when_read():
     r = np.ones((3, 3))
     r[0, 2] = r[2, 0] = np.inf  # category 2 absent: never read
     carms(f, z, r, [0.2, 0.3, 0.5])
-    r[0, 0] = np.inf  # category 0 drawn once: only a sample paired with itself
+    r[0, 0] = np.inf  # a diagonal entry: never read
     assert np.array_equal(carms(f, z, r, [0.2, 0.3, 0.5]), [0.5, -0.5, 0.0])
     r_bad = np.ones((3, 3))
     r_bad[0, 1] = np.inf  # realized pair

@@ -19,10 +19,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from carms import experiments
+from carms import experiments, sampling
 from carms.cli import _config, build_parser, main
 from carms.copula import DIRICHLET, CopulaKind
-from carms.estimators import carms_pair_sum, loorf
+from carms.estimators import carms, carms_pair_sum, loorf
 from carms.experiments import (
     CorrelationConfig,
     ToyConfig,
@@ -39,9 +39,12 @@ from carms.experiments import (
 )
 from carms.oracle import TabulatedObjective, exact_gradient, mc_estimator_moments
 from carms.sampling import (
+    _gumbel_offdiag_law,
     _inverse_cdf_categories_batch,
+    _inverse_cdf_offdiag_law,
     as_probs,
     bivariate_pmf_averaged,
+    gumbel_pair_pmf,
     sample_antithetic_gumbel,
     sample_antithetic_inverse_cdf,
 )
@@ -161,7 +164,6 @@ def _carms_broadcast(f, cats, ratios, p):
     # over samples taken left to right (cumsum) as the core takes them
     k, n = cats.shape
     rsel = ratios[cats[:, :, None], cats[:, None, :]]
-    rsel.reshape(k, n * n)[:, :: n + 1] = 0.0
     w = np.cumsum(rsel * (f[:, :, None] - f[:, None, :]), axis=-1)[..., -1] / (n * (n - 1))
     flat = (np.arange(k)[:, None] * p.size + cats).ravel()
     g = np.bincount(flat, weights=w.ravel(), minlength=k * p.size).reshape(k, p.size)
@@ -171,14 +173,13 @@ def _carms_broadcast(f, cats, ratios, p):
 
 def test_carms_core_is_bit_identical_to_the_broadcast_form():
     # sample counts on both sides of the eight terms from which numpy would
-    # sum pairwise, one draw alone summed as in the batch, and a nonfinite
-    # placeholder on the diagonal of a category drawn at most once per draw,
-    # which no sample paired with itself may read
+    # sum pairwise, one draw alone summed as in the batch, and categories
+    # drawn more than once, whose pairs read the ratios' zero diagonal
     rng = np.random.default_rng(31)
     p = np.array([0.3, 0.05, 0.25, 0.15, 0.25])
     for n in (2, 3, 4, 8, 10):
-        ratios, _ = _analytic_ratio_matrix(p, bivariate_pmf_averaged(p, n), 10.0)
-        ratios[1, 1] = np.inf
+        ratios, _ = _analytic_ratio_matrix(p, _inverse_cdf_offdiag_law(p, n), 10.0)
+        assert np.all(np.diag(ratios) == 0.0)
         cats = rng.choice([0, 2, 3, 4], size=(3000, n))
         cats[::3, -1] = 1
         f = rng.normal(size=(3000, n)) * 5.0
@@ -212,8 +213,33 @@ def test_score_estimators_match_their_single_draw_forms():
                     assert np.max(np.abs(g[i, d] - ref)) <= 1e-12, (n, method)
 
 
+@pytest.mark.parametrize("dims", [1, 2])
+def test_carms_i_single_draw_is_the_batched_estimate_at_one_draw(dims):
+    # one draw of the factory against sample_antithetic_inverse_cdf plus
+    # estimators.carms in each dimension, on the same stream, bit for bit:
+    # a category drawn twice adds an exact 0 on both paths.  At D = 2 two
+    # samples in one category of a dimension carry different f
+    objective = toy_objective(5, dims)
+    repeated = 0
+    for seed in range(40):
+        n = 3 + seed % 3
+        p = np.random.default_rng([41, seed]).dirichlet(np.ones(5), size=dims)
+        g, _ = make_gradient_estimator("carms-i", p, n, objective)(
+            np.random.default_rng(seed), 1
+        )
+        rng = np.random.default_rng(seed)
+        draws = [sample_antithetic_inverse_cdf(n, row, rng) for row in p]
+        cats = np.stack([z.argmax(axis=1) for z, _ in draws], axis=-1)
+        f = objective.values_at(cats)
+        for d, (z, r) in enumerate(draws):
+            repeated += z.sum(axis=0).max() > 1
+            assert np.array_equal(g[0, d], carms(f, z, r, p[d])), (seed, d)
+    assert repeated >= 20
+
+
 def test_clip_flags_match_the_one_hot_formula():
-    # a 1e-3 category and a ceiling of 1 make clipping engage on some draws
+    # a 1e-3 category and a ceiling of 1 make clipping engage on some draws;
+    # the flags count pairs of distinct categories only, from the full law
     p = np.array([[0.001, 0.3, 0.299, 0.4], [0.25, 0.25, 0.25, 0.25]])
     objective = toy_objective(4, 2)
     n, k = 3, 2000
@@ -224,7 +250,8 @@ def test_clip_flags_match_the_one_hot_formula():
     cats = np.stack([_inverse_cdf_categories_batch(k, n, row, rng) for row in p], axis=-1)
     ref = np.zeros(k, dtype=bool)
     for d, row in enumerate(p):
-        _, exceed = _analytic_ratio_matrix(row, bivariate_pmf_averaged(row, n), 1.0)
+        law = bivariate_pmf_averaged(row, n)
+        exceed = (np.outer(row, row) / law > 1.0) & ~np.eye(4, dtype=bool)
         present = np.eye(4)[cats[:, :, d]].sum(axis=1) > 0
         ref |= np.einsum("ij,ki,kj->k", exceed, present, present) > 0
     assert 0 < ref.sum() < k
@@ -251,12 +278,13 @@ def test_empirical_joint_batch_properties_every_draw():
 @pytest.mark.parametrize("clip", [0.0, -1.0, float("nan")])
 def test_bad_clip_is_rejected_on_both_carms_paths(clip, monkeypatch):
     # a ceiling at or below 0 would zero or sign-flip every ratio; the
-    # factory rejects it before it builds any pair law
+    # factory and both single draws reject it before they build any pair law
     def no_build(*args, **kwargs):
         raise AssertionError("a pair law was built before the clip check")
 
-    monkeypatch.setattr(experiments, "bivariate_pmf_averaged", no_build)
-    monkeypatch.setattr(experiments, "gumbel_pair_pmf", no_build)
+    for module in (experiments, sampling):
+        monkeypatch.setattr(module, "_inverse_cdf_offdiag_law", no_build)
+        monkeypatch.setattr(module, "_gumbel_offdiag_law", no_build)
     p = np.array([[0.5, 0.3, 0.2]])
     for method in ("carms-i", "carms-g"):
         with pytest.raises(ValueError, match="clip"):
@@ -264,6 +292,30 @@ def test_bad_clip_is_rejected_on_both_carms_paths(clip, monkeypatch):
     for sample in (sample_antithetic_inverse_cdf, sample_antithetic_gumbel):
         with pytest.raises(ValueError, match="clip"):
             sample(3, p[0], np.random.default_rng(0), clip=clip)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_carms_paths_build_off_diagonal_laws_only(n, monkeypatch):
+    # each off-diagonal builder is its full law off the diagonal, bit for
+    # bit, a zero-probability category included; the estimators then run
+    # without building a diagonal
+    p = np.array([0.4, 0.0, 0.25, 0.2, 0.15])
+    off = ~np.eye(5, dtype=bool)
+    for law, full in ((_inverse_cdf_offdiag_law(p, n), bivariate_pmf_averaged(p, n)),
+                      (_gumbel_offdiag_law(p, n, DIRICHLET), gumbel_pair_pmf(p, n))):
+        assert np.array_equal(law[off], full[off]) and np.all(np.diag(law) == 0.0)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a law with its diagonal was built")
+
+    monkeypatch.setattr(sampling, "_gumbel_pair_diag_dirichlet", no_build)
+    monkeypatch.setattr(sampling, "bivariate_pmf_averaged", no_build)
+    rng = np.random.default_rng(n)
+    for method in ("carms-i", "carms-g"):
+        make_gradient_estimator(method, p[None], n, toy_objective(5, 1))(rng, 50)
+    for sample in (sample_antithetic_inverse_cdf, sample_antithetic_gumbel):
+        for _ in range(10):
+            sample(n, p, rng)
 
 
 def test_estimator_factory_gaussian_inverse_cdf_unsupported():

@@ -407,10 +407,11 @@ def test_inverse_cdf_realized_ratio_entries_match_averaged_pmf():
                     assert ratios.ratios[i, j] == pytest.approx(
                         p[i] * p[j] / avg[i, j], rel=1e-12
                     )
-        # unrealized pairs keep the inert placeholder
-        absent = [k for k in range(3) if k not in present]
-        for k in absent:
-            assert np.all(ratios.ratios[k, :][np.arange(3) != k] == 1.0)
+        # the diagonal and the pairs with an absent category hold 0
+        for k in range(3):
+            assert ratios.ratios[k, k] == 0.0
+            if k not in present:
+                assert np.all(ratios.ratios[k] == 0.0) and np.all(ratios.ratios[:, k] == 0.0)
 
 
 def test_inverse_cdf_clip_flag_engages_deterministically():
@@ -489,8 +490,9 @@ def test_gumbel_shapes_and_ratio_matrix():
     assert np.all(ratios.ratios <= 10.0)
 
 
-def test_gumbel_absent_pair_entry_equals_clip():
-    # both samplers share the placeholder convention for unrealized pairs
+def test_absent_pair_entry_is_zero():
+    # both samplers hold 0 at unrealized pairs and on the diagonal, under
+    # the default ceiling too
     p = np.array([0.45, 0.45, 0.1])
     for sample in (sample_antithetic_gumbel, sample_antithetic_inverse_cdf):
         rng = np.random.default_rng(15)
@@ -502,17 +504,17 @@ def test_gumbel_absent_pair_entry_equals_clip():
                 (i, j)
                 for i in range(3)
                 for j in range(3)
-                if i != j and not ({i, j} <= cats)
+                if i == j or not ({i, j} <= cats)
             ]
             for i, j in absent_pairs:
-                found = True
-                assert ratios.ratios[i, j] == 10.0
+                found |= i != j
+                assert ratios.ratios[i, j] == 0.0
         assert found, sample.__name__
 
 
 def test_gumbel_realized_ratio_entries_match_pair_law():
     # the diagonal, like an unrealized pair, is never read by the estimator
-    # and holds the placeholder even when a category is drawn twice
+    # and holds 0 even when a category is drawn twice
     rng = np.random.default_rng(19)
     p = np.array([0.25, 0.35, 0.4])
     law = gumbel_pair_pmf(p, 4)
@@ -522,7 +524,7 @@ def test_gumbel_realized_ratio_entries_match_pair_law():
         for i in range(3):
             for j in range(3):
                 realized = i != j and counts[i] > 0 and counts[j] > 0
-                expected = p[i] * p[j] / law[i, j] if realized else 1.0
+                expected = p[i] * p[j] / law[i, j] if realized else 0.0
                 assert ratios.ratios[i, j] == pytest.approx(expected, rel=1e-12)
 
 
@@ -691,20 +693,18 @@ def test_gumbel_blocks_are_bit_identical_to_one_draw(copula):
 
 def test_gumbel_single_category_draw_builds_no_law(monkeypatch):
     # samples that all land in one category realize no off-diagonal pair:
-    # no quadrature runs, and every entry holds the placeholder
+    # no quadrature runs, and every entry holds 0
     def kernel(*args):
         raise AssertionError("the pair-law kernel ran")
 
     monkeypatch.setattr(carms.sampling, "_gumbel_pair_offdiag", kernel)
     p = np.array([1.0 - 7e-4] + [1e-4] * 7)
     rng = np.random.default_rng(72)
-    for clip, fill in ((10.0, 10.0), (None, 1.0)):
+    for clip in (10.0, None):
         for _ in range(20):
             z, r = sample_antithetic_gumbel(4, p, rng, clip=clip)
             assert np.all(z[:, 0] == 1.0)
-            assert np.array_equal(r.ratios, np.full((8, 8), fill)) and r.clipped is False
-            ref = _realized_ratios(p, np.zeros((8, 8)), clip)
-            assert np.array_equal(r.ratios, ref.ratios) and r.clipped == ref.clipped
+            assert np.array_equal(r.ratios, np.zeros((8, 8))) and r.clipped is False
 
 
 def test_inverse_cdf_single_category_draw_builds_no_law(monkeypatch):
