@@ -24,10 +24,13 @@ source: the seconds `import carms.cli` takes (median of COLD_RUNS), and the
 ms and minor page faults (ru_minflt) per step of a training-step-like loop
 at C = 8, D = 4, N = 4, where each step draws both single-draw samplers and
 runs estimators.carms in every dimension at a fresh Dirichlet(10) p (median
-of COLD_RUNS loops of COLD_STEPS steps, after a short warm-up).  The figures
-above run in this process after large arrays, whose release raises glibc's
-heap thresholds, so they cannot see pages that a fresh process faults in
-again on every call.
+of COLD_RUNS loops of COLD_STEPS steps, after a short warm-up), and the
+wall-clock and peak RSS of `carms correlation --categories C --trials 1000`
+at C in CORRELATION_SIZES, where any state the inverse-CDF draws keep per
+ordering would show (median wall and largest peak of CORRELATION_RUNS).
+The figures above run in this process after large arrays, whose release
+raises glibc's heap thresholds, so they cannot see pages that a fresh
+process faults in again on every call.
 
     python scripts/bench_layers.py BENCH_13.json --label change --toy
     python scripts/bench_layers.py BENCH_13.json --label parent --toy --src ../parent/src
@@ -58,6 +61,8 @@ CALLS = 200
 TOY_RUNS = 3
 COLD_RUNS = 5
 COLD_STEPS = 60
+CORRELATION_SIZES = (100, 200, 400)
+CORRELATION_RUNS = 3
 
 IMPORT_CHILD = """
 import time
@@ -218,14 +223,30 @@ def cold_start(src):
                               capture_output=True, text=True)
         return [float(v) for v in proc.stdout.split()]
 
+    def correlation(c):
+        """Wall seconds and peak RSS (MB) of one `carms correlation` child."""
+        argv = [sys.executable, "-m", "carms", "correlation", "--categories", str(c),
+                "--trials", "1000", "--out-path", os.devnull]
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, env=env, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, argv)
+        return time.perf_counter() - start, usage.ru_maxrss / 1024.0
+
     imports = [child(IMPORT_CHILD)[0] for _ in range(COLD_RUNS)]
     loops = sorted(child(STEP_CHILD, str(COLD_STEPS)) for _ in range(COLD_RUNS))
     mid = len(loops) // 2
+    runs = {str(c): [correlation(c) for _ in range(CORRELATION_RUNS)] for c in CORRELATION_SIZES}
     return {"cold_start": {
         "runs": COLD_RUNS, "steps": COLD_STEPS,
         "import_s": sorted(imports)[len(imports) // 2], "import_s_each": imports,
         "ms_per_step": loops[mid][0], "minflt_per_step": sorted(v for _, v in loops)[mid],
         "loops_each": loops,
+        "correlation": {c: {"wall_s": sorted(w for w, _ in each)[len(each) // 2],
+                            "peak_rss_mb": max(rss for _, rss in each), "runs_each": each}
+                        for c, each in runs.items()},
     }}
 
 
@@ -267,6 +288,9 @@ def main():
     print(f"{args.label:<8} cold start: import carms.cli {cold['import_s']:.3f} s, "
           f"{cold['ms_per_step']:.2f} ms and {cold['minflt_per_step']:.1f} minor faults "
           "per train-like step", file=sys.stderr)
+    for c, corr in cold["correlation"].items():
+        print(f"{args.label:<8} carms correlation --categories {c} --trials 1000: "
+              f"{corr['wall_s']:.2f} s, peak RSS {corr['peak_rss_mb']:.1f} MB", file=sys.stderr)
     if args.toy:
         toy = record["toy_default"]
         print(f"{args.label:<8} carms toy at its defaults: {toy['wall_s']:.2f} s, "

@@ -178,10 +178,10 @@ def arms_binary(f, b, p, rho) -> np.ndarray:
     rho = np.broadcast_to(np.asarray(rho, dtype=float), p.shape).astype(float)
     if p.shape != (b.shape[1],):
         raise ValueError("need one success probability per coordinate")
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if not np.all((p > 0.0) & (p < 1.0)):  # a nan fails this too
         raise ValueError("success probabilities must lie strictly inside (0, 1)")
-    if np.any(rho >= 1.0):
-        raise ValueError("antithetic correction requires rho < 1")
+    if not np.all(np.isfinite(rho) & (rho < 1.0)):
+        raise ValueError("antithetic correction requires a finite rho < 1")
     n = f.size
     if n < 2:
         raise ValueError("arms needs N >= 2 samples")

@@ -61,12 +61,17 @@ def as_probs(p) -> np.ndarray:
     return arr
 
 
+def _as_indices(categories, n_categories: int) -> np.ndarray:
+    """Validate and return integer category indices (any shape) in [0, C)."""
+    cats = np.asarray(categories)
+    if cats.dtype.kind not in "iu" or ((cats < 0) | (cats >= n_categories)).any():
+        raise ValueError(f"category indices must be integers in [0, {n_categories})")
+    return cats
+
+
 def onehot(categories, n_categories: int) -> np.ndarray:
     """Map integer categories (any shape) to one-hot float rows."""
-    cats = np.asarray(categories)
-    if np.any((cats < 0) | (cats >= n_categories)):
-        raise ValueError("category index out of range")
-    return np.eye(n_categories)[cats]
+    return np.eye(n_categories)[_as_indices(categories, n_categories)]
 
 
 def _cell_edges(q: np.ndarray):
@@ -75,10 +80,10 @@ def _cell_edges(q: np.ndarray):
     cumsum may overshoot 1.0 by an ulp; edges must stay inside [0, 1] for
     the copula CDF, and the last edge is 1.0 by convention.
     """
-    right = np.minimum(np.cumsum(q, axis=-1), 1.0)
-    right[..., -1] = 1.0
-    left = np.concatenate([np.zeros_like(right[..., :1]), right[..., :-1]], axis=-1)
-    return left, right
+    edges = np.zeros(q.shape[:-1] + (q.shape[-1] + 1,))
+    np.minimum(q.cumsum(axis=-1), 1.0, out=edges[..., 1:])
+    edges[..., -1] = 1.0
+    return edges[..., :-1], edges[..., 1:]
 
 
 def _categorize_batch(u: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -116,9 +121,7 @@ class Ordering:
         if c < 2 or not np.array_equal(np.sort(perm), np.arange(c)):
             raise ValueError("perm must be a permutation of 0..C-1 with C >= 2")
         i, j = self.anchor
-        if i == j:
-            raise ValueError("anchor categories must be distinct")
-        if perm[i] != 0 or perm[j] != c - 1:
+        if perm[i] != 0 or perm[j] != c - 1:  # so i != j, as C >= 2
             raise ValueError("anchor must map to the first and last positions")
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "anchor", (int(i), int(j)))
@@ -130,32 +133,43 @@ class Ordering:
     @property
     def inverse(self) -> np.ndarray:
         """inverse[position] = category."""
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.perm.size)
-        return inv
+        return np.argsort(self.perm)
 
     def permuted(self, p: np.ndarray) -> np.ndarray:
         """Probabilities rearranged into position order."""
-        q = np.empty_like(np.asarray(p, dtype=float))
-        q[self.perm] = p
-        return q
+        return np.asarray(p, dtype=float)[self.inverse]
+
+
+def _anchored_inverse(a: np.ndarray, b: np.ndarray, c: int) -> np.ndarray:
+    """The category at each position of the orderings anchored at (a[m], b[m]), (B, C).
+
+    Rotate category a to the front, then swap b into the last position: the
+    category that the rotation left there takes b's place.
+    """
+    cyclic = np.arange(2 * c - 1) % c
+    # row a of the cyclic shifts of 0..C-1, read from a strided (C, C) view
+    inverse = np.ndarray((c, c), cyclic.dtype, cyclic, strides=2 * cyclic.strides)[a]
+    inverse[np.arange(a.size), (b - a) % c] = inverse[:, -1]  # b's position after the rotation
+    inverse[:, -1] = b
+    return inverse
+
+
+def _ordering_anchors(numbers: np.ndarray, c: int):
+    """Anchors (a, b), a < b, of the orderings numbered as all_orderings lists them."""
+    ends = np.arange(c - 1, 0, -1).cumsum()  # ends[k]: the orderings with a <= k
+    a = ends.searchsorted(numbers, side="right")
+    return a, numbers - ends[a] + c
 
 
 def make_ordering(i: int, j: int, n_categories: int) -> Ordering:
     """Rotate category i to the front, then swap j into the last position."""
     c = int(n_categories)
-    if c < 2:
-        raise ValueError("need at least two categories")
     if not (0 <= i < c and 0 <= j < c):
         raise ValueError("anchor categories out of range")
     if i == j:
         raise ValueError("anchor categories must be distinct")
-    pos = (np.arange(c) - i) % c
-    last_cat = (i - 1) % c
-    pj = pos[j]
-    pos[j] = c - 1
-    pos[last_cat] = pj
-    return Ordering(pos, (i, j))
+    inverse = _anchored_inverse(np.array([i]), np.array([j]), c)[0]
+    return Ordering(np.argsort(inverse), (i, j))
 
 
 def all_orderings(n_categories: int) -> list[Ordering]:
@@ -182,25 +196,17 @@ def _rectangle_mass(left_a, right_a, left_b, right_b, n: int):
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _ordering_table(n_categories: int):
-    """(perm, inverse) of every anchored ordering, each (M, C) and read-only."""
-    orderings = all_orderings(n_categories)
-    perm = np.stack([o.perm for o in orderings])
-    inverse = np.stack([o.inverse for o in orderings])
-    perm.setflags(write=False)
-    inverse.setflags(write=False)
-    return perm, inverse
+def _category_edges(p: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Left and right cell edges of each category under each ordering, (2, B, C).
 
-
-def _category_edges(p: np.ndarray, perm: np.ndarray, inverse: np.ndarray):
-    """Left and right cell edges of each category under each ordering, (B, C).
-
-    Row m lays the cells out in the position order of the ordering with
-    position map perm[m] and reads the edges back by category.
+    Row m lays the cells out in the position order inverse[m] (the category
+    at each position) and writes the edges back by category.
     """
-    left, right = _cell_edges(p[inverse])
-    return np.take_along_axis(left, perm, axis=1), np.take_along_axis(right, perm, axis=1)
+    edges = np.empty((2, inverse.size))
+    flat = inverse + np.arange(0, inverse.size, p.size)[:, None]  # row m's flat offset
+    for edge, by_position in zip(edges, _cell_edges(p[inverse])):
+        edge[flat] = by_position
+    return edges.reshape((2,) + inverse.shape)
 
 
 def bivariate_pmf_one_ordering(p, ordering: Ordering, i: int, j: int, n: int) -> float:
@@ -213,10 +219,8 @@ def bivariate_pmf_one_ordering(p, ordering: Ordering, i: int, j: int, n: int) ->
     p = as_probs(p)
     if ordering.n_categories != p.size:
         raise ValueError("ordering and probability vector disagree on C")
-    if not (0 <= i < p.size and 0 <= j < p.size):
-        raise ValueError("category index out of range")
     left, right = _cell_edges(ordering.permuted(p))
-    ip, jp = ordering.perm[[i]], ordering.perm[[j]]
+    ip, jp = ordering.perm[_as_indices([[i], [j]], p.size)]
     return _rectangle_mass(left[ip], right[ip], left[jp], right[jp], n).item()
 
 
@@ -225,7 +229,7 @@ def bivariate_pmf_matrix(p, ordering: Ordering, n: int) -> np.ndarray:
     p = as_probs(p)
     if ordering.n_categories != p.size:
         raise ValueError("ordering and probability vector disagree on C")
-    left, right = _category_edges(p, ordering.perm[None], ordering.inverse[None])
+    left, right = _category_edges(p, ordering.inverse[None])
     return _rectangle_mass(left.T, right.T, left, right, n)
 
 
@@ -247,19 +251,22 @@ def _ordering_mean_mass(p: np.ndarray, n: int, first, second) -> np.ndarray:
     """Mean over all anchored orderings of the rectangle mass of the cells
     first[k] x second[k], for (K,) category index arrays.
 
+    The orderings come from their anchors, about 8192 / max(K, C) a block.
     Each block's first row takes the running total and cumsum adds down the
     rows, so the orderings are summed strictly one after another: an entry
     depends neither on the block size nor on the other entries asked for.
     """
-    perm, inverse = _ordering_table(p.size)
+    c = p.size
+    orderings = c * (c - 1) // 2
     total = 0.0
-    for rows in _blocks(perm.shape[0], first.size):
-        left, right = _category_edges(p, perm[rows], inverse[rows])
+    for rows in _blocks(orderings, max(first.size, c)):
+        numbers = np.arange(*rows.indices(orderings))
+        left, right = _category_edges(p, _anchored_inverse(*_ordering_anchors(numbers, c), c))
         edges = [edge.take(idx, axis=1) for idx in (first, second) for edge in (left, right)]
         mass = _rectangle_mass(*edges, n)
         mass[0] += total
-        total = np.cumsum(mass, axis=0, out=mass)[-1]
-    return total / perm.shape[0]
+        total = mass.cumsum(axis=0, out=mass)[-1]
+    return total / orderings
 
 
 def bivariate_pmf_averaged(p, n: int) -> np.ndarray:
@@ -277,9 +284,7 @@ def bivariate_pmf_averaged(p, n: int) -> np.ndarray:
 def bivariate_pmf_entries(p, n: int, pairs) -> np.ndarray:
     """bivariate_pmf_averaged at the given (i, j) pairs only, shape (K,)."""
     p = as_probs(p)
-    pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
-    if np.any((pairs < 0) | (pairs >= p.size)):
-        raise ValueError("category index out of range")
+    pairs = np.sort(_as_indices(pairs, p.size).reshape(-1, 2), axis=1)
     return _ordering_mean_mass(p, n, pairs[:, 0], pairs[:, 1])
 
 
@@ -365,19 +370,23 @@ def _inverse_cdf_categories_batch(
 ) -> np.ndarray:
     """k joint draws of N categories each, shape (k, N).
 
-    ordering=None redraws a uniform anchored ordering per joint draw, which
-    is what makes the averaged PMF the exact pair law; a fixed ordering is
-    for inspecting the single-ordering law.
+    ordering=None redraws a uniform anchored ordering per joint draw, by its
+    number in all_orderings' order, which makes the averaged PMF the exact
+    pair law; a fixed ordering is for inspecting the single-ordering law.
+    The min(k, M) rows of edges come from the anchors, one per draw while
+    k < M and else one per ordering; a fixed ordering is the one-row case.
     """
     if ordering is None:
-        _, inverse = _ordering_table(p.size)
-        idx = rng.integers(0, inverse.shape[0], size=k)
+        orderings = p.size * (p.size - 1) // 2
+        numbers = rng.integers(0, orderings, size=k)
+        built, idx = (numbers, np.arange(k)) if k < orderings else (np.arange(orderings), numbers)
+        inverse = _anchored_inverse(*_ordering_anchors(built, p.size), p.size)
     else:
         inverse = ordering.inverse[None]
         idx = np.zeros(k, dtype=np.int64)
     u = _sample_dirichlet_copula_batch(k, n_samples, rng)
     # each draw's edges, (k, C), stored edge by edge for _categorize_batch
-    cum = np.cumsum(p[inverse], axis=1).T.take(idx, axis=1).T
+    cum = p[inverse].cumsum(axis=1).T.take(idx, axis=1).T
     return inverse[idx[:, None], _categorize_batch(u, cum)]
 
 

@@ -358,6 +358,11 @@ def test_arms_binary_validation():
         arms_binary(f, [[0.5], [0.0]], [0.5], 0.0)  # non-binary entries
     with pytest.raises(ValueError):
         arms_binary([1.0], [[1.0]], [0.5], 0.0)  # N >= 2
+    # a nan passed both range checks and came back as a nan gradient
+    f2, b2 = [1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]
+    for p, rho in (([np.nan, 0.5], 0.0), ([0.5, 0.5], np.nan), ([0.5, 0.5], [0.0, -np.inf])):
+        with pytest.raises(ValueError, match="finite|strictly inside"):
+            arms_binary(f2, b2, p, rho)
 
 
 def test_arms_binary_broadcasts_scalar_rho():

@@ -1,5 +1,7 @@
 """Tests for cell edges, orderings, the analytic pair PMF, and both samplers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from carms.sampling import (
     Ordering,
     RatioMatrix,
     _analytic_ratio_matrix,
+    _anchored_inverse,
     _blocks,
     _categorize_batch,
     _cell_edges,
@@ -26,6 +29,7 @@ from carms.sampling import (
     _gumbel_pair_offdiag_antithetic,
     _gumbel_pair_pmf,
     _inverse_cdf_categories_batch,
+    _ordering_anchors,
     _realized_ratios,
     all_orderings,
     as_probs,
@@ -35,6 +39,7 @@ from carms.sampling import (
     bivariate_pmf_one_ordering,
     gumbel_pair_pmf,
     make_ordering,
+    onehot,
     sample_antithetic_gumbel,
     sample_antithetic_inverse_cdf,
 )
@@ -143,16 +148,20 @@ def test_make_ordering_frozen_examples():
 
 
 def test_ordering_exhaustive_validity():
-    # bijection with the anchor at the two extreme positions, all C <= 12
+    # bijection with the anchor at the two extreme positions, all C <= 12,
+    # built by the rule spelled out one category at a time (rotate i to
+    # position 0, then j and the category left last trade positions) and
+    # matching the batched rows of every anchor pair
     for c in range(2, 13):
-        for i in range(c):
-            for j in range(c):
-                if i == j:
-                    continue
-                o = make_ordering(i, j, c)
-                assert np.array_equal(np.sort(o.perm), np.arange(c))
-                assert o.perm[i] == 0 and o.perm[j] == c - 1
-                assert np.array_equal(o.inverse[o.perm], np.arange(c))
+        anchors = [(i, j) for i in range(c) for j in range(c) if i != j]
+        for (i, j), row in zip(anchors, _anchored_inverse(*np.array(anchors).T, c)):
+            o = make_ordering(i, j, c)
+            assert np.array_equal(np.sort(o.perm), np.arange(c))
+            assert o.perm[i] == 0 and o.perm[j] == c - 1
+            assert np.array_equal(o.inverse[o.perm], np.arange(c))
+            pos = [(k - i) % c for k in range(c)]
+            pos[j], pos[(i - 1) % c] = c - 1, pos[j]
+            assert o.perm.tolist() == pos and np.array_equal(row, o.inverse)
 
 
 def test_all_orderings_enumerates_unordered_pairs():
@@ -170,6 +179,12 @@ def test_ordering_validation():
         Ordering(np.array([0, 1, 1]), (0, 2))  # not a permutation
     with pytest.raises(ValueError):
         Ordering(np.array([1, 0, 2]), (0, 2))  # anchor not at the extremes
+
+
+def test_ordering_numbers_map_to_the_anchors_of_all_orderings():
+    for c in range(2, 41):
+        a, b = _ordering_anchors(np.arange(c * (c - 1) // 2), c)
+        assert list(zip(a.tolist(), b.tolist())) == [o.anchor for o in all_orderings(c)], c
 
 
 def test_ordering_permuted_applies_position_map():
@@ -340,6 +355,15 @@ def test_pmf_entries_selected_pairs():
         bivariate_pmf_entries([0.5, 0.5], 2, [(0, 2)])
 
 
+def test_category_indices_must_be_integers():
+    # a float pair once truncated to (0, 1), and a float category raised IndexError
+    with pytest.raises(ValueError, match="integers"):
+        bivariate_pmf_entries([0.2, 0.3, 0.5], 2, [[0, 1.5]])
+    with pytest.raises(ValueError, match="integers"):
+        onehot(np.array([0.5]), 3)
+    assert np.array_equal(onehot(np.array([2, 0], dtype=np.uint8), 3), [[0, 0, 1], [1, 0, 0]])
+
+
 @pytest.mark.parametrize("width", [0, 1, 16, 4096, 8192, 10**5])
 def test_blocks_cover_the_range_once_in_order(width):
     longest = max(1, 8192 // max(width, 1))
@@ -434,21 +458,43 @@ def test_inverse_cdf_clip_flag_engages_deterministically():
 
 def test_inverse_cdf_categories_match_per_ordering_searchsorted():
     # the broadcast categorization against a searchsorted reference fed the
-    # same random stream: one ordering index per draw, then the copula draw
+    # same random stream: one ordering index per draw, then the copula draw;
+    # one draw, fewer draws than orderings, more, and one fixed ordering
     rng = np.random.default_rng(22)
-    for c, n in ((2, 2), (5, 3), (9, 4), (30, 4)):
+    for c, n in ((2, 2), (3, 3), (5, 3), (8, 4), (9, 4), (30, 4)):
         p = _simplex(rng, c, alpha=0.5)
-        seed = int(rng.integers(2**31))
-        cats = _inverse_cdf_categories_batch(300, n, p, np.random.default_rng(seed))
-        ref_rng = np.random.default_rng(seed)
         orderings = all_orderings(c)
-        idx = ref_rng.integers(0, len(orderings), size=300)
-        u = _sample_dirichlet_copula_batch(300, n, ref_rng)
-        for row, k in enumerate(idx):
-            o = orderings[k]
-            cum = np.cumsum(o.permuted(p))
-            pos = np.minimum(np.searchsorted(cum, u[row], side="right"), c - 1)
-            assert np.array_equal(cats[row], o.inverse[pos])
+        for k, fixed in ((1, None), (300, None), (1000, None), (200, orderings[-1])):
+            seed = int(rng.integers(2**31))
+            cats = _inverse_cdf_categories_batch(k, n, p, np.random.default_rng(seed), fixed)
+            ref_rng = np.random.default_rng(seed)
+            idx = [-1] * k if fixed is not None else ref_rng.integers(0, len(orderings), size=k)
+            u = _sample_dirichlet_copula_batch(k, n, ref_rng)
+            for row, m in enumerate(idx):
+                o = orderings[m]
+                cum = np.cumsum(o.permuted(p))
+                pos = np.minimum(np.searchsorted(cum, u[row], side="right"), c - 1)
+                assert np.array_equal(cats[row], o.inverse[pos]), (c, k, row)
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_inverse_cdf_memory_stays_small_at_two_hundred_categories():
+    # 19900 orderings: held as a table with its (M, C) cumsum, they take
+    # 131.7 MiB for a 1000-draw batch and 60.7 MiB for one single draw
+    rng = np.random.default_rng(26)
+    p = np.full(200, 1.0 / 200)
+    sample_antithetic_inverse_cdf(4, [0.5, 0.5], rng)  # lazy imports and first-call state
+    batch = _peak_mib(lambda: _inverse_cdf_categories_batch(1000, 4, p, rng))
+    single = _peak_mib(lambda: sample_antithetic_inverse_cdf(4, p, rng))
+    assert batch < 16.0 and single < 4.0, (batch, single)
 
 
 def test_inverse_cdf_marginals_quick():
