@@ -46,6 +46,8 @@ def _csv_cell(value) -> str:
 
 def _json_value(value):
     if isinstance(value, np.ndarray):
+        if value.dtype.kind != "f" or np.isfinite(value).all():  # no null to write
+            return value.tolist()
         value = value.tolist()
     if isinstance(value, list):
         return [_json_value(v) for v in value]

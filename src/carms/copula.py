@@ -7,7 +7,10 @@ The Dirichlet copula rescales a flat Dirichlet vector coordinatewise,
 
     u_i = 1 - (1 - d_i)^(n-1),        d ~ Dir(1_n),
 
-which makes each u_i exactly uniform on (0, 1).  Its bivariate CDF has the
+which makes each u_i exactly uniform on (0, 1).  A batch of draws is formed
+in place as C-ordered (n, k) columns, one per coordinate, so a caller that
+reads whole columns copies nothing; the (n-1)-th power is taken by repeated
+multiplication (_int_power), as in the CDF kernels.  The bivariate CDF has the
 closed form
 
     C(p, q) = p + q - 1 + max(0, (1-p)^(1/(n-1)) + (1-q)^(1/(n-1)) - 1)^(n-1),
@@ -97,16 +100,23 @@ def _sum_in_order(terms):
     return total
 
 
-def _sample_dirichlet_copula_batch(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """k independent Dirichlet-copula draws, shape (k, n)."""
+def _sample_dirichlet_copula_batch(
+    k: int, n: int, rng: np.random.Generator, work=None
+) -> np.ndarray:
+    """k independent Dirichlet-copula draws, shape (k, n), as the transpose of
+    (n, k) columns formed in work[1]; work[0] takes the exponentials, then the
+    power's squares (work: two arrays of at least k n floats, fresh by default).
+    """
     n = _validate_n(n)
-    e = rng.standard_exponential((k, n))
-    # u = 1 - (1 - e / sum(e))^(n - 1), formed in place a whole column at a time
-    u = np.divide(e.T, _sum_in_order(e.T), order="C")
+    e, u = (np.empty(k * n), np.empty(k * n)) if work is None else work
+    e = rng.standard_exponential(out=e[: k * n].reshape(k, n))
+    u = u[: k * n].reshape(n, k)
+    # u = 1 - (1 - e / sum(e))^(n - 1), each draw's sum left to right
+    np.divide(e.T, _sum_in_order(e.T), out=u)
     np.subtract(1.0, u, out=u)
-    np.power(u, n - 1, out=u)
+    _int_power(u, n - 1, out=u, scratch=e.reshape(n, k))
     np.subtract(1.0, u, out=u)
-    return np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS, out=e.T).T
+    return np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS, out=u).T
 
 
 def _sample_gaussian_copula_batch(
@@ -130,11 +140,12 @@ def _sample_gaussian_copula_batch(
 
 
 def sample_copula_batch(
-    kind: CopulaKind, k: int, n: int, rng: np.random.Generator
+    kind: CopulaKind, k: int, n: int, rng: np.random.Generator, work=None
 ) -> np.ndarray:
-    """k independent draws of n uniforms from the copula kind, shape (k, n)."""
+    """k independent draws of n uniforms from the copula kind, shape (k, n);
+    the Dirichlet draw fills work (see _sample_dirichlet_copula_batch)."""
     if kind.family == "dirichlet":
-        return _sample_dirichlet_copula_batch(k, n, rng)
+        return _sample_dirichlet_copula_batch(k, n, rng, work)
     return _sample_gaussian_copula_batch(k, n, kind.resolve_rho(n), rng)
 
 
@@ -178,22 +189,22 @@ def _pair_cdf(kind: CopulaKind, n: int, p, q):
     return _gaussian_cdf(p, q, kind.resolve_rho(n))
 
 
-def _int_power(x, k: int):
-    """x ** k for an integer k >= 1 by repeated squaring, as a fresh array.
-
-    np.power takes its general path for any exponent but 2 and is several
-    times slower, more so at x = 0, which the clamped t hits often.
+def _int_power(x, k: int, out=None, scratch=None):
+    """x ** k for an integer k >= 1: the squares x^(2^j) at the set bits of k
+    multiplied in from the lowest, into out (x itself, or None for a fresh
+    array) with the squares in scratch (fresh by default), bit for bit the
+    same either way.  np.power's general path, taken for any exponent but 2,
+    is several times slower, more so at x = 0, which the clamped t hits often.
     """
-    if k == 1:
-        return x.copy()
-    result = None
-    while True:
-        if k & 1:
-            result = x if result is None else result * x
+    while not k & 1:  # the lowest factor, x^(2^j)
+        x = out = np.multiply(x, x, out=out)
         k >>= 1
-        if not k:
-            return result
-        x = x * x
+    square = x
+    while k := k >> 1:
+        square = np.multiply(square, square, out=scratch if square is x else square)
+        if k & 1:
+            x = out = np.multiply(x, square, out=out)
+    return x if x is out else x.copy()
 
 
 def _dirichlet_t(p_arr, q_arr, n):

@@ -277,15 +277,20 @@ class CorrelationConfig:
 
 
 def _indicator_correlation(a: np.ndarray, b: np.ndarray, c: int) -> np.ndarray:
-    """corr(1{a = i}, 1{b = j}) over draws from their counts; nan where constant."""
+    """corr(1{a = i}, 1{b = j}) over draws from their counts; nan where constant.
+    The numerator and the denominator are the only (C, C) arrays made."""
     k = a.size
-    joint = np.bincount(a * c + b, minlength=c * c).reshape(c, c)
+    corr = np.bincount(a * c + b, minlength=c * c).reshape(c, c)
     na, nb = np.bincount(a, minlength=c), np.bincount(b, minlength=c)
-    denom = np.sqrt(np.outer(na * (k - na), (nb * (k - nb)).astype(float)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.where(denom > 0.0, (k * joint - np.outer(na, nb)) / denom, np.nan)
+    corr *= k
+    corr -= np.outer(na, nb)
+    denom = np.outer(na * (k - na), (nb * (k - nb)).astype(float))
+    np.sqrt(denom, out=denom)
+    # a constant indicator has a numerator and a denominator of 0: 0 / 0 = nan
+    with np.errstate(invalid="ignore"):
+        corr = np.divide(corr, denom, out=denom)
     # rounding can push a perfect (anti)correlation an ulp past +-1
-    return np.clip(corr, -1.0, 1.0)
+    return np.clip(corr, -1.0, 1.0, out=corr)
 
 
 def run_correlation(config: CorrelationConfig) -> dict:

@@ -414,7 +414,8 @@ def sample_antithetic_inverse_cdf(
 
 
 # copula uniforms (draws x categories x samples) per block of the Gumbel draw;
-# the generator fills arrays in order, so the blocks use the stream as one draw
+# the generator fills arrays in order, so the blocks use the stream as one
+# draw.  A call refills one block's exponentials and columns (1 MiB) in place.
 GUMBEL_BLOCK = 65536
 
 
@@ -425,8 +426,9 @@ def _gumbel_categories_batch(
     c = p.size
     out = np.empty((k, n_samples), dtype=np.intp)
     step = max(1, GUMBEL_BLOCK // (c * n_samples))
+    work = np.empty((2, min(step, k) * c * n_samples))
     for start in range(0, k, step):
-        u = sample_copula_batch(copula, min(step, k - start) * c, n_samples, rng)
+        u = sample_copula_batch(copula, min(step, k - start) * c, n_samples, rng, work)
         # race form of the argmax of log p - log(-log u): the largest
         # log(u) / p, in place, laid out (N, draws, C) so that the argmax runs
         # over contiguous categories; p = 0 and a subnormal p give -inf

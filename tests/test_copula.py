@@ -60,8 +60,9 @@ from carms.copula import (
 class _FakeRng:
     """Stands in for a Generator; returns constant exponentials."""
 
-    def standard_exponential(self, shape):
-        return np.ones(shape)
+    def standard_exponential(self, out):
+        out[...] = 1.0
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +245,51 @@ def test_dirichlet_simplex_center_maps_to_five_ninths():
     assert np.allclose(u, 5.0 / 9.0, atol=1e-15)
 
 
+def _squaring_power(x, k):
+    # x^k as the squares x^(2^j) at the set bits of k, multiplied in from the
+    # lowest, each product a fresh array
+    result, square = None, x
+    while k:
+        if k & 1:
+            result = square if result is None else result * square
+        square, k = square * square, k >> 1
+    return result
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_int_power_in_place_matches_the_fresh_product(k):
+    x = np.random.default_rng(k).random((3, 7))
+    ref = _squaring_power(x, k)
+    fresh = _int_power(x, k)
+    assert np.array_equal(fresh, ref) and fresh is not x
+    scratch = np.empty_like(x)
+    assert _int_power(x, k, out=x, scratch=scratch) is x and np.array_equal(x, ref)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 10])
 def test_dirichlet_batch_is_bit_identical_to_the_row_sum_formula(n):
     # the batch sums each row left to right, which numpy's row sum does below
     # N = 8 only (pairwise from there): the in-order cumsum is the reference,
-    # on the same stream
+    # on the same stream, and the power is the repeated-squaring product
     ref_rng, rng = np.random.default_rng(40 + n), np.random.default_rng(40 + n)
     e = ref_rng.standard_exponential((5000, n))
     total = np.cumsum(e, axis=1)[:, -1:]
-    ref = np.clip(1 - (1 - e / total) ** (n - 1), CLAMP_EPS, 1 - CLAMP_EPS)
+    ref = np.clip(1 - _squaring_power(1 - e / total, n - 1), CLAMP_EPS, 1 - CLAMP_EPS)
     u = _sample_dirichlet_copula_batch(5000, n, rng)
-    assert np.array_equal(u, ref) and u.flags.c_contiguous
+    # laid out as (N, k) columns, so the categorizations read u.T in place
+    assert np.array_equal(u, ref) and u.T.flags.c_contiguous
     assert np.array_equal(rng.random(4), ref_rng.random(4))
     # one draw at a time sums in the same order
     rng = np.random.default_rng(40 + n)
     assert np.array_equal([_sample_dirichlet_copula_batch(1, n, rng)[0] for _ in range(50)], ref[:50])
+    # in a caller's work array, refilled in place: the same draws, stream and columns
+    rng, work = np.random.default_rng(40 + n), np.full((2, 3000 * n), np.nan)
+    first = _sample_dirichlet_copula_batch(3000, n, rng, work)
+    assert np.array_equal(first, ref[:3000]) and np.shares_memory(first, work)
+    assert np.array_equal(_sample_dirichlet_copula_batch(2000, n, rng, work), ref[3000:])
+    ref_rng = np.random.default_rng(40 + n)
+    ref_rng.standard_exponential((5000, n))
+    assert np.array_equal(rng.random(4), ref_rng.random(4))
 
 
 def test_dirichlet_n2_is_exact_antithetic_pair():

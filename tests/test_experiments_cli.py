@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from carms import experiments, sampling
-from carms.cli import _config, build_parser, main
+from carms.cli import _config, _json_value, build_parser, main
 from carms.copula import DIRICHLET, CopulaKind
 from carms.estimators import carms, carms_pair_sum, loorf
 from carms.experiments import (
@@ -483,6 +484,64 @@ def test_indicator_correlation_matches_corrcoef_of_one_hot_indicators():
             full = np.corrcoef(eye[a].T, eye[b].T)[:c, c:]
         assert np.array_equal(np.isnan(corr), np.isnan(full))
         assert np.nanmax(np.abs(corr - full)) <= 1e-12
+
+
+def _indicator_correlation_by_formula(a, b, c):
+    # the whole-array formula, with its (C, C) temporaries
+    k = a.size
+    joint = np.bincount(a * c + b, minlength=c * c).reshape(c, c)
+    na, nb = np.bincount(a, minlength=c), np.bincount(b, minlength=c)
+    denom = np.sqrt(np.outer(na * (k - na), (nb * (k - nb)).astype(float)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = np.where(denom > 0.0, (k * joint - np.outer(na, nb)) / denom, np.nan)
+    return np.clip(corr, -1.0, 1.0)
+
+
+def test_indicator_correlation_is_the_formula_bit_for_bit_in_two_arrays():
+    rng = np.random.default_rng(33)
+    for c, k in ((2, 100), (3, 100), (7, 150), (30, 1000), (400, 100)):
+        a = rng.integers(0, c - 1, size=k)  # the last category stays absent
+        b = rng.integers(0, c, size=k)
+        b[: k // 2] = a[: k // 2]  # correlated, perfectly so at C = 2 or 3 now and then
+        for x, y in ((a, b), (a, a), (np.zeros_like(a), b)):
+            got, ref = _indicator_correlation(x, y, c), _indicator_correlation_by_formula(x, y, c)
+            nan = np.isnan(ref)  # 0 / 0 now, whose sign bit np.nan lacks; both print as nan
+            assert np.array_equal(np.isnan(got), nan) and nan.any(), (c, k)
+            assert np.array_equal(got[~nan].view(np.int64), ref[~nan].view(np.int64)), (c, k)
+    # the numerator and the denominator are the only (C, C) arrays: the
+    # formula peaked at 4.1 of them
+    c = 1000
+    a, b = rng.integers(0, c, size=100), rng.integers(0, c, size=100)
+    tracemalloc.start()
+    try:
+        _indicator_correlation(a, b, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * c * c * 8, peak / (c * c * 8)
+
+
+def _json_value_by_entry(value):
+    # every array entry through the scalar rule
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, list):
+        return [_json_value_by_entry(v) for v in value]
+    if isinstance(value, float):
+        return value if np.isfinite(value) else None
+    return value
+
+
+def test_json_value_writes_the_bytes_of_the_entry_by_entry_rule():
+    rng = np.random.default_rng(34)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308])
+    for shape in ((0,), (1,), (7,), (5, 6), (3, 4, 2)):
+        finite = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        finite.flat[:2] = -0.0
+        for value in (finite, np.where(rng.random(shape) < 0.3, rng.choice(special, shape), finite),
+                      rng.integers(-5, 5, size=shape), rng.random(shape) < 0.5):
+            got = json.dumps(_json_value(value), allow_nan=False)
+            assert got == json.dumps(_json_value_by_entry(value), allow_nan=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for cell edges, orderings, the analytic pair PMF, and both samplers."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -735,6 +736,45 @@ def test_gumbel_blocks_are_bit_identical_to_one_draw(copula):
             assert cats.flags.c_contiguous and np.all(cats != 1)
             # the blocks leave the stream where the one draw does
             assert np.array_equal(rng.random(4), ref_rng.random(4)), (n, k)
+
+
+# sha256 (first 16 hex digits) of the int64 categories of both batched draws
+# at p ~ Dirichlet(1) (seed C), seed 1000 C + N and k = 2 blocks + 7 draws,
+# as drawn with np.power(u, N - 1) in the copula: the uniforms' last bits
+# move at N >= 4 with the power by repeated squaring, and no category does
+PINNED_CATEGORIES = {
+    ("gumbel", 8, 2): "5007161830fa6f27", ("inverse-cdf", 8, 2): "7e82643cb1f0a9eb",
+    ("gumbel", 8, 3): "9e90bcd22d9a37c0", ("inverse-cdf", 8, 3): "e8d6176a2ca421fa",
+    ("gumbel", 8, 4): "ea34d7f2276f8859", ("inverse-cdf", 8, 4): "63a52a8baa88e592",
+    ("gumbel", 8, 10): "839c518bda35e5f4", ("inverse-cdf", 8, 10): "29f6f0f0e07a8c28",
+    ("gumbel", 30, 2): "a6c650e232af4e58", ("inverse-cdf", 30, 2): "bb0563b512cf1212",
+    ("gumbel", 30, 3): "b09a2e366ee3ba2b", ("inverse-cdf", 30, 3): "11239d3fa56a423d",
+    ("gumbel", 30, 4): "434a28fa271f8d80", ("inverse-cdf", 30, 4): "18cf17d38b970313",
+    ("gumbel", 30, 10): "5627aa99ea136b54", ("inverse-cdf", 30, 10): "dae6fb4c6d735ba7",
+}
+
+
+@pytest.mark.parametrize("method, c, n", sorted(PINNED_CATEGORIES))
+def test_batched_categories_are_pinned(method, c, n):
+    p = np.random.default_rng(c).dirichlet(np.ones(c))
+    k = 2 * (GUMBEL_BLOCK // (c * n)) + 7
+    rng = np.random.default_rng(1000 * c + n)
+    if method == "gumbel":
+        cats = _gumbel_categories_batch(k, n, p, rng, DIRICHLET)
+    else:
+        cats = _inverse_cdf_categories_batch(k, n, p, rng)
+    digest = hashlib.sha256(cats.astype(np.int64).tobytes()).hexdigest()[:16]
+    assert digest == PINNED_CATEGORIES[method, c, n]
+
+
+def test_gumbel_batch_reuses_its_block_arrays():
+    # C = 30, N = 4: 546 draws a block; the two block arrays (1 MiB) and the
+    # (k, N) output (0.3 MiB) are the call's peak.  Fresh arrays for every
+    # block, as once drawn, peaked at 2491 KiB
+    p, rng = np.full(30, 1.0 / 30), np.random.default_rng(27)
+    _gumbel_categories_batch(10, 4, p, rng, DIRICHLET)
+    peak = _peak_mib(lambda: _gumbel_categories_batch(10_000, 4, p, rng, DIRICHLET))
+    assert peak * 1024 < 1700, peak * 1024
 
 
 def test_gumbel_single_category_draw_builds_no_law(monkeypatch):
