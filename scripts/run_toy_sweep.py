@@ -4,7 +4,7 @@ Dirichlet concentration grid, written to CSV, with a carms-i vs loorf win
 table printed at the end.
 
 Every size flag left out keeps ToyConfig's default, the paper's
-configuration, which takes about 20 s on a 2-core machine; --quick cuts
+configuration, which takes 10-11 s on a 2-core Xeon; --quick cuts
 the trials and inner draws to a smoke run.
 """
 

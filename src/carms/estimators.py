@@ -20,7 +20,7 @@ from .sampling import RatioMatrix, _blocks, as_probs
 
 def _as_values(f) -> np.ndarray:
     arr = np.asarray(f, dtype=float)
-    if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+    if arr.ndim != 1 or not np.isfinite(arr).all():
         raise ValueError("function values must be a finite 1-D vector")
     return arr
 
@@ -29,7 +29,7 @@ def _as_onehot_matrix(z, n_rows=None) -> np.ndarray:
     arr = np.asarray(z, dtype=float)
     if arr.ndim != 2:
         raise ValueError("samples must form an N x C matrix")
-    if not np.all((arr == 0.0) | (arr == 1.0)) or not np.all(arr.sum(axis=1) == 1.0):
+    if not ((arr == 0.0) | (arr == 1.0)).all() or not (arr.sum(axis=1) == 1.0).all():
         raise ValueError("sample rows must be one-hot")
     if n_rows is not None and arr.shape[0] != n_rows:
         raise ValueError("sample count does not match function values")
@@ -38,7 +38,7 @@ def _as_onehot_matrix(z, n_rows=None) -> np.ndarray:
 
 def _as_onehot_row(z) -> np.ndarray:
     arr = np.asarray(z, dtype=float)
-    if arr.ndim != 1 or not np.all((arr == 0.0) | (arr == 1.0)) or arr.sum() != 1.0:
+    if arr.ndim != 1 or not ((arr == 0.0) | (arr == 1.0)).all() or arr.sum() != 1.0:
         raise ValueError("sample must be a one-hot vector")
     return arr
 
@@ -172,15 +172,15 @@ def arms_binary(f, b, p, rho) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != f.size:
         raise ValueError("b must be an N x D binary matrix")
-    if not np.all((b == 0.0) | (b == 1.0)):
+    if not ((b == 0.0) | (b == 1.0)).all():
         raise ValueError("b entries must be 0 or 1")
     p = np.atleast_1d(np.asarray(p, dtype=float))
     rho = np.broadcast_to(np.asarray(rho, dtype=float), p.shape).astype(float)
     if p.shape != (b.shape[1],):
         raise ValueError("need one success probability per coordinate")
-    if not np.all((p > 0.0) & (p < 1.0)):  # a nan fails this too
+    if not ((p > 0.0) & (p < 1.0)).all():  # a nan fails this too
         raise ValueError("success probabilities must lie strictly inside (0, 1)")
-    if not np.all(np.isfinite(rho) & (rho < 1.0)):
+    if not (np.isfinite(rho) & (rho < 1.0)).all():
         raise ValueError("antithetic correction requires a finite rho < 1")
     n = f.size
     if n < 2:

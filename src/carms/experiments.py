@@ -9,10 +9,15 @@ an inner Monte Carlo loop.  Trials are paired: every method at a given
 Correlation scans report the C x C matrix corr(z_i, z'_j) between indicator
 coordinates of the first two samples of a joint draw, which is the quickest
 way to see how strongly a sampling path anticorrelates its samples.
+
+A sampling path (inverse-CDF, Gumbel-max or independent) is named in one
+place, _path, which both drivers call; the toy methods map onto the paths,
+and LOORF and REINFORCE are score estimators on the independent one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,18 +39,11 @@ from .sampling import (
 
 TOY_METHODS = ("carms-i", "carms-g", "loorf", "reinforce")
 CORRELATION_METHODS = ("inverse-cdf", "gumbel", "independent")
+_TOY_PATHS = dict(zip(TOY_METHODS, ("inverse-cdf", "gumbel", "independent", "independent")))
 
 
 class UnsupportedPathError(ValueError):
     """A copula family was asked for on a path that cannot honor it."""
-
-
-def _check_inverse_cdf_copula(copula: CopulaKind) -> None:
-    if copula.family != "dirichlet":
-        raise UnsupportedPathError(
-            "the inverse-CDF path needs the analytic pair CDF, which only the "
-            "Dirichlet copula provides; use the Gumbel path for the Gaussian"
-        )
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,29 @@ def toy_objective(n_categories: int, dims: int) -> LinearToyObjective:
 
 
 def _iid_categories(k: int, n: int, p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(p)
-    return _categorize_batch(rng.random((k, n)), cum)
+    return _categorize_batch(rng.random((k, n)), p.cumsum())
+
+
+def _path(name: str, copula: CopulaKind):
+    """A sampling path's draw(k, n, p, rng) -> (k, n) categories and its
+    off-diagonal pair law(p, n), None for independent samples.
+
+    The functions are this module's bindings when called, so a rebinding of
+    them (as a tracer makes) is the one every driver reaches.
+    """
+    if name == "inverse-cdf":
+        if copula.family != "dirichlet":
+            raise UnsupportedPathError(
+                "the inverse-CDF path needs the analytic pair CDF, which only the "
+                "Dirichlet copula provides; use the Gumbel path for the Gaussian"
+            )
+        return _inverse_cdf_categories_batch, _inverse_cdf_offdiag_law
+    if name == "gumbel":
+        return (functools.partial(_gumbel_categories_batch, copula=copula),
+                functools.partial(_gumbel_offdiag_law, copula=copula))
+    if name == "independent":
+        return _iid_categories, None
+    raise ValueError(f"unknown sampling path {name!r}; expected one of {CORRELATION_METHODS}")
 
 
 def _empirical_joint_batch(counts: np.ndarray, n_samples: int) -> np.ndarray:
@@ -108,6 +127,8 @@ def make_gradient_estimator(
     estimator on the joint objective (anything with dims, n_categories and
     values_at over (..., D) assignments), for Monte Carlo moment studies.
     """
+    if method not in TOY_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {TOY_METHODS}")
     p = np.atleast_2d(np.asarray(p, dtype=float))
     for row in p:
         as_probs(row)
@@ -119,53 +140,28 @@ def make_gradient_estimator(
         raise ValueError("pair-based estimators need N >= 2")
     if n < 1:
         raise ValueError("need at least one sample")
-    if method not in TOY_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {TOY_METHODS}")
+    _check_clip(clip)
+    draw, law = _path(_TOY_PATHS[method], copula)
+    # exact ratios, built once per dimension; the independent path needs none
+    fixed = None if law is None else [_analytic_ratio_matrix(row, law(row, n), clip) for row in p]
 
-    def score_weighted(rng, k, weight_fn):
-        cats = np.stack([_iid_categories(k, n, p[d], rng) for d in range(dims)], axis=-1)
-        f = objective.values_at(cats)
-        w = weight_fn(f)
-        g = np.empty((k, dims, c))
-        for d in range(dims):
-            g[:, d] = _score_sums(w, cats[:, :, d], p[d])
-        return g, None
-
-    if method == "loorf":
-        return lambda rng, k: score_weighted(
-            rng, k, lambda f: (f - f.mean(axis=1, keepdims=True)) / (n - 1)
-        )
-    if method == "reinforce":
-        return lambda rng, k: score_weighted(rng, k, lambda f: f / n)
-
-    _check_clip(clip)  # before the D pair-law builds
-    if method == "carms-i":
-        _check_inverse_cdf_copula(copula)
-
-        def draw(k, row, rng):
-            return _inverse_cdf_categories_batch(k, n, row, rng)
-
-        laws = [_inverse_cdf_offdiag_law(row, n) for row in p]
-    else:
-        def draw(k, row, rng):
-            return _gumbel_categories_batch(k, n, row, rng, copula)
-
-        laws = [_gumbel_offdiag_law(row, n, copula) for row in p]
-    fixed = [_analytic_ratio_matrix(p[d], laws[d], clip) for d in range(dims)]
-
-    def estimate_pairs(rng, k):
-        cats = np.stack([draw(k, p[d], rng) for d in range(dims)], axis=-1)
+    def estimate(rng, k):
+        cats = np.stack([draw(k, n, row, rng) for row in p], axis=-1)
         f = objective.values_at(cats)
         g = np.empty((k, dims, c))
+        if fixed is None:  # leave-one-out or plain score weights
+            w = (f - f.mean(axis=1, keepdims=True)) / (n - 1) if method == "loorf" else f / n
+            for d in range(dims):
+                g[:, d] = _score_sums(w, cats[:, :, d], p[d])
+            return g, None
         flags = np.zeros(k, dtype=bool)
-        for d in range(dims):
-            ratios, exceed = fixed[d]
+        for d, (ratios, exceed) in enumerate(fixed):
             g[:, d] = _carms_estimates(f, cats[:, :, d], ratios, p[d])
             if exceed.any():
                 flags |= _clip_flags(exceed, cats[:, :, d])
         return g, flags
 
-    return estimate_pairs
+    return estimate
 
 
 @dataclass(frozen=True)
@@ -199,6 +195,7 @@ class ToyConfig:
             raise ValueError("need trials >= 1 and inner >= 2")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        _check_clip(self.clip)
 
 
 def run_toy(config: ToyConfig):
@@ -298,15 +295,7 @@ def run_correlation(config: CorrelationConfig) -> dict:
     c = config.categories
     p = np.full(c, 1.0 / c)
     rng = default_rng(SeedSequence([config.seed]))
-    if config.method == "inverse-cdf":
-        _check_inverse_cdf_copula(config.copula)
-        cats = _inverse_cdf_categories_batch(config.draws, config.samples, p, rng)
-    elif config.method == "gumbel":
-        cats = _gumbel_categories_batch(
-            config.draws, config.samples, p, rng, config.copula
-        )
-    else:
-        cats = _iid_categories(config.draws, config.samples, p, rng)
+    cats = _path(config.method, config.copula)[0](config.draws, config.samples, p, rng)
     corr = _indicator_correlation(cats[:, 0], cats[:, 1], c)
     return {
         "method": config.method,

@@ -23,9 +23,10 @@ under the Dirichlet copula at N >= 3, where it is integrated over the
 copula's density on its own.  The law is evaluated by Gauss-Legendre
 quadrature; the batched path builds it once per (p, N, copula).
 
-Both samplers return the one-hot sample matrix and the importance ratios
-p_i p_j / P(i, j) at the off-diagonal pairs the draw realizes, 0 elsewhere,
-from the off-diagonal law builder that the batched estimator also calls.
+Both samplers are one body, _sample_antithetic, given their path's batched
+draw at k = 1 and its off-diagonal law builder, which the batched estimator
+also calls.  They return the one-hot sample matrix and the importance ratios
+p_i p_j / P(i, j) at the off-diagonal pairs the draw realizes, 0 elsewhere.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def as_probs(p) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need a 1-D probability vector with at least two categories")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+    if not np.isfinite(arr).all() or (arr < 0.0).any():
         raise ValueError("probabilities must be finite and nonnegative")
     if abs(arr.sum() - 1.0) > 1e-12:
         raise ValueError(f"probabilities must sum to 1, got {float(arr.sum())!r}")
@@ -317,9 +318,9 @@ class RatioMatrix:
         ratios = np.asarray(self.ratios, dtype=float)
         if ratios.ndim != 2 or ratios.shape[0] != ratios.shape[1]:
             raise ValueError("ratios must be a square matrix")
-        if not np.all(np.isfinite(ratios)):
+        if not np.isfinite(ratios).all():
             raise ValueError("ratios must be finite")
-        if np.any(ratios < 0.0):
+        if (ratios < 0.0).any():
             raise ValueError("ratios must be nonnegative")
         if self.clip is not None and not self.clip > 0.0:
             raise ValueError("clip ceiling must be positive")
@@ -390,6 +391,18 @@ def _inverse_cdf_categories_batch(
     return inverse[idx[:, None], _categorize_batch(u, cum)]
 
 
+def _sample_antithetic(draw, offdiag_law, n_samples, p, rng, clip):
+    """One joint draw on a sampling path: its one-hot sample matrix and the
+    RatioMatrix from draw(1, N, p, rng)'s categories and the off-diagonal law
+    offdiag_law(p, N, cats=...) built among them."""
+    _check_clip(clip)
+    p = as_probs(p)
+    n_samples = _validate_n(n_samples)
+    cats = draw(1, n_samples, p, rng)[0]
+    law = offdiag_law(p, n_samples, cats=cats)
+    return onehot(cats, p.size), _realized_ratios(p, law, clip)
+
+
 def sample_antithetic_inverse_cdf(
     n_samples: int,
     p,
@@ -405,12 +418,9 @@ def sample_antithetic_inverse_cdf(
     at `clip`, and 0 elsewhere.  The copula is the Dirichlet one, the only
     family with that closed form.
     """
-    _check_clip(clip)
-    p = as_probs(p)
-    n_samples = _validate_n(n_samples)
-    cats = _inverse_cdf_categories_batch(1, n_samples, p, rng)[0]
-    law = _inverse_cdf_offdiag_law(p, n_samples, cats)
-    return onehot(cats, p.size), _realized_ratios(p, law, clip)
+    return _sample_antithetic(
+        _inverse_cdf_categories_batch, _inverse_cdf_offdiag_law, n_samples, p, rng, clip
+    )
 
 
 # copula uniforms (draws x categories x samples) per block of the Gumbel draw;
@@ -640,9 +650,8 @@ def sample_antithetic_gumbel(
     come from the exact pair law of gumbel_pair_pmf, clipped at `clip`, built
     at the off-diagonal pairs the draw realizes only, and are 0 elsewhere.
     """
-    _check_clip(clip)
-    p = as_probs(p)
-    n_samples = _validate_n(n_samples)
-    cats = _gumbel_categories_batch(1, n_samples, p, rng, copula)[0]
-    law = _gumbel_offdiag_law(p, n_samples, copula, cats=cats)
-    return onehot(cats, p.size), _realized_ratios(p, law, clip)
+    return _sample_antithetic(
+        functools.partial(_gumbel_categories_batch, copula=copula),
+        functools.partial(_gumbel_offdiag_law, copula=copula),
+        n_samples, p, rng, clip,
+    )

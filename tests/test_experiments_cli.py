@@ -6,6 +6,7 @@ JSON lines, byte-identical reruns, and the exit-code contract.
 
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import re
@@ -22,9 +23,11 @@ import pytest
 
 from carms import experiments, sampling
 from carms.cli import _config, _json_value, build_parser, main
-from carms.copula import DIRICHLET, CopulaKind
+from carms.copula import DIRICHLET, GAUSSIAN, CopulaKind
 from carms.estimators import carms, carms_pair_sum, loorf
 from carms.experiments import (
+    CORRELATION_METHODS,
+    TOY_METHODS,
     CorrelationConfig,
     ToyConfig,
     UnsupportedPathError,
@@ -82,6 +85,12 @@ def test_make_gradient_estimator_validation():
     p = np.full((1, 3), 1 / 3)
     with pytest.raises(ValueError):
         make_gradient_estimator("bogus", p, 4, f)
+    # named first: at N = 1 a bogus method once read as a pair-based
+    # estimator short of samples
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        make_gradient_estimator("bogus", p, 1, f)
+    with pytest.raises(ValueError, match="unknown sampling path 'bogus'"):
+        experiments._path("bogus", DIRICHLET)
     with pytest.raises(ValueError):
         make_gradient_estimator("loorf", p, 1, f)
     with pytest.raises(ValueError):
@@ -279,7 +288,8 @@ def test_empirical_joint_batch_properties_every_draw():
 @pytest.mark.parametrize("clip", [0.0, -1.0, float("nan")])
 def test_bad_clip_is_rejected_on_both_carms_paths(clip, monkeypatch):
     # a ceiling at or below 0 would zero or sign-flip every ratio; the
-    # factory and both single draws reject it before they build any pair law
+    # factory and both single draws reject it before they build any pair
+    # law, and the factory rejects it for the methods that read no ratio too
     def no_build(*args, **kwargs):
         raise AssertionError("a pair law was built before the clip check")
 
@@ -287,7 +297,7 @@ def test_bad_clip_is_rejected_on_both_carms_paths(clip, monkeypatch):
         monkeypatch.setattr(module, "_inverse_cdf_offdiag_law", no_build)
         monkeypatch.setattr(module, "_gumbel_offdiag_law", no_build)
     p = np.array([[0.5, 0.3, 0.2]])
-    for method in ("carms-i", "carms-g"):
+    for method in TOY_METHODS:
         with pytest.raises(ValueError, match="clip"):
             make_gradient_estimator(method, p, 3, toy_objective(3, 1), clip=clip)
     for sample in (sample_antithetic_inverse_cdf, sample_antithetic_gumbel):
@@ -317,6 +327,127 @@ def test_carms_paths_build_off_diagonal_laws_only(n, monkeypatch):
     for sample in (sample_antithetic_inverse_cdf, sample_antithetic_gumbel):
         for _ in range(10):
             sample(n, p, rng)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(b"None" if a is None else np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+COPULAS = {"dirichlet": DIRICHLET, "gaussian": GAUSSIAN}
+# sha256 (first 16 hex digits) of the estimates and clip flags of one estimator
+# call, as drawn when each driver spelled out its own sampling path: D = 3,
+# p ~ Dirichlet(1/2) (seed C), 200 draws (seed 100 C + N)
+PINNED_ESTIMATES = {
+    ("carms-i", "dirichlet", 3, 2, 10.0): "6a684a6e55ff34aa",
+    ("carms-i", "dirichlet", 3, 2, 0.5): "087d8cf0785b1cc1",
+    ("carms-i", "dirichlet", 3, 4, 10.0): "cb9a189116a3fef5",
+    ("carms-i", "dirichlet", 3, 4, 0.5): "8b9360f4a4b4675f",
+    ("carms-i", "dirichlet", 8, 2, 10.0): "9b9944f44653f15e",
+    ("carms-i", "dirichlet", 8, 2, 0.5): "094c14e1f25bdf0d",
+    ("carms-i", "dirichlet", 8, 4, 10.0): "0e3e83e8db146baa",
+    ("carms-i", "dirichlet", 8, 4, 0.5): "2c455a7745867600",
+    ("carms-g", "dirichlet", 3, 2, 10.0): "53457405535f9880",
+    ("carms-g", "dirichlet", 3, 2, 0.5): "40ffc9ecb7d5cc78",
+    ("carms-g", "gaussian", 3, 2, 10.0): "f36e4dfbbd52cbbc",
+    ("carms-g", "gaussian", 3, 2, 0.5): "51ffa3ac3ad65098",
+    ("carms-g", "dirichlet", 3, 4, 10.0): "6ea72756ed895899",
+    ("carms-g", "dirichlet", 3, 4, 0.5): "944c00d8405e663b",
+    ("carms-g", "gaussian", 3, 4, 10.0): "1ce71a8cdcc56159",
+    ("carms-g", "gaussian", 3, 4, 0.5): "8a77610b38851641",
+    ("carms-g", "dirichlet", 8, 2, 10.0): "a80d00619a1e8b36",
+    ("carms-g", "dirichlet", 8, 2, 0.5): "a4d23e194bada72e",
+    ("carms-g", "gaussian", 8, 2, 10.0): "f1d4685ce96b87a6",
+    ("carms-g", "gaussian", 8, 2, 0.5): "372e9094e2b11a44",
+    ("carms-g", "dirichlet", 8, 4, 10.0): "b51b056e1b89ce22",
+    ("carms-g", "dirichlet", 8, 4, 0.5): "2a120fff520b5578",
+    ("carms-g", "gaussian", 8, 4, 10.0): "d88505b3cb5c66a3",
+    ("carms-g", "gaussian", 8, 4, 0.5): "68836d1506c5cd08",
+    ("loorf", "dirichlet", 3, 2, 10.0): "9ff057cb471f1bf4",
+    ("loorf", "dirichlet", 3, 4, 10.0): "01dd87b313f6d9f3",
+    ("loorf", "dirichlet", 8, 2, 10.0): "c18d966146503759",
+    ("loorf", "dirichlet", 8, 4, 10.0): "0664a0a4b5c49ae2",
+    ("reinforce", "dirichlet", 3, 2, 10.0): "225feaa7cf743011",
+    ("reinforce", "dirichlet", 3, 4, 10.0): "9596b0ff0b7a0572",
+    ("reinforce", "dirichlet", 8, 2, 10.0): "6621bb54a44165f2",
+    ("reinforce", "dirichlet", 8, 4, 10.0): "fd9647bdb17aa7dc",
+}
+
+
+@pytest.mark.parametrize("method, copula, c, n, clip", sorted(PINNED_ESTIMATES))
+def test_estimates_and_flags_are_pinned(method, copula, c, n, clip):
+    p = np.random.default_rng(c).dirichlet(np.full(c, 0.5), size=3)
+    estimate = make_gradient_estimator(
+        method, p, n, toy_objective(c, 3), copula=COPULAS[copula], clip=clip
+    )
+    g, flags = estimate(np.random.default_rng(100 * c + n), 200)
+    assert _digest(g, flags) == PINNED_ESTIMATES[method, copula, c, n, clip]
+
+
+# the same for the correlation matrix at C = 5, N = 3, 2000 draws, seed 4
+PINNED_CORRELATIONS = {
+    ("inverse-cdf", "dirichlet"): "8c3074f2885494d2",
+    ("gumbel", "dirichlet"): "2e078d0d27222224",
+    ("gumbel", "gaussian"): "9d8f994e6394c5a7",
+    ("independent", "dirichlet"): "6b253b78f1440164",
+}
+
+
+@pytest.mark.parametrize("method, copula", sorted(PINNED_CORRELATIONS))
+def test_correlations_are_pinned(method, copula):
+    rec = run_correlation(CorrelationConfig(method, COPULAS[copula], 5, 3, 2000, 4))
+    assert _digest(rec["corr"]) == PINNED_CORRELATIONS[method, copula]
+
+
+def test_every_path_is_reached_through_the_current_module_binding(monkeypatch):
+    # the benchmark's tracer rebinds these names in each module that holds
+    # them; each toy method, correlation method and single draw must reach
+    # its own path's draw and law there, and nothing else
+    calls = []
+
+    def record(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(f"{module.__name__.split('.')[-1]}.{name}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    names = ("_inverse_cdf_categories_batch", "_gumbel_categories_batch",
+             "_inverse_cdf_offdiag_law", "_gumbel_offdiag_law")
+    for module in (experiments, sampling):
+        for name in names:
+            record(module, name)
+    record(experiments, "_iid_categories")
+
+    def reached(run):
+        calls.clear()
+        run()
+        return calls.copy()
+
+    p, rng = np.array([[0.5, 0.3, 0.2], [0.2, 0.2, 0.6]]), np.random.default_rng(5)
+    draw, law = "experiments._{}_categories_batch", "experiments._{}_offdiag_law"
+    toy = {"carms-i": "inverse_cdf", "carms-g": "gumbel"}
+    for method in TOY_METHODS:
+        path = toy.get(method)
+        calls.clear()
+        estimate = make_gradient_estimator(method, p, 3, toy_objective(3, 2))
+        assert calls == ([law.format(path)] * 2 if path else []), method
+        drawn = draw.format(path) if path else "experiments._iid_categories"
+        assert reached(lambda: estimate(rng, 10)) == [drawn] * 2, method
+    expected = {"inverse-cdf": draw.format("inverse_cdf"), "gumbel": draw.format("gumbel"),
+                "independent": "experiments._iid_categories"}
+    for method in CORRELATION_METHODS:
+        config = CorrelationConfig(method, draws=100)
+        assert reached(lambda: run_correlation(config)) == [expected[method]], method
+    for sample, path in ((sample_antithetic_inverse_cdf, "inverse_cdf"),
+                         (sample_antithetic_gumbel, "gumbel")):
+        assert reached(lambda: sample(3, p[0], rng)) == [
+            f"sampling._{path}_categories_batch", f"sampling._{path}_offdiag_law"
+        ]
 
 
 def test_estimator_factory_gaussian_inverse_cdf_unsupported():
@@ -395,6 +526,11 @@ def test_toy_config_validation():
         _tiny_toy_config(inner=1)
     with pytest.raises(ValueError):
         _tiny_toy_config(seed=-1)
+    # checked with the rest: run_toy once yielded the loorf records before
+    # carms-i raised
+    for clip in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="clip"):
+            _tiny_toy_config(clip=clip)
 
 
 # ---------------------------------------------------------------------------
