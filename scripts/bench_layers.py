@@ -4,11 +4,12 @@
 Each stage is timed on its own at C in {3, 10, 30} categories, N = 4 samples
 and uniform p, in microseconds per (draw, dimension): one joint draw of N
 samples in one dimension.  The stages are the Dirichlet-copula draw of the C
-columns one Gumbel draw uses, the inverse-CDF and Gumbel categorizations
-(copula draw included), the carms estimator core, the loorf/reinforce score
-core and the pair-correlation matrix.  Pair-law builds are timed in ms per
-build for both paths: the public full laws and, where the source has them,
-the off-diagonal laws that make_gradient_estimator builds.  The single-draw
+columns one Gumbel draw uses, as the Gumbel batch draws them (blocks of
+GUMBEL_BLOCK uniforms into one reused pair of arrays), the inverse-CDF and
+Gumbel categorizations (copula draw included), the carms estimator core, the
+loorf/reinforce score core and the pair-correlation matrix.  Pair-law builds
+are timed in ms per build for both paths: the public full laws and the
+off-diagonal laws that make_gradient_estimator builds.  The single-draw
 API is timed in microseconds per call, over CALLS calls at the same C and
 N: both samplers at the fixed uniform p, both again with a fresh
 Dirichlet(10) p per call (as in a training step, where p moves every
@@ -114,6 +115,7 @@ def layers(draws, repeats):
     from carms import experiments, sampling
     from carms.copula import DIRICHLET, sample_copula_batch
     from carms.sampling import (
+        GUMBEL_BLOCK,
         _gumbel_categories_batch,
         _inverse_cdf_categories_batch,
         bivariate_pmf_averaged,
@@ -121,10 +123,16 @@ def layers(draws, repeats):
     )
 
     builds = {"inverse_cdf": lambda q: bivariate_pmf_averaged(q, SAMPLES),
-              "gumbel": lambda q: gumbel_pair_pmf(q, SAMPLES, DIRICHLET)}
-    if hasattr(sampling, "_inverse_cdf_offdiag_law"):
-        builds["inverse_cdf_offdiag"] = lambda q: sampling._inverse_cdf_offdiag_law(q, SAMPLES)
-        builds["gumbel_offdiag"] = lambda q: sampling._gumbel_offdiag_law(q, SAMPLES, DIRICHLET)
+              "gumbel": lambda q: gumbel_pair_pmf(q, SAMPLES, DIRICHLET),
+              "inverse_cdf_offdiag": lambda q: sampling._inverse_cdf_offdiag_law(q, SAMPLES),
+              "gumbel_offdiag": lambda q: sampling._gumbel_offdiag_law(q, SAMPLES, DIRICHLET)}
+
+    def gumbel_copula_draw(c):
+        # the blocks of _gumbel_categories_batch, drawn into its one work pair
+        step = max(1, GUMBEL_BLOCK // (c * SAMPLES))
+        work = np.empty((2, min(step, draws) * c * SAMPLES))
+        for start in range(0, draws, step):
+            sample_copula_batch(DIRICHLET, min(step, draws - start) * c, SAMPLES, rng, work)
 
     rng = np.random.default_rng(0)
     per_draw = {}
@@ -136,7 +144,7 @@ def layers(draws, repeats):
         cats = _inverse_cdf_categories_batch(draws, SAMPLES, p, rng)
         f = rng.normal(size=(draws, SAMPLES))
         stages = {
-            "copula_draw": lambda: sample_copula_batch(DIRICHLET, draws * c, SAMPLES, rng),
+            "copula_draw": lambda: gumbel_copula_draw(c),
             "categorize_inverse_cdf":
                 lambda: _inverse_cdf_categories_batch(draws, SAMPLES, p, rng),
             "categorize_gumbel":

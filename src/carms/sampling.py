@@ -18,10 +18,10 @@ levels s and t at which the two samples are won,
                 · ∏_{k≠i,j} C(F_k(s), F_k(t)) ds dt,
 
 with F_k the Gumbel CDF shifted by log p_k, f_k its density and C the
-copula's bivariate CDF.  The diagonal follows from the row sums, except
-under the Dirichlet copula at N >= 3, where it is integrated over the
-copula's density on its own.  The law is evaluated by Gauss-Legendre
-quadrature; the batched path builds it once per (p, N, copula).
+copula's bivariate CDF.  The diagonal P(i, i) is what the row's
+off-diagonal mass leaves of p_i, so every row sums to p.  The law is
+evaluated by Gauss-Legendre quadrature; the batched path builds it once per
+(p, N, copula).
 
 Both samplers are one body, _sample_antithetic, given their path's batched
 draw at k = 1 and its off-diagonal law builder, which the batched estimator
@@ -40,7 +40,6 @@ from numpy.polynomial.legendre import leggauss
 from .copula import (
     DIRICHLET,
     CopulaKind,
-    _dirichlet_cdf,
     _dirichlet_cdf_exact_edges,
     _pair_cdf,
     _pair_cdfs,
@@ -557,40 +556,6 @@ def _running_products(factors) -> np.ndarray:
     return out
 
 
-def _gumbel_pair_diag_dirichlet(q, n, nodes: int) -> np.ndarray:
-    """P(i, i) of the Gumbel-path pair law under the Dirichlet copula, n >= 3.
-
-    At every level F_k = F_i^{r_k} with r_k = q_k / q_i, so both samples go
-    to i with probability E[prod_{k != i} C(U^{r_k}, V^{r_k})] over the
-    copula pair (U, V) of category i.  That pair is U = 1 - A^m, V = 1 - B^m
-    (m = n - 1) with (1 - A, 1 - B) two coordinates of a flat Dirichlet on n
-    parts: density m (m - 1) (a + b - 1)^(m - 2) on a + b > 1.  The integrand
-    is symmetric, so only a < b is integrated, on b = (1 + y) / 2,
-    a = (1 - y) / 2 + y v, which puts the edge a + b = 1 of the support on a
-    grid line and leaves the weight m (m - 1) y^(n - 2) v^(n - 3) dy dv.
-    Differencing the row sums instead would carry the whole row's absolute
-    quadrature error, which at n = 3 (a kink in dC/dp) swamps small P(i, i).
-    """
-    y, yc, wy = _unit_nodes(nodes // 2)
-    v, vc, wv = _unit_nodes(nodes // 4)
-    m = n - 1
-    # log U and log V, with 1 - a and 1 - b formed without cancellation
-    log_u = np.log(-np.expm1(m * np.log1p(-(0.5 * yc[:, None] + y[:, None] * vc[None, :]))))
-    log_v = np.log(-np.expm1(m * np.log1p(-0.5 * yc)))[:, None]
-    weight = m * (m - 1) * (y ** (n - 2) * wy)[:, None] * (v ** (n - 3) * wv)[None, :]
-    c = q.size
-    # a ratio past the largest float is an infinite power: U^r is 0 below U = 1
-    with np.errstate(over="ignore"):
-        r = np.minimum(q[None, :] / q[:, None], np.finfo(float).max)
-    r = r[~np.eye(c, dtype=bool)].reshape(c, c - 1, 1, 1)
-    out = np.empty(c)
-    for block in _blocks(c, (c - 1) * weight.size):
-        with np.errstate(over="ignore", under="ignore"):
-            joint = _dirichlet_cdf(np.exp(r[block] * log_u), np.exp(r[block] * log_v), n)
-        out[block] = (joint.prod(axis=1) * weight).sum(axis=(1, 2))
-    return out
-
-
 def _gumbel_offdiag_law(p, n, copula: CopulaKind, nodes=GUMBEL_NODES, cats=None) -> np.ndarray:
     """The symmetrized off-diagonal Gumbel law among the drawn categories
     cats (default: every live one), (C, C) and 0 elsewhere."""
@@ -612,14 +577,9 @@ def _gumbel_offdiag_law(p, n, copula: CopulaKind, nodes=GUMBEL_NODES, cats=None)
 
 
 def _gumbel_pair_pmf(p, n, copula: CopulaKind, nodes: int) -> np.ndarray:
+    """The off-diagonal Gumbel law plus the diagonal its rows leave of p."""
     pmf, live = _gumbel_offdiag_law(p, n, copula, nodes), np.flatnonzero(p > 0.0)
-    if copula.family == "dirichlet" and n > 2:
-        diag = _gumbel_pair_diag_dirichlet(p[live], n, nodes)
-    else:
-        # the Gaussian kernels are smooth, so the row sums are accurate to
-        # about 1e-13 (and N = 2 leaves all but the likeliest category at 0)
-        diag = np.maximum(p[live] - pmf[np.ix_(live, live)].sum(axis=1), 0.0)
-    pmf[live, live] = diag
+    pmf[live, live] = np.maximum(p[live] - pmf[np.ix_(live, live)].sum(axis=1), 0.0)
     return pmf
 
 
@@ -629,8 +589,10 @@ def gumbel_pair_pmf(p, n_samples: int, copula: CopulaKind = DIRICHLET) -> np.nda
     The exact pair law of the Gumbel path (see the module docstring), by
     Gauss-Legendre quadrature with GUMBEL_NODES points per axis; N = 2 at
     full antithetic strength (the Dirichlet copula, or the Gaussian at
-    rho = -1) has mirror samples and a quadrature of its own.  Zero-probability
-    categories get zero rows.  Each call builds a fresh array.
+    rho = -1) has mirror samples and a quadrature of its own.  P(i, i) is
+    p_i less the off-diagonal row sum, floored at 0, so the rows sum to p
+    (no estimator reads the diagonal).  Zero-probability categories get zero
+    rows.  Each call builds a fresh array.
     """
     return _gumbel_pair_pmf(as_probs(p), _validate_n(n_samples), copula, GUMBEL_NODES)
 

@@ -319,7 +319,7 @@ def test_carms_paths_build_off_diagonal_laws_only(n, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("a law with its diagonal was built")
 
-    monkeypatch.setattr(sampling, "_gumbel_pair_diag_dirichlet", no_build)
+    monkeypatch.setattr(sampling, "_gumbel_pair_pmf", no_build)
     monkeypatch.setattr(sampling, "bivariate_pmf_averaged", no_build)
     rng = np.random.default_rng(n)
     for method in ("carms-i", "carms-g"):

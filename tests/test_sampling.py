@@ -16,6 +16,7 @@ from carms.copula import (
     _sample_dirichlet_copula_batch,
     sample_copula_batch,
 )
+from carms.oracle import TabulatedObjective, exact_carms_expectation, exact_gradient, softmax
 from carms.sampling import (
     GUMBEL_BLOCK,
     GUMBEL_NODES,
@@ -618,7 +619,8 @@ GUMBEL_LAW_P = np.array([0.45, 0.3, 0.15, 0.1])
 def _quadrature_bound(copula, n):
     # the Dirichlet conditional CDF has a kink at N = 3 (max(0, t)^(N-2)),
     # and is only a few times differentiable above, which slows the
-    # quadrature to algebraic convergence
+    # off-diagonal quadrature to algebraic convergence; each diagonal entry
+    # is what its row leaves of p, so it converges with the row
     return 1e-4 if (copula is DIRICHLET and n == 3) else 1e-8
 
 
@@ -643,17 +645,14 @@ def test_gumbel_pair_pmf_matches_sampled_pairs(p, copula, n):
     assert np.max(np.abs(emp - law) / se) <= 4.0
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 10])
 @pytest.mark.parametrize("copula", [DIRICHLET, GAUSSIAN], ids=["dirichlet", "gaussian"])
 def test_gumbel_pair_pmf_is_a_symmetric_pair_law(copula, n):
     law = gumbel_pair_pmf(GUMBEL_LAW_P, n, copula)
     assert np.all(law >= 0.0)
     assert np.array_equal(law, law.T)
-    # the Dirichlet diagonal at N >= 3 is integrated on its own, so there the
-    # row sums carry the quadrature error of the row
-    exact_rows = copula is GAUSSIAN or n == 2
-    bound = 1e-12 if exact_rows else _quadrature_bound(copula, n)
-    assert np.max(np.abs(law.sum(axis=1) - GUMBEL_LAW_P)) <= bound
+    # the diagonal is what the row leaves of p, for every copula and N
+    assert np.max(np.abs(law.sum(axis=1) - GUMBEL_LAW_P)) <= 1e-12
     # N = 2 at full strength mirrors the samples: a category less likely than
     # another can never win both, since winning the first forces its mirror
     # to lose to that other one
@@ -661,7 +660,20 @@ def test_gumbel_pair_pmf_is_a_symmetric_pair_law(copula, n):
         assert np.all(np.diag(law)[1:] <= 1e-15)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 10])
+@pytest.mark.parametrize("copula", [DIRICHLET, GAUSSIAN], ids=["dirichlet", "gaussian"])
+def test_gumbel_pair_pmf_gives_the_exact_gradient(copula, n):
+    # over any pair law whose rows sum to p and whose off-diagonal is positive,
+    # the pair estimator's exact mean is the gradient; with two dimensions each
+    # one's row sums also weight the other's differences, so they must be p
+    phi = np.log([GUMBEL_LAW_P, GUMBEL_LAW_P[::-1]])
+    f = TabulatedObjective(np.random.default_rng(n).normal(size=(4, 4)))
+    pmf = np.stack([gumbel_pair_pmf(p, n, copula) for p in softmax(phi)])
+    moments = exact_carms_expectation(f, phi, pmf)
+    assert np.max(np.abs(moments.mean - exact_gradient(f, phi))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
 @pytest.mark.parametrize("copula", [DIRICHLET, GAUSSIAN], ids=["dirichlet", "gaussian"])
 def test_gumbel_pair_pmf_quadrature_converges(copula, n):
     coarse = _gumbel_pair_pmf(GUMBEL_LAW_P, n, copula, GUMBEL_NODES // 2)
@@ -672,12 +684,11 @@ def test_gumbel_pair_pmf_quadrature_converges(copula, n):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("copula", [DIRICHLET, GAUSSIAN], ids=["dirichlet", "gaussian"])
+@pytest.mark.parametrize("copula", [GAUSSIAN], ids=["gaussian"])
 def test_gumbel_pair_pmf_diagonal_is_accurate_for_a_rare_category(copula, n):
-    # the law's diagonal, and the ratio p_i^2 / P(i, i) a draw reports for it,
-    # need P(i, i) to a relative accuracy, also where it lies far below the
-    # quadrature error of its row: the Dirichlet N = 3 diagonal of the 0.01
-    # category is about 2e-30
+    # the Gaussian kernels are smooth, so the row sums are accurate to about
+    # 1e-13 and the diagonal they leave holds to a relative accuracy even for
+    # the rare 0.01 category (about 3e-7 at N = 3)
     law = gumbel_pair_pmf(SMALL_P, n, copula)
     fine = _gumbel_pair_pmf(SMALL_P, n, copula, 4 * GUMBEL_NODES)
     assert np.all(np.diag(fine) > 0.0)
@@ -687,18 +698,24 @@ def test_gumbel_pair_pmf_diagonal_is_accurate_for_a_rare_category(copula, n):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n", [3, 4, 5, 10])
 def test_gumbel_pair_pmf_subnormal_probability(n):
-    # p_k / p_i overflows for a subnormal p_i: an infinite power, so both
-    # samples almost surely avoid category i, not a nan diagonal
+    # a subnormal p_i leaves a finite law, computed without a floating-point
+    # warning, whose diagonal stays within [0, p_i] and whose rows sum to p;
+    # where the off-diagonal quadrature overshoots p_i the diagonal floors at
+    # 0 and the row keeps that overshoot (a relative 1.6e-9 in row 1 at N = 5)
     p = np.array([0.999, 0.001 - 1e-310, 1e-310])
-    law = gumbel_pair_pmf(p / p.sum(), n)
+    p = p / p.sum()
+    law = gumbel_pair_pmf(p, n)
     assert np.all(np.isfinite(law)) and np.all(law >= 0.0)
-    assert law[2, 2] == 0.0
+    assert 0.0 <= law[2, 2] <= p[2]
+    gap, floored = law.sum(axis=1) - p, np.diag(law) == 0.0
+    assert np.all(np.abs(gap[~floored]) <= 1e-12)
+    assert np.all(np.abs(gap[floored]) <= 1e-8 * p[floored])
 
 
 def test_gumbel_pair_pmf_zero_category_and_validation():
     law = gumbel_pair_pmf([0.5, 0.0, 0.5], 3)
     assert np.all(law[1] == 0.0) and np.all(law[:, 1] == 0.0)
-    assert np.max(np.abs(law.sum(axis=1) - [0.5, 0.0, 0.5])) <= _quadrature_bound(DIRICHLET, 3)
+    assert np.max(np.abs(law.sum(axis=1) - [0.5, 0.0, 0.5])) <= 1e-12
     with pytest.raises(ValueError):
         gumbel_pair_pmf([0.5, 0.5], 1)
 
