@@ -231,13 +231,14 @@ def mc_estimator_moments(
     """Sample an estimator `trials` times and report per-coordinate moments.
 
     estimate_fn(rng, k) must return (estimates with leading axis k, clipped
-    flags of shape (k,) or None).  stderr is the standard error of the mean;
-    at least 10^3 trials are recommended for the normal bands to be usable.
+    flags of shape (k,) or None).  Chunks take numpy's two-pass variance and
+    merge exactly, so one chunk gives est.var(axis=0, ddof=1) bit for bit.
+    stderr is the standard error of the mean; at least 10^3 trials are
+    recommended for the normal bands to be usable.
     """
     if trials < 2:
         raise ValueError("need at least two trials to estimate a variance")
-    total = None
-    total_sq = None
+    mean = m2 = 0.0
     n_clipped = 0
     done = 0
     while done < trials:
@@ -246,15 +247,14 @@ def mc_estimator_moments(
         est = np.asarray(est, dtype=float)
         if est.shape[0] != k:
             raise ValueError("estimate_fn returned the wrong number of estimates")
-        if total is None:
-            total = np.zeros(est.shape[1:])
-            total_sq = np.zeros(est.shape[1:])
-        total += est.sum(axis=0)
-        total_sq += (est * est).sum(axis=0)
+        # Chan et al.'s merge, which takes the first chunk (done = 0) as it is
+        chunk_mean = est.mean(axis=0)
+        delta = chunk_mean - mean
+        m2 = m2 + ((est - chunk_mean) ** 2).sum(axis=0) + delta**2 * (done * k / (done + k))
+        mean = mean + delta * (k / (done + k))
         if clipped is not None:
             n_clipped += int(np.count_nonzero(clipped))
         done += k
-    mean = total / trials
-    variance = np.maximum((total_sq - trials * mean**2) / (trials - 1), 0.0)
+    variance = m2 / (trials - 1)
     stderr = np.sqrt(variance / trials)
     return McMoments(mean, variance, stderr, trials, n_clipped / trials)

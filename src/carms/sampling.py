@@ -105,7 +105,9 @@ def _categorize_batch(u: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Ordering:
-    """A category-to-position permutation anchored at a pair (i, j).
+    """A category-to-position permutation anchored at a pair (i, j), for the
+    single-ordering references; the samplers and the averaged law know an
+    ordering only by its number in all_orderings (see _ordering_anchors).
 
     perm[k] is the position of category k; the anchor's first member sits at
     position 0 and its second at the last position, which maximally separates
@@ -196,19 +198,6 @@ def _rectangle_mass(left_a, right_a, left_b, right_b, n: int):
     )
 
 
-def _category_edges(p: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """Left and right cell edges of each category under each ordering, (2, B, C).
-
-    Row m lays the cells out in the position order inverse[m] (the category
-    at each position) and writes the edges back by category.
-    """
-    edges = np.empty((2, inverse.size))
-    flat = inverse + np.arange(0, inverse.size, p.size)[:, None]  # row m's flat offset
-    for edge, by_position in zip(edges, _cell_edges(p[inverse])):
-        edge[flat] = by_position
-    return edges.reshape((2,) + inverse.shape)
-
-
 def bivariate_pmf_one_ordering(p, ordering: Ordering, i: int, j: int, n: int) -> float:
     """P(z = i, z' = j) for two coordinates of one copula draw under an ordering.
 
@@ -225,12 +214,13 @@ def bivariate_pmf_one_ordering(p, ordering: Ordering, i: int, j: int, n: int) ->
 
 
 def bivariate_pmf_matrix(p, ordering: Ordering, n: int) -> np.ndarray:
-    """Full C x C pair PMF under one fixed ordering."""
+    """Full C x C pair PMF under one fixed ordering, each category's edges read
+    at its position ordering.perm: the reference for the averaged law's layout."""
     p = as_probs(p)
     if ordering.n_categories != p.size:
         raise ValueError("ordering and probability vector disagree on C")
-    left, right = _category_edges(p, ordering.inverse[None])
-    return _rectangle_mass(left.T, right.T, left, right, n)
+    left, right = (e[ordering.perm] for e in _cell_edges(ordering.permuted(p)))
+    return _rectangle_mass(left[:, None], right[:, None], left, right, n)
 
 
 def _blocks(total: int, width: int) -> list[slice]:
@@ -261,7 +251,13 @@ def _ordering_mean_mass(p: np.ndarray, n: int, first, second) -> np.ndarray:
     total = 0.0
     for rows in _blocks(orderings, max(first.size, c)):
         numbers = np.arange(*rows.indices(orderings))
-        left, right = _category_edges(p, _anchored_inverse(*_ordering_anchors(numbers, c), c))
+        inverse = _anchored_inverse(*_ordering_anchors(numbers, c), c)
+        # row m lays the cells out in the order inverse[m], edges kept by category
+        by_category = np.empty((2, inverse.size))
+        flat = inverse + np.arange(0, inverse.size, c)[:, None]  # row m's flat offset
+        for edge, by_position in zip(by_category, _cell_edges(p[inverse])):
+            edge[flat] = by_position
+        left, right = by_category.reshape((2,) + inverse.shape)
         edges = [edge.take(idx, axis=1) for idx in (first, second) for edge in (left, right)]
         mass = _rectangle_mass(*edges, n)
         mass[0] += total
@@ -366,24 +362,16 @@ def _realized_ratios(p: np.ndarray, law: np.ndarray, clip) -> RatioMatrix:
 
 
 def _inverse_cdf_categories_batch(
-    k: int, n_samples: int, p: np.ndarray, rng: np.random.Generator, ordering=None
+    k: int, n_samples: int, p: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """k joint draws of N categories each, shape (k, N).
-
-    ordering=None redraws a uniform anchored ordering per joint draw, by its
-    number in all_orderings' order, which makes the averaged PMF the exact
-    pair law; a fixed ordering is for inspecting the single-ordering law.
-    The min(k, M) rows of edges come from the anchors, one per draw while
-    k < M and else one per ordering; a fixed ordering is the one-row case.
-    """
-    if ordering is None:
-        orderings = p.size * (p.size - 1) // 2
-        numbers = rng.integers(0, orderings, size=k)
-        built, idx = (numbers, np.arange(k)) if k < orderings else (np.arange(orderings), numbers)
-        inverse = _anchored_inverse(*_ordering_anchors(built, p.size), p.size)
-    else:
-        inverse = ordering.inverse[None]
-        idx = np.zeros(k, dtype=np.int64)
+    """k joint draws of N categories each, shape (k, N): each takes a uniform
+    anchored ordering by its number in all_orderings, so the averaged PMF is
+    its exact pair law, then one copula draw.  The min(k, M) rows of edges come
+    from the anchors, one per draw while k < M and else one per ordering."""
+    orderings = p.size * (p.size - 1) // 2
+    numbers = rng.integers(0, orderings, size=k)
+    built, idx = (numbers, np.arange(k)) if k < orderings else (np.arange(orderings), numbers)
+    inverse = _anchored_inverse(*_ordering_anchors(built, p.size), p.size)
     u = _sample_dirichlet_copula_batch(k, n_samples, rng)
     # each draw's edges, (k, C), stored edge by edge for _categorize_batch
     cum = p[inverse].cumsum(axis=1).T.take(idx, axis=1).T
@@ -487,7 +475,9 @@ def _gumbel_pair_offdiag(q, n, copula: CopulaKind, nodes: int, rows) -> np.ndarr
     _, xc, w = _unit_nodes(nodes)
     u = np.power(xc, q[:, None])
     dens = q[rows, None] * u[rows] / xc * w
-    ratio = np.zeros((rows.size, nodes, nodes))
+    # one allocation for ratio and its transpose: freed, it lifts glibc's trim
+    # threshold to twice its size, so later calls reuse the heap top unfaulted
+    ratio, right = np.zeros((2, rows.size, nodes, nodes))
     mass = np.ones((nodes, nodes))
     for block in _blocks(rows.size, nodes * nodes):
         ub = u[rows[block]]
@@ -500,9 +490,9 @@ def _gumbel_pair_offdiag(q, n, copula: CopulaKind, nodes: int, rows) -> np.ndarr
     for block in _blocks(others.shape[0], nodes * nodes):
         ub = others[block]
         mass *= _pair_cdf(copula, n, ub[:, :, None], ub[:, None, :]).prod(axis=0)
-    right = ratio.transpose(0, 2, 1).reshape(rows.size, -1)
+    right[...] = ratio.transpose(0, 2, 1)
     ratio *= mass
-    return ratio.reshape(rows.size, -1) @ right.T
+    return ratio.reshape(rows.size, -1) @ right.reshape(rows.size, -1).T
 
 
 def _gumbel_pair_offdiag_antithetic(q, nodes: int, rows) -> np.ndarray:

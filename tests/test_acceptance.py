@@ -206,7 +206,7 @@ def test_criterion_05_pmf_validity_and_anchored_positivity():
     assert ok
 
 
-def test_criterion_06_sampler_fidelity():
+def test_criterion_06_sampler_fidelity(pinned_ordering):
     draws = 100_000
     worst_marginal = 0.0
     worst_pair = 0.0
@@ -231,7 +231,7 @@ def test_criterion_06_sampler_fidelity():
             # pair law of the first two samples under one fixed ordering
             rng = np.random.default_rng(np.random.SeedSequence([SEED, 6, c, n, 7]))
             o = make_ordering(0, c - 1, c)
-            cats = _inverse_cdf_categories_batch(draws, n, p, rng, ordering=o)
+            cats = _inverse_cdf_categories_batch(draws, n, p, pinned_ordering(rng, o))
             emp = np.zeros((c, c))
             np.add.at(emp, (cats[:, 0], cats[:, 1]), 1.0)
             emp /= draws

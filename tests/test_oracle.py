@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from carms.estimators import loorf
+from carms.experiments import make_gradient_estimator, toy_objective
 from carms.oracle import (
     ENUMERATION_LIMIT,
     InconsistentDistributionError,
@@ -306,3 +307,25 @@ def test_mc_moments_chunking_matches_single_pass():
     b = mc_estimator_moments(estimate, 500, np.random.default_rng(9), chunk_size=500)
     assert np.max(np.abs(a.mean - b.mean)) <= 1e-12
     assert np.max(np.abs(a.variance - b.variance)) <= 1e-12
+
+
+def test_mc_moments_variance_survives_a_large_offset():
+    # the one-pass rule (sum x^2 - n mean^2) / (n - 1) loses every digit of a
+    # unit variance under a 1e8 offset; chunks of 777 also exercise the merge
+    def estimate(rng, k):
+        return 1e8 + rng.normal(size=(k, 3)), None
+
+    moments = mc_estimator_moments(estimate, 5000, np.random.default_rng(31), chunk_size=777)
+    draws = estimate(np.random.default_rng(31), 5000)[0] - 1e8
+    reference = draws.var(axis=0, ddof=1)
+    assert np.max(np.abs(moments.variance / reference - 1.0)) <= 1e-6
+    assert np.max(np.abs(moments.mean - 1e8 - draws.mean(axis=0))) <= 1e-6
+
+
+def test_mc_moments_one_chunk_is_numpys_variance():
+    # one chunk takes numpy's two-pass variance, the rule run_toy uses
+    p = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
+    est = make_gradient_estimator("carms-i", p, 4, toy_objective(3, 2))
+    moments = mc_estimator_moments(est, 3000, np.random.default_rng(32))
+    estimates = est(np.random.default_rng(32), 3000)[0]
+    assert np.array_equal(moments.variance, estimates.var(axis=0, ddof=1))

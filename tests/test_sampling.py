@@ -458,17 +458,20 @@ def test_inverse_cdf_clip_flag_engages_deterministically():
     assert seen_offdiag
 
 
-def test_inverse_cdf_categories_match_per_ordering_searchsorted():
+def test_inverse_cdf_categories_match_per_ordering_searchsorted(pinned_ordering):
     # the broadcast categorization against a searchsorted reference fed the
     # same random stream: one ordering index per draw, then the copula draw;
-    # one draw, fewer draws than orderings, more, and one fixed ordering
+    # one draw, fewer draws than orderings, more, and one pinned ordering
     rng = np.random.default_rng(22)
     for c, n in ((2, 2), (3, 3), (5, 3), (8, 4), (9, 4), (30, 4)):
         p = _simplex(rng, c, alpha=0.5)
         orderings = all_orderings(c)
         for k, fixed in ((1, None), (300, None), (1000, None), (200, orderings[-1])):
             seed = int(rng.integers(2**31))
-            cats = _inverse_cdf_categories_batch(k, n, p, np.random.default_rng(seed), fixed)
+            draw_rng = np.random.default_rng(seed)
+            if fixed is not None:
+                draw_rng = pinned_ordering(draw_rng, fixed)
+            cats = _inverse_cdf_categories_batch(k, n, p, draw_rng)
             ref_rng = np.random.default_rng(seed)
             idx = [-1] * k if fixed is not None else ref_rng.integers(0, len(orderings), size=k)
             u = _sample_dirichlet_copula_batch(k, n, ref_rng)
@@ -509,12 +512,12 @@ def test_inverse_cdf_marginals_quick():
     assert np.max(np.abs(freq - p) / se) <= 4.0
 
 
-def test_inverse_cdf_fixed_ordering_matches_single_ordering_pmf():
+def test_inverse_cdf_fixed_ordering_matches_single_ordering_pmf(pinned_ordering):
     rng = np.random.default_rng(11)
     p = np.array([0.1, 0.2, 0.7])
     o = make_ordering(0, 2, 3)
     draws = 50_000
-    cats = _inverse_cdf_categories_batch(draws, 3, p, rng, ordering=o)
+    cats = _inverse_cdf_categories_batch(draws, 3, p, pinned_ordering(rng, o))
     emp = np.zeros((3, 3))
     np.add.at(emp, (cats[:, 0], cats[:, 1]), 1.0)
     emp /= draws
