@@ -24,14 +24,14 @@ GRID_METHODS = (
 )
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="correlation_grid.csv")
     ap.add_argument("--categories", type=int, nargs="+", default=[2, 3, 4, 5, 10])
     ap.add_argument("--samples", type=int, nargs="+", default=[2, 3])
     ap.add_argument("--draws", type=int, default=10_000)
     ap.add_argument("--seed", type=int, default=CorrelationConfig.seed)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     rows = []
     for method, family in GRID_METHODS:
@@ -40,7 +40,7 @@ def main():
                 rec = run_correlation(
                     CorrelationConfig(
                         method=method,
-                        copula=CopulaKind(family, None),
+                        copula=CopulaKind(family),
                         categories=c,
                         samples=n,
                         draws=args.draws,

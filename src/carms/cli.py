@@ -117,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     sampler = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     sampler.add_argument("--copula", dest="family", choices=["dirichlet", "gaussian"],
                          default="dirichlet")
-    sampler.add_argument("--rho", type=float, default=None,
-                         help="Gaussian equicorrelation (default: -1/(N-1))")
     sampler.add_argument("--categories", type=int)
     sampler.add_argument("--samples", type=int)
 
@@ -152,9 +150,9 @@ def _given(args, names) -> dict:
 
 
 def _config(cls, args):
-    """cls (ToyConfig or CorrelationConfig) from the flags given and the copula flags."""
+    """cls (ToyConfig or CorrelationConfig) from the flags given and --copula."""
     given = _given(args, [field.name for field in dataclasses.fields(cls)])
-    return cls(copula=CopulaKind(args.family, args.rho), **given)
+    return cls(copula=CopulaKind(args.family), **given)
 
 
 def _toy(args):

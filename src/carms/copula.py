@@ -27,11 +27,12 @@ Differentiating in p gives the conditional CDF P(u_j < q | u_i = p),
 
 which at n = 2 is the step 1{p + q > 1}.
 
-The Gaussian copula maps an equicorrelated normal vector through the standard
-normal CDF.  The most negative feasible equicorrelation is -1/(n-1).  Its
-bivariate CDF is the bivariate normal CDF, evaluated through Owen's T
-function (Owen 1956), and its conditional CDF is a normal CDF.  At
-rho = -1 (n = 2 at full strength) both families are the antithetic pair.
+The Gaussian copula maps a normal vector at the most negative feasible
+equicorrelation, -1/(n-1), through the standard normal CDF.  Its bivariate
+CDF is the bivariate normal CDF, evaluated through Owen's T function
+(Owen 1956), and its conditional CDF is a normal CDF.  At n = 2 that
+correlation is -1, and both families are the antithetic pair (u, 1 - u): the
+pair CDFs serve either family there with the Dirichlet kernels' n = 2 step.
 """
 
 from __future__ import annotations
@@ -55,32 +56,14 @@ def _validate_n(n) -> int:
 
 @dataclass(frozen=True)
 class CopulaKind:
-    """Which copula family to draw from.
-
-    rho is the Gaussian equicorrelation; None means the strongest feasible
-    value -1/(n-1), resolved once n is known.  Dirichlet takes no parameter.
-    """
+    """Which copula family to draw from, each at its strongest negative
+    dependence: the Gaussian at the equicorrelation -1/(n-1)."""
 
     family: str
-    rho: float | None = None
 
     def __post_init__(self):
         if self.family not in ("dirichlet", "gaussian"):
             raise ValueError(f"unknown copula family {self.family!r}")
-        if self.family == "dirichlet" and self.rho is not None:
-            raise ValueError("the Dirichlet copula takes no correlation parameter")
-
-    def resolve_rho(self, n: int) -> float:
-        if self.family != "gaussian":
-            raise ValueError("rho is only defined for the Gaussian family")
-        n = _validate_n(n)
-        rho = -1.0 / (n - 1) if self.rho is None else float(self.rho)
-        lo = -1.0 / (n - 1)
-        if not lo - 1e-12 <= rho <= 0.0:  # a nan rho fails this too
-            raise ValueError(
-                f"equicorrelation {rho} outside the feasible band [{lo}, 0] for n={n}"
-            )
-        return max(rho, lo)
 
 
 DIRICHLET = CopulaKind("dirichlet")
@@ -119,23 +102,18 @@ def _sample_dirichlet_copula_batch(
     return np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS, out=u).T
 
 
-def _sample_gaussian_copula_batch(
-    k: int, n: int, rho: float, rng: np.random.Generator
-) -> np.ndarray:
-    """k equicorrelated Gaussian-copula draws, shape (k, n).
+def _sample_gaussian_copula_batch(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """k Gaussian-copula draws at the equicorrelation rho = -1/(n-1), shape (k, n).
 
-    An equicorrelated normal vector with unit variances decomposes into a
-    centered part scaled by sqrt(1 - rho) and a mean part scaled by
-    sqrt(1 + (n-1) rho); this stays exact at the singular edge rho = -1/(n-1).
-    rho is taken as given, already resolved by CopulaKind.resolve_rho.
+    An equicorrelated normal vector with unit variances is a centered part
+    scaled by sqrt(1 - rho) plus a mean part scaled by sqrt(1 + (n-1) rho).
+    At rho = -1/(n-1) the mean part vanishes, so the draw is the centered
+    normal scaled by sqrt(1 + 1/(n-1)), and its normal scores sum to 0.
     """
     from scipy.special import ndtr
     n = _validate_n(n)
-    a = np.sqrt(1.0 - rho)
-    b = np.sqrt(max(1.0 + (n - 1) * rho, 0.0))
     w = rng.standard_normal((k, n))
-    m = w.mean(axis=1, keepdims=True)
-    x = a * (w - m) + b * m
+    x = np.sqrt(1.0 + 1.0 / (n - 1)) * (w - w.mean(axis=1, keepdims=True))
     return np.clip(ndtr(x), CLAMP_EPS, 1.0 - CLAMP_EPS)
 
 
@@ -146,7 +124,7 @@ def sample_copula_batch(
     the Dirichlet draw fills work (see _sample_dirichlet_copula_batch)."""
     if kind.family == "dirichlet":
         return _sample_dirichlet_copula_batch(k, n, rng, work)
-    return _sample_gaussian_copula_batch(k, n, kind.resolve_rho(n), rng)
+    return _sample_gaussian_copula_batch(k, n, rng)
 
 
 def dirichlet_bivariate_cdf(p, q, n: int):
@@ -173,20 +151,21 @@ def _pair_cdfs(kind: CopulaKind, n: int, p, q):
 
     Without the public CDFs' argument checks and exact boundary rows, for
     arguments known to lie in (0, 1]: the Gumbel pair law evaluates these on
-    large grids, where every full-size pass counts.  The Dirichlet kernels
-    write only arrays they make, so p and q must be arrays, not numpy scalars.
+    large grids, where every full-size pass counts.  At n = 2 both families
+    are the antithetic pair, served by the Dirichlet kernels.  These write
+    only arrays they make, so p and q must be arrays, not numpy scalars.
     """
-    if kind.family == "dirichlet":
+    if kind.family == "dirichlet" or n == 2:
         t = _dirichlet_t(p, q, n) if n > 2 else None
         return _dirichlet_cdf(p, q, n, t), _dirichlet_conditional(p, q, n, t)
-    rho = kind.resolve_rho(n)
+    rho = -1.0 / (n - 1)
     return _gaussian_cdf(p, q, rho), _gaussian_conditional(p, q, rho)
 
 
 def _pair_cdf(kind: CopulaKind, n: int, p, q):
-    if kind.family == "dirichlet":
+    if kind.family == "dirichlet" or n == 2:
         return _dirichlet_cdf(p, q, n)
-    return _gaussian_cdf(p, q, kind.resolve_rho(n))
+    return _gaussian_cdf(p, q, -1.0 / (n - 1))
 
 
 def _int_power(x, k: int, out=None, scratch=None):
@@ -263,10 +242,8 @@ def _gaussian_cdf(p_arr, q_arr, rho):
         Phi2(h, k) = (Phi(h) + Phi(k)) / 2 - T(h, a_h) - T(k, a_k) - beta,
 
     a_h = (k - rho h) / (h sqrt(1 - rho^2)), a_k likewise, and beta = 1/2
-    where h and k have opposite signs.  rho = -1 is the antithetic pair.
+    where h and k have opposite signs; -1 < rho.
     """
-    if rho == -1.0:
-        return np.maximum(p_arr + q_arr - 1.0, 0.0)
     from scipy.special import ndtr, owens_t
     h, k = _normal_scores(p_arr), _normal_scores(q_arr)
     r = np.sqrt(1.0 - rho * rho)
@@ -282,9 +259,7 @@ def _gaussian_cdf(p_arr, q_arr, rho):
 
 
 def _gaussian_conditional(p_arr, q_arr, rho):
-    """Phi((Phi^-1(q) - rho Phi^-1(p)) / sqrt(1 - rho^2)), a step at rho = -1."""
-    if rho == -1.0:
-        return (p_arr + q_arr > 1.0).astype(float)
+    """Phi((Phi^-1(q) - rho Phi^-1(p)) / sqrt(1 - rho^2)) for -1 < rho."""
     from scipy.special import ndtr
     h, k = _normal_scores(p_arr), _normal_scores(q_arr)
     return ndtr((k - rho * h) / np.sqrt(1.0 - rho * rho))

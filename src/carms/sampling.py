@@ -556,7 +556,7 @@ def _gumbel_offdiag_law(p, n, copula: CopulaKind, nodes=GUMBEL_NODES, cats=None)
     if cats.size < 2:  # no off-diagonal pair to build
         return law
     rows = np.searchsorted(live, cats)
-    if n == 2 and (copula.family == "dirichlet" or copula.resolve_rho(2) == -1.0):
+    if n == 2:
         off = _gumbel_pair_offdiag_antithetic(p[live], nodes, rows)
     else:
         off = _gumbel_pair_offdiag(p[live], n, copula, nodes, rows)
@@ -577,10 +577,9 @@ def gumbel_pair_pmf(p, n_samples: int, copula: CopulaKind = DIRICHLET) -> np.nda
     """P(z = i, z' = j) for two samples of one Gumbel-max draw, shape (C, C).
 
     The exact pair law of the Gumbel path (see the module docstring), by
-    Gauss-Legendre quadrature with GUMBEL_NODES points per axis; N = 2 at
-    full antithetic strength (the Dirichlet copula, or the Gaussian at
-    rho = -1) has mirror samples and a quadrature of its own.  P(i, i) is
-    p_i less the off-diagonal row sum, floored at 0, so the rows sum to p
+    Gauss-Legendre quadrature with GUMBEL_NODES points per axis; N = 2 has
+    mirror samples under either copula and a quadrature of its own.  P(i, i)
+    is p_i less the off-diagonal row sum, floored at 0, so the rows sum to p
     (no estimator reads the diagonal).  Zero-probability categories get zero
     rows.  Each call builds a fresh array.
     """

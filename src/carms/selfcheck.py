@@ -177,7 +177,7 @@ def _check_copula_uniformity(rng) -> CheckResult:
     worst_p = 1.0
     for n in (2, 5):
         u_d = _sample_dirichlet_copula_batch(50_000, n, rng)
-        u_g = _sample_gaussian_copula_batch(50_000, n, -1.0 / (n - 1), rng)
+        u_g = _sample_gaussian_copula_batch(50_000, n, rng)
         for u in (u_d, u_g):
             for coord in range(n):
                 worst_p = min(worst_p, stats.kstest(u[:, coord], "uniform").pvalue)

@@ -210,15 +210,15 @@ def test_dirichlet_kernels_write_only_the_arrays_they_make(n):
         assert isinstance(value, float) and value == joint[i, j]
 
 
-@pytest.mark.parametrize("rho", [-1.0, -0.9, -0.5, -1 / 3, 0.0])
-def test_gaussian_pair_cdfs_match_bivariate_normal(rho):
-    # the Gaussian kernels behind the Gumbel pair law, at n = 2 where every
-    # rho in [-1, 0] is feasible
-    kind = CopulaKind("gaussian", rho)
+@pytest.mark.parametrize("n", [2, 3, 4, 10], ids=lambda n: str(-1.0 / (n - 1)))
+def test_gaussian_pair_cdfs_match_bivariate_normal(n):
+    # the Gaussian kernels behind the Gumbel pair law, at the copula's
+    # equicorrelation rho = -1/(n-1); n = 2 is the antithetic pair
+    rho = -1.0 / (n - 1)
     grid = np.array([1e-6, 0.01, 0.2, 0.5, 0.7, 0.99, 1.0])
     u, v = grid[:, None], grid[None, :]
-    joint, cond = _pair_cdfs(kind, 2, u, v)
-    if rho == -1.0:
+    joint, cond = _pair_cdfs(GAUSSIAN, n, u, v)
+    if n == 2:
         assert np.array_equal(joint, np.maximum(u + v - 1.0, 0.0))
         assert np.array_equal(cond, (u + v > 1.0) * 1.0)
         return
@@ -227,10 +227,8 @@ def test_gaussian_pair_cdfs_match_bivariate_normal(rho):
         for ib, b in enumerate(grid[:-1]):
             ref = law.cdf([stats.norm.ppf(a), stats.norm.ppf(b)])
             assert joint[ia, ib] == pytest.approx(ref, abs=1e-9)
-    if rho == 0.0:
-        assert np.max(np.abs(joint - u * v)) <= 1e-11
     inner = grid[1:-2, None]
-    fd = _first_partial(lambda x, y: _pair_cdfs(kind, 2, x, y)[0], inner, v)
+    fd = _first_partial(lambda x, y: _pair_cdfs(GAUSSIAN, n, x, y)[0], inner, v)
     assert np.max(np.abs(cond[1:-2] - fd)) <= 1e-5
 
 
@@ -300,8 +298,18 @@ def test_dirichlet_n2_is_exact_antithetic_pair():
 
 def test_gaussian_n2_full_anticorrelation_is_exact_pair():
     rng = np.random.default_rng(0)
-    u = _sample_gaussian_copula_batch(10_000, 2, -1.0, rng)
+    u = _sample_gaussian_copula_batch(10_000, 2, rng)
     assert np.max(np.abs(u[:, 0] + u[:, 1] - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 50, 99])
+def test_gaussian_normal_scores_sum_to_zero(n):
+    # at rho = -1/(n-1), Var(sum x_i) = n (1 + (n-1) rho) = 0: every draw's
+    # normal scores cancel, to rounding
+    from scipy.special import ndtri
+
+    u = _sample_gaussian_copula_batch(20_000, n, np.random.default_rng(n))
+    assert np.max(np.abs(ndtri(u).sum(axis=1))) <= 1e-9
 
 
 def test_draws_are_clamped_strictly_inside_unit_interval():
@@ -317,7 +325,7 @@ def test_unit_samplers_validate_n():
     with pytest.raises(ValueError):
         _sample_dirichlet_copula_batch(5, 1, rng)
     with pytest.raises(ValueError):
-        _sample_gaussian_copula_batch(5, 1, -0.5, rng)
+        _sample_gaussian_copula_batch(5, 1, rng)
     for kind in (DIRICHLET, GAUSSIAN):
         with pytest.raises(ValueError):
             sample_copula_batch(kind, 5, 1, rng)
@@ -326,7 +334,7 @@ def test_unit_samplers_validate_n():
 def test_unit_samplers_return_copula_draws():
     rng = np.random.default_rng(0)
     d = sample_copula_batch(DIRICHLET, 5, 4, rng)
-    g = sample_copula_batch(CopulaKind("gaussian", -0.25), 5, 3, rng)
+    g = sample_copula_batch(GAUSSIAN, 5, 3, rng)
     assert d.shape == (5, 4) and g.shape == (5, 3)
 
 
@@ -375,10 +383,10 @@ def test_exchangeability_across_coordinate_pairs():
 
 def test_gaussian_equicorrelation_value():
     # corr(u1, u2) for a Gaussian copula with normal correlation rho is
-    # (6/pi) asin(rho/2); check at rho = -0.5 within 3 SE
+    # (6/pi) asin(rho/2); check at n = 3, rho = -0.5, within 3 SE
     rng = np.random.default_rng(3)
     draws = 100_000
-    u = _sample_gaussian_copula_batch(draws, 3, -0.5, rng)
+    u = _sample_gaussian_copula_batch(draws, 3, rng)
     r = np.corrcoef(u[:, 0], u[:, 1])[0, 1]
     expected = (6.0 / np.pi) * np.arcsin(-0.25)
     se = (1 - expected**2) / np.sqrt(draws)
@@ -386,36 +394,12 @@ def test_gaussian_equicorrelation_value():
     assert abs(r - expected) <= 3.0 * se
 
 
-def test_gaussian_zero_correlation_is_independent():
-    rng = np.random.default_rng(4)
-    draws = 100_000
-    u = _sample_gaussian_copula_batch(draws, 2, 0.0, rng)
-    r = np.corrcoef(u[:, 0], u[:, 1])[0, 1]
-    assert abs(r) <= 3.0 / np.sqrt(draws)
-
-
 # ---------------------------------------------------------------------------
 # CopulaKind validation
 
 
-def test_copula_kind_band_validation():
-    # the feasible equicorrelation band is [-1/(n-1), 0]
-    kind = CopulaKind("gaussian", rho=-0.6)
-    assert kind.resolve_rho(2) == -0.6
-    with pytest.raises(ValueError):
-        kind.resolve_rho(3)  # band is [-0.5, 0]
-    with pytest.raises(ValueError):
-        CopulaKind("gaussian", rho=0.1).resolve_rho(3)  # positive side excluded
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError):
-            CopulaKind("gaussian", rho=bad).resolve_rho(3)
-
-
 def test_copula_kind_defaults_and_errors():
-    assert GAUSSIAN.resolve_rho(5) == pytest.approx(-0.25)
-    assert DIRICHLET.rho is None
-    with pytest.raises(ValueError):
-        CopulaKind("dirichlet", rho=-0.5)
+    assert CopulaKind("gaussian") == GAUSSIAN and CopulaKind("dirichlet") == DIRICHLET
     with pytest.raises(ValueError):
         CopulaKind("logistic")
 

@@ -455,7 +455,7 @@ def test_estimator_factory_gaussian_inverse_cdf_unsupported():
     f = toy_objective(2, 1)
     with pytest.raises(UnsupportedPathError):
         make_gradient_estimator(
-            "carms-i", p, 3, f, copula=CopulaKind("gaussian", None)
+            "carms-i", p, 3, f, copula=GAUSSIAN
         )
 
 
@@ -574,7 +574,7 @@ def test_correlation_gumbel_gaussian_path():
     rec = run_correlation(
         CorrelationConfig(
             method="gumbel",
-            copula=CopulaKind("gaussian", None),
+            copula=GAUSSIAN,
             categories=3,
             draws=4000,
             seed=3,
@@ -587,7 +587,7 @@ def test_correlation_gaussian_inverse_cdf_unsupported():
     with pytest.raises(UnsupportedPathError):
         run_correlation(
             CorrelationConfig(
-                method="inverse-cdf", copula=CopulaKind("gaussian", None)
+                method="inverse-cdf", copula=GAUSSIAN
             )
         )
 
@@ -825,8 +825,6 @@ def test_cli_usage_errors_exit_two(capsys):
     # config-level validation is caught and mapped to exit code 2
     assert main(["toy", "--method", "bogus", "--inner", "16"]) == 2
     assert "error:" in capsys.readouterr().err
-    assert main(["toy", "--rho", "-0.5", "--inner", "16"]) == 2
-    capsys.readouterr()
     # argparse-level failures raise SystemExit(2)
     with pytest.raises(SystemExit) as exc:
         main(["toy", "--clip", "-3"])
@@ -836,8 +834,8 @@ def test_cli_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
-def test_cli_nonfinite_clip_and_rho_exit_two(capsys):
-    # nan passes a "<= 0" test, so both must be rejected, not run to nan output
+def test_cli_nonfinite_clip_exits_two(capsys):
+    # nan passes a "<= 0" test, so it must be rejected, not run to nan output
     with pytest.raises(SystemExit) as exc:
         main(["toy", "--clip", "nan", "--inner", "16"])
     assert exc.value.code == 2
@@ -846,11 +844,6 @@ def test_cli_nonfinite_clip_and_rho_exit_two(capsys):
     assert [line for line in err.splitlines() if "error:" in line] == [
         "carms toy: error: argument --clip: clip must be positive or 'none'"
     ]
-    argv = ["correlation", "--method", "gumbel", "--copula", "gaussian", "--rho", "nan"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])
@@ -912,7 +905,7 @@ FLAG_FIELDS = {
     },
 }
 OTHER_FLAGS = {
-    "--copula": ("gaussian", "copula"), "--rho": ("-0.2", "copula"),
+    "--copula": ("gaussian", "copula"),
     "--output": ("jsonl", None), "--out-path": ("x.csv", None),
 }
 
@@ -931,8 +924,7 @@ def test_each_config_field_is_set_by_exactly_one_flag(command, cls):
     assert sorted(f for _, f in FLAG_FIELDS[command].values()) == sorted(set(fields) - {"copula"})
     default = cls()
     for flag, (value, field) in table.items():
-        argv = [command, flag, value] + (["--copula", "gaussian"] if flag == "--rho" else [])
-        config = _config(cls, parser.parse_args(argv))
+        config = _config(cls, parser.parse_args([command, flag, value]))
         changed = [f for f in fields if getattr(config, f) != getattr(default, f)]
         assert changed == ([field] if field else []), flag
 
@@ -1034,6 +1026,22 @@ def test_toy_sweep_script_writes_the_cli_toy_csv(tmp_path, monkeypatch):
     assert sweep_lines[0] == (tmp_path / "toy.csv").read_text().splitlines()[0]
     assert sweep_lines[0] == ",".join(TOY_HEADER)
     assert len(sweep_lines) == 1 + 4 * 4  # methods x alphas, one trial
+
+
+def test_correlation_grid_script_matches_the_cli_cell(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    grid = _load_by_path("run_correlation_grid", REPO / "scripts" / "run_correlation_grid.py")
+    size = ["--categories", "3", "--samples", "2"]
+    grid.main(size + ["--draws", "200", "--out", "grid.csv"])
+    argv = ["correlation", "--method", "gumbel", "--copula", "gaussian", *size, "--trials", "200"]
+    assert main(argv + ["--out-path", "cli.csv"]) == 0
+    with open(tmp_path / "grid.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(tmp_path / "cli.csv", newline="") as fh:
+        (cli_row,) = csv.DictReader(fh)
+    assert len(rows) == 4
+    (cell,) = [r for r in rows if (r["method"], r["copula"]) == ("gumbel", "gaussian")]
+    assert cell["corr"] == cli_row["corr"]
 
 
 def test_benchmark_tracer_finds_every_traced_name():

@@ -12,7 +12,6 @@ import carms.sampling
 from carms.copula import (
     DIRICHLET,
     GAUSSIAN,
-    CopulaKind,
     _sample_dirichlet_copula_batch,
     sample_copula_batch,
 )
@@ -580,7 +579,7 @@ def test_gumbel_realized_ratio_entries_match_pair_law():
 
 
 @pytest.mark.parametrize(
-    "copula", [DIRICHLET, GAUSSIAN, CopulaKind("gaussian", -0.1)], ids=["dir", "gauss", "weak"]
+    "copula", [DIRICHLET, GAUSSIAN], ids=["dir", "gauss"]
 )
 def test_single_draw_ratios_match_the_full_pair_laws(copula):
     # the single draws build their law at the realized pairs only; each
@@ -858,7 +857,7 @@ def test_inverse_cdf_single_category_draw_builds_no_law(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "copula", [DIRICHLET, CopulaKind("gaussian", -1.0)], ids=["dirichlet", "gaussian-rho-1"]
+    "copula", [DIRICHLET, GAUSSIAN], ids=["dirichlet", "gaussian-rho-1"]
 )
 def test_n2_mirror_single_draw_builds_its_pair_bit_for_bit(copula):
     # the one realized pair of an N = 2 mirror draw, against the same pair
