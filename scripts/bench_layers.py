@@ -29,6 +29,13 @@ of COLD_RUNS loops of COLD_STEPS steps, after a short warm-up), and the
 wall-clock and peak RSS of `carms correlation --categories C --trials 1000`
 at C in CORRELATION_SIZES, where any state the inverse-CDF draws keep per
 ordering would show (median wall and largest peak of CORRELATION_RUNS).
+It ends with the wall-clock, peak RSS and exit code of one run of each
+MEMORY_PROBES command, whose counts once set its memory: `carms toy` at
+10^4 to 10^6 inner draws, 10^6 inverse-CDF correlation draws at C = 30,
+and the correlation matrix at C = 3000.  Each probe's address space is
+capped at PROBE_CAP bytes, so a tree that needs more (a toy run that held
+every estimate took about 1.6 GB at 10^6 draws) fails there, with a
+nonzero exit code, instead of crowding the host.
 The figures above run in this process after large arrays, whose release
 raises glibc's heap thresholds, so they cannot see pages that a fresh
 process faults in again on every call.
@@ -64,6 +71,15 @@ COLD_RUNS = 5
 COLD_STEPS = 60
 CORRELATION_SIZES = (100, 200, 400)
 CORRELATION_RUNS = 3
+PROBE_CAP = 1 << 30
+TOY_PROBE = ["toy", "--trials", "1", "--alpha", "1", "--method", "carms-i", "--inner"]
+MEMORY_PROBES = {
+    **{f"toy_inner_{n}": TOY_PROBE + [str(n)] for n in (10**4, 10**5, 10**6)},
+    "correlation_inverse_cdf_c30_trials_1000000": [
+        "correlation", "--method", "inverse-cdf", "--categories", "30", "--samples", "4",
+        "--trials", "1000000"],
+    "correlation_c3000_trials_100": ["correlation", "--categories", "3000", "--trials", "100"],
+}
 
 IMPORT_CHILD = """
 import time
@@ -223,7 +239,8 @@ def toy_default(src):
 
 
 def cold_start(src):
-    """Import time and a training-step-like loop, each in fresh interpreters on src."""
+    """Import time, a training-step-like loop and `carms` runs, each in fresh
+    interpreters on src."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
 
     def child(*argv):
@@ -231,22 +248,29 @@ def cold_start(src):
                               capture_output=True, text=True)
         return [float(v) for v in proc.stdout.split()]
 
-    def correlation(c):
-        """Wall seconds and peak RSS (MB) of one `carms correlation` child."""
-        argv = [sys.executable, "-m", "carms", "correlation", "--categories", str(c),
-                "--trials", "1000", "--out-path", os.devnull]
+    def run(*args, cap=None):
+        """Wall seconds, peak RSS (MB) and exit code of one `carms` child,
+        its address space capped at cap bytes if given."""
+        argv = [sys.executable, "-m", "carms", *args, "--out-path", os.devnull]
+        limit = cap and (lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
         start = time.perf_counter()
-        proc = subprocess.Popen(argv, env=env, stderr=subprocess.DEVNULL)
+        proc = subprocess.Popen(argv, env=env, stderr=subprocess.DEVNULL, preexec_fn=limit)
         _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        if proc.returncode:
-            raise subprocess.CalledProcessError(proc.returncode, argv)
-        return time.perf_counter() - start, usage.ru_maxrss / 1024.0
+        return (time.perf_counter() - start, usage.ru_maxrss / 1024.0,
+                os.waitstatus_to_exitcode(status))
+
+    def correlation(c):
+        wall, rss, code = run("correlation", "--categories", str(c), "--trials", "1000")
+        if code:
+            raise subprocess.CalledProcessError(code, f"carms correlation --categories {c}")
+        return wall, rss
 
     imports = [child(IMPORT_CHILD)[0] for _ in range(COLD_RUNS)]
     loops = sorted(child(STEP_CHILD, str(COLD_STEPS)) for _ in range(COLD_RUNS))
     mid = len(loops) // 2
     runs = {str(c): [correlation(c) for _ in range(CORRELATION_RUNS)] for c in CORRELATION_SIZES}
+    probes = {name: dict(zip(("wall_s", "peak_rss_mb", "exit_code"), run(*args, cap=PROBE_CAP)))
+              for name, args in MEMORY_PROBES.items()}
     return {"cold_start": {
         "runs": COLD_RUNS, "steps": COLD_STEPS,
         "import_s": sorted(imports)[len(imports) // 2], "import_s_each": imports,
@@ -255,6 +279,7 @@ def cold_start(src):
         "correlation": {c: {"wall_s": sorted(w for w, _ in each)[len(each) // 2],
                             "peak_rss_mb": max(rss for _, rss in each), "runs_each": each}
                         for c, each in runs.items()},
+        "memory_probes": probes,
     }}
 
 
@@ -299,6 +324,9 @@ def main():
     for c, corr in cold["correlation"].items():
         print(f"{args.label:<8} carms correlation --categories {c} --trials 1000: "
               f"{corr['wall_s']:.2f} s, peak RSS {corr['peak_rss_mb']:.1f} MB", file=sys.stderr)
+    for name, probe in cold["memory_probes"].items():
+        print(f"{args.label:<8} {name}: {probe['wall_s']:.2f} s, peak RSS "
+              f"{probe['peak_rss_mb']:.1f} MB, exit code {probe['exit_code']}", file=sys.stderr)
     if args.toy:
         toy = record["toy_default"]
         print(f"{args.label:<8} carms toy at its defaults: {toy['wall_s']:.2f} s, "

@@ -7,7 +7,7 @@ so those configs hold every default and _config builds one from the flags given.
 Output files are deterministic given the flags and the seed: floats are
 written with 17 significant digits in CSV and as plain IEEE doubles in
 JSON-lines, rows appear in a fixed order, and timing goes to stderr only.
-Exit codes: 0 success, 1 a selfcheck failed, 2 usage error.
+Exit codes: 0 success, 1 a selfcheck failed, 2 usage error or out of memory.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+import types
 
 import numpy as np
 
@@ -71,18 +72,36 @@ def _emit(handle, output, records):
     A CSV cell is "none" for None, %.17g for a float, the %.17g entries of
     an array joined by ";" in row-major order, and str() of anything else.
     A JSON float is a number, or null when nonfinite; an array becomes
-    nested lists of such numbers.
+    nested lists of such numbers.  An array is formatted and written a row
+    (along its first axis) at a time, so a large matrix is never one string.
     """
     if output == "csv":
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(list(records[0]))
-        for rec in records:
-            writer.writerow([_csv_cell(v) for v in rec.values()])
-    else:
-        for rec in records:
-            obj = {key: _json_value(v) for key, v in rec.items()}
-            handle.write(json.dumps(obj, allow_nan=False))
+        lines = []  # csv's text of one field alone, where "" reads '""'
+        quote = csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\n")
+        for values in [list(records[0]), *(list(rec.values()) for rec in records)]:
+            for idx, value in enumerate(values):
+                handle.write("," if idx else "")
+                if isinstance(value, np.ndarray) and value.ndim > 1 and value.size:
+                    for r, row in enumerate(value.reshape(len(value), -1)):
+                        handle.write((";" if r else "") + _csv_cell(row))
+                    continue
+                quote.writerow([_csv_cell(value)])
+                text = lines.pop()[:-1]
+                handle.write("" if text == '""' and len(values) > 1 else text)
             handle.write("\n")
+    else:
+        for rec in records:  # _json_value leaves no nonfinite float to reject
+            handle.write("{")
+            for idx, (key, value) in enumerate(rec.items()):
+                handle.write((", " if idx else "") + json.dumps(key) + ": ")
+                if isinstance(value, np.ndarray) and value.ndim > 1:
+                    handle.write("[")
+                    for r, row in enumerate(value):
+                        handle.write((", " if r else "") + json.dumps(_json_value(row)))
+                    handle.write("]")
+                else:
+                    handle.write(json.dumps(_json_value(value)))
+            handle.write("}\n")
 
 
 def _parse_clip(text: str):
@@ -191,6 +210,9 @@ def main(argv=None) -> int:
         _write_records(args.out_path, args.output, records)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: out of memory: {exc}".rstrip(": "), file=sys.stderr)
         return 2
     print(f"{summary} in {time.perf_counter() - start:.2f}s", file=sys.stderr)
     return code

@@ -198,6 +198,10 @@ class ToyConfig:
         _check_clip(self.clip)
 
 
+# draws per chunk of a toy record: --inner's default, so no run up to it changes
+TOY_CHUNK = 10_000
+
+
 def run_toy(config: ToyConfig):
     """Yield one record per (alpha, trial, method), deterministically ordered.
 
@@ -222,8 +226,19 @@ def run_toy(config: ToyConfig):
                     clip=config.clip,
                 )
                 est_rng = default_rng(SeedSequence([config.seed, a_idx, trial, 1]))
-                g, flags = estimate(est_rng, config.inner)
-                var = g.var(axis=0, ddof=1)
+                # Chan et al.'s exact merge of two-pass chunk moments (one chunk is
+                # g.var(ddof=1)); g keeps its pages for the next draw to reuse
+                mean, m2, clipped = 0.0, 0.0, 0
+                for done in range(0, config.inner, TOY_CHUNK):
+                    k = min(TOY_CHUNK, config.inner - done)
+                    g, flags = estimate(est_rng, k)
+                    chunk_mean = g.mean(axis=0)
+                    delta = chunk_mean - mean
+                    m2 = m2 + ((g - chunk_mean) ** 2).sum(axis=0)
+                    m2 += delta**2 * (done * k / (done + k))
+                    mean = mean + delta * (k / (done + k))
+                    clipped += 0 if flags is None else int(np.count_nonzero(flags))
+                var = m2 / (config.inner - 1)
                 var_sum = float(var.sum())
                 with np.errstate(divide="ignore"):
                     log_var_sum = float(np.log(var_sum))
@@ -245,7 +260,7 @@ def run_toy(config: ToyConfig):
                     "var_sum": var_sum,
                     "log_var_sum": log_var_sum,
                     "log_var_mean": log_var_mean,
-                    "clip_fraction": float(np.mean(flags)) if flags is not None else 0.0,
+                    "clip_fraction": clipped / config.inner,
                 }
 
 

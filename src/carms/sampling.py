@@ -86,20 +86,21 @@ def _cell_edges(q: np.ndarray):
     return edges[..., :-1], edges[..., 1:]
 
 
-def _categorize_batch(u: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _categorize_batch(u: np.ndarray, right: np.ndarray, rows=None) -> np.ndarray:
     """Cell index of each u under the half-open convention.
 
-    right holds nondecreasing right cell edges along its last axis, either
-    one set for all of u or one set per row of u (shape u.shape[:-1] + (C,)).
-    Counting the edges at or below u, one edge against whole columns of u at
-    a time, is searchsorted(side="right"): a u on an edge goes to the upper
-    cell.  The last edge is not counted, so the last cell absorbs u at (or
-    within roundoff above) it.
+    right holds nondecreasing right cell edges along its last axis: one set
+    for all of u, one per row of u (shape u.shape[:-1] + (C,)), or one per
+    row of a table whose row rows[m] u's row m takes.  Counting the edges at
+    or below u, one edge (gathered at rows: O(k) memory) against whole
+    columns of u at a time, is searchsorted(side="right"): a u on an edge
+    goes to the upper cell.  The last edge is not counted, so the last cell
+    absorbs u at (or within roundoff above) it.
     """
     columns = np.ascontiguousarray(u.T)
     below = np.zeros(columns.shape, dtype=np.intp)
     for edge in right.T[:-1]:
-        below += columns >= edge
+        below += columns >= (edge if rows is None else edge.take(rows))
     return np.ascontiguousarray(below.T)
 
 
@@ -286,12 +287,13 @@ def bivariate_pmf_entries(p, n: int, pairs) -> np.ndarray:
 
 def _inverse_cdf_offdiag_law(p, n, cats=None) -> np.ndarray:
     """The off-diagonal inverse-CDF law (bivariate_pmf_entries) among the
-    drawn categories cats (default: every live one), (C, C) and 0 elsewhere."""
+    drawn categories cats (default: every live one), (C, C) and 0 elsewhere.
+    Its callers have validated p, so it is not checked again."""
     cats = np.flatnonzero(p > 0.0 if cats is None else np.bincount(cats))
     law = np.zeros((p.size, p.size))
     i, j = cats[np.array(np.nonzero(cats[:, None] < cats))]
     if i.size:  # else no off-diagonal pair to build
-        law[i, j] = law[j, i] = bivariate_pmf_entries(p, n, np.stack([i, j], axis=1))
+        law[i, j] = law[j, i] = _ordering_mean_mass(p, n, i, j)
     return law
 
 
@@ -370,12 +372,11 @@ def _inverse_cdf_categories_batch(
     from the anchors, one per draw while k < M and else one per ordering."""
     orderings = p.size * (p.size - 1) // 2
     numbers = rng.integers(0, orderings, size=k)
-    built, idx = (numbers, np.arange(k)) if k < orderings else (np.arange(orderings), numbers)
+    built, rows = (numbers, None) if k < orderings else (np.arange(orderings), numbers)
     inverse = _anchored_inverse(*_ordering_anchors(built, p.size), p.size)
     u = _sample_dirichlet_copula_batch(k, n_samples, rng)
-    # each draw's edges, (k, C), stored edge by edge for _categorize_batch
-    cum = p[inverse].cumsum(axis=1).T.take(idx, axis=1).T
-    return inverse[idx[:, None], _categorize_batch(u, cum)]
+    idx = np.arange(k) if rows is None else rows
+    return inverse[idx[:, None], _categorize_batch(u, p[inverse].cumsum(axis=1), rows)]
 
 
 def _sample_antithetic(draw, offdiag_law, n_samples, p, rng, clip):
@@ -510,39 +511,41 @@ def _gumbel_pair_offdiag_antithetic(q, nodes: int, rows) -> np.ndarray:
 
     The copula CDF max(u + v - 1, 0) vanishes outside that window, so the
     product over k ≠ i, j comes from prefix and suffix products, not from
-    dividing the full product by m_i m_j.  A pair costs O(C G^2) on G nodes
-    per axis, so the one pair of a single draw skips the full C x C block.
+    dividing the full product by m_i m_j.  The windows are formed one at a
+    time and only the products that the R rows read are kept, so a pair costs
+    O(C G^2) on G nodes per axis, in O(R G^2) memory for all of them.
     """
     x, xc, w = _unit_nodes(nodes)
     t = -np.where(x < 0.5, np.log1p(-x), np.log(xc))
     q_max = q.max()
     bound = -np.log(-np.expm1(-q_max * t)) / q_max
     s = bound[:, None] * x[None, :]
-    qk = q[:, None, None]
-    decay = np.exp(-qk * s)
-    window = np.maximum(decay + np.expm1(-qk * t[:, None]), 0.0)
+
+    def window(k):
+        return np.maximum(np.exp(-q[k] * s) + np.expm1(-q[k] * t)[:, None], 0.0)
+
+    qr = q[rows, None, None]
     first = q[rows, None] * np.exp(-q[rows, None] * t) * w / xc
-    second = qk[rows] * decay[rows] * (bound[:, None] * w[None, :])
-    before = _running_products(window[:-1])
-    after = _running_products(window[:0:-1])[::-1]
+    second = qr * np.exp(-qr * s) * (bound[:, None] * w[None, :])
+    before, between, after = np.empty((3, rows.size, nodes, nodes))
+    product, top = np.ones((nodes, nodes)), q.size - 1
+    for b in range(rows.size - 1, 0, -1):
+        for k in range(top, rows[b], -1):
+            product *= window(k)
+        after[b], top = product, rows[b]
     out = np.zeros((rows.size, rows.size))
-    for a, i in enumerate(rows[:-1]):
-        # ∏_{k≠i,j} m_k for the rows j > i: before i, between i and j, after j
-        js = rows[a + 1 :]
-        between = _running_products(window[i + 1 : js[-1]])
-        rest = before[i] * between[js - i - 1] * after[js]
-        out[a, a + 1 :] = np.einsum("g,jgh->j", first[a], second[a + 1 :] * rest)
-        out[a + 1 :, a] = np.einsum("jg,jgh->j", first[a + 1 :], second[a] * rest)
-    return out
-
-
-def _running_products(factors) -> np.ndarray:
-    """np.cumprod of [1, f_0, f_1, ...] along the first axis, one whole f_k
-    at a time: the same products, without cumprod's loop over the short axis."""
-    out = np.empty((len(factors) + 1,) + factors.shape[1:])
-    out[0] = 1.0
-    for k, factor in enumerate(factors):
-        np.multiply(out[k], factor, out=out[k + 1])
+    product[...], b = 1.0, 0
+    for k in range(rows[-1] + 1):
+        row = k == rows[b]
+        if row:  # ∏_{k≠i,j} m_k for the rows i below the row j = k
+            rest = before[:b] * between[:b] * after[b]
+            out[:b, b] = np.einsum("ag,agh->a", first[:b], second[b] * rest)
+            out[b, :b] = np.einsum("g,agh->a", first[b], second[:b] * rest)
+            before[b], between[b], b = product, 1.0, b + 1
+        if k < rows[-1]:
+            m_k = window(k)
+            product *= m_k
+            between[: b - row] *= m_k  # not into the row begun at k
     return out
 
 

@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import re
 import subprocess
@@ -22,11 +23,12 @@ import numpy as np
 import pytest
 
 from carms import experiments, sampling
-from carms.cli import _config, _json_value, build_parser, main
+from carms.cli import _config, _csv_cell, _emit, _json_value, build_parser, main
 from carms.copula import DIRICHLET, GAUSSIAN, CopulaKind
 from carms.estimators import carms, carms_pair_sum, loorf
 from carms.experiments import (
     CORRELATION_METHODS,
+    TOY_CHUNK,
     TOY_METHODS,
     CorrelationConfig,
     ToyConfig,
@@ -512,6 +514,59 @@ def test_run_toy_deterministic():
         assert ra["var_sum"] == rb["var_sum"]
 
 
+def _toy_draws(config, a_idx, trial, method, sizes):
+    """The estimates run_toy draws for one record, chunk by chunk, and their flags."""
+    probs_rng = np.random.default_rng(np.random.SeedSequence([config.seed, a_idx, trial, 0]))
+    p = probs_rng.dirichlet(np.full(config.categories, config.alphas[a_idx]), size=config.dims)
+    estimate = make_gradient_estimator(method, p, config.samples,
+                                       toy_objective(config.categories, config.dims),
+                                       copula=config.copula, clip=config.clip)
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, a_idx, trial, 1]))
+    chunks = [estimate(rng, k) for k in sizes]
+    flags = [f if f is not None else np.zeros(len(g), dtype=bool) for g, f in chunks]
+    return np.concatenate([g for g, _ in chunks]), np.concatenate(flags)
+
+
+def test_run_toy_one_chunk_is_numpys_variance_bit_for_bit():
+    # every run with --inner up to TOY_CHUNK keeps the bytes of one draw of
+    # all its estimates; the ceiling of 0.5 clips some carms-i draws
+    config = _tiny_toy_config(methods=("carms-i", "loorf"), alphas=(0.3,), trials=1,
+                              inner=TOY_CHUNK, clip=0.5)
+    clipped = {}
+    for rec in run_toy(config):
+        g, flags = _toy_draws(config, 0, 0, rec["method"], [TOY_CHUNK])
+        assert np.array_equal(rec["var"], g.var(axis=0, ddof=1)), rec["method"]
+        assert rec["clip_fraction"] == float(np.mean(flags))
+        clipped[rec["method"]] = rec["clip_fraction"]
+    assert 0.0 < clipped["carms-i"] < 1.0 and clipped["loorf"] == 0.0
+
+
+def test_run_toy_merges_its_chunks_into_the_variance_of_all_draws(monkeypatch):
+    # chunks of 37 draws from one stream: 37, 37 and 26 for 100 draws
+    monkeypatch.setattr(experiments, "TOY_CHUNK", 37)
+    config = _tiny_toy_config(alphas=(0.3,), trials=1, inner=100, clip=0.5)
+    for rec in run_toy(config):
+        g, flags = _toy_draws(config, 0, 0, rec["method"], [37, 37, 26])
+        np.testing.assert_allclose(rec["var"], g.var(axis=0, ddof=1), rtol=1e-12, atol=0)
+        assert rec["clip_fraction"] == np.count_nonzero(flags) / 100
+
+
+def test_run_toy_memory_is_flat_in_the_inner_draws():
+    # the peak reads the same on either side of the chunk size: 2.94 and 3.43
+    # MB here, where one draw of every estimate read 2.94 and 11.1 MB
+    def peak(inner):
+        config = _tiny_toy_config(alphas=(1.0,), trials=1, inner=inner)
+        tracemalloc.start()
+        try:
+            list(run_toy(config))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = peak(TOY_CHUNK), peak(4 * TOY_CHUNK)
+    assert four < 1.3 * one, (one, four)
+
+
 def test_toy_config_validation():
     with pytest.raises(ValueError):
         _tiny_toy_config(methods=("nope",))
@@ -680,6 +735,67 @@ def test_json_value_writes_the_bytes_of_the_entry_by_entry_rule():
             assert got == json.dumps(_json_value_by_entry(value), allow_nan=False)
 
 
+def _emit_by_cell(handle, output, records):
+    # one string per cell: the whole-matrix rule the row-at-a-time writer keeps
+    if output == "csv":
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(list(records[0]))
+        for rec in records:
+            writer.writerow([_csv_cell(v) for v in rec.values()])
+    else:
+        for rec in records:
+            handle.write(json.dumps({k: _json_value(v) for k, v in rec.items()}, allow_nan=False))
+            handle.write("\n")
+
+
+def test_emit_writes_the_bytes_of_one_string_per_cell():
+    rng = np.random.default_rng(36)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324])
+    texts = ["plain", "a,b", 'say "x"', "two\nlines", "cr\rhere", "", " lead"]
+    records = []
+    for i in range(2 * len(texts)):
+        matrix = rng.standard_normal((3, 4))
+        matrix.flat[i % 12] = special[i % 5]
+        records.append({
+            "text": texts[i % len(texts)], "n": i, "f": float(special[i % 5]), "none": None,
+            "matrix": matrix, "row": rng.standard_normal(5), "scalar": np.array(2.5),
+            "cube": rng.standard_normal((2, 2, 3)), "empty": np.zeros((0, 3)),
+            "hollow": np.zeros((2, 0)), "ints": np.arange(6).reshape(2, 3), "flag": i % 2 == 0,
+        })
+    cases = [records, [{"only": ""}, {"only": "a"}], [{"only": np.zeros((0, 2))}],
+             [{"only": np.ones((2, 2))}]]
+    for output in ("csv", "jsonl"):
+        for recs in cases:
+            got, ref = io.StringIO(), io.StringIO()
+            _emit(got, output, recs)
+            _emit_by_cell(ref, output, recs)
+            assert got.getvalue() == ref.getvalue(), (output, recs[0].keys())
+
+
+def test_emit_writes_a_matrix_a_row_at_a_time():
+    # peak bytes per matrix column, past the writer's fixed cost (the csv
+    # writer's own 128 KiB buffer), the same at both sizes: 93 and 108 in
+    # CSV, 134 and 137 in JSON; one string per cell took 12-28 KB
+    class Sink:
+        def write(self, text):
+            pass
+
+    def peak(output, c):
+        rec = {"method": "gumbel", "categories": c,
+               "corr": np.random.default_rng(c).uniform(-1.0, 1.0, (c, c))}
+        tracemalloc.start()
+        try:
+            _emit(Sink(), output, [rec])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for output in ("csv", "jsonl"):
+        fixed = peak(output, 1)
+        per_column = [(peak(output, c) - fixed) / c for c in (100, 200)]
+        assert per_column[1] < 1.25 * per_column[0] and max(per_column) < 1024, per_column
+
+
 # ---------------------------------------------------------------------------
 # CLI (in-process)
 
@@ -832,6 +948,21 @@ def test_cli_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit):
         main(["nonsense"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type int64",
+    "",
+])
+def test_cli_out_of_memory_exits_two_with_one_line(message, monkeypatch, capsys):
+    def too_large(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(experiments, "_indicator_correlation", too_large)
+    assert main(["correlation", "--categories", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out of memory: {message}\n".replace(": \n", "\n")
 
 
 def test_cli_nonfinite_clip_exits_two(capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import carms.experiments
 import carms.sampling
 from carms.copula import (
     DIRICHLET,
@@ -501,6 +502,41 @@ def test_inverse_cdf_memory_stays_small_at_two_hundred_categories():
     assert batch < 16.0 and single < 4.0, (batch, single)
 
 
+def test_inverse_cdf_batch_memory_per_draw_does_not_grow_with_categories():
+    # k >= M draws gather their edges one edge at a time: 104 bytes per draw
+    # at N = 4 for both C, where a (k, C) edge table took 144 and 344
+    rng = np.random.default_rng(27)
+    per_draw = []
+    for c in (5, 30):
+        p = _simplex(rng, c)
+        _inverse_cdf_categories_batch(1000, 4, p, rng)
+        small, large = (_peak_mib(lambda k=k: _inverse_cdf_categories_batch(k, 4, p, rng))
+                        for k in (20_000, 60_000))
+        per_draw.append((large - small) * 2**20 / 40_000)
+    assert per_draw[1] < per_draw[0] + 8.0 and per_draw[1] < 128.0, per_draw
+
+
+def test_inverse_cdf_single_draw_validates_p_once(monkeypatch):
+    # the single draw checks p, its law does not; nor does the carms-i
+    # estimator's law re-check the rows its factory has checked
+    calls = []
+
+    def counted(p):
+        calls.append(1)
+        return as_probs(p)
+
+    rng = np.random.default_rng(28)
+    monkeypatch.setattr(carms.sampling, "as_probs", counted)
+    monkeypatch.setattr(carms.experiments, "as_probs", counted)
+    for c in (2, 5, 30):
+        sample_antithetic_inverse_cdf(4, _simplex(rng, c), rng)
+    assert len(calls) == 3
+    p = np.stack([_simplex(rng, 6) for _ in range(3)])
+    objective = carms.experiments.toy_objective(6, 3)
+    carms.experiments.make_gradient_estimator("carms-i", p, 4, objective)
+    assert len(calls) == 6
+
+
 def test_inverse_cdf_marginals_quick():
     rng = np.random.default_rng(10)
     p = np.array([0.6, 0.3, 0.1])
@@ -877,6 +913,21 @@ def test_n2_mirror_single_draw_builds_its_pair_bit_for_bit(copula):
                 pairs += 1
             assert np.array_equal(r.ratios, _realized_ratios(p, law, 10.0).ratios)
     assert pairs >= 8
+
+
+def test_n2_mirror_single_draw_memory_does_not_grow_with_categories():
+    # the windows are formed one at a time and only the realized pair's
+    # products are kept: 455 and 462 KiB, where (C, G, G) stacks took 1382
+    # and 4908 KiB at C = 8 and 30
+    rng = np.random.default_rng(74)
+    peaks = []
+    for c in (8, 30):
+        p = _simplex(rng, c, 10.0)
+        cats = np.array([1, c - 2])
+        law = carms.sampling._gumbel_offdiag_law
+        law(p, 2, DIRICHLET, cats=cats)
+        peaks.append(_peak_mib(lambda: law(p, 2, DIRICHLET, cats=cats)))
+    assert peaks[1] < 1.1 * peaks[0] and max(peaks) < 0.75, peaks
 
 
 def test_gumbel_gaussian_copula_supported():
