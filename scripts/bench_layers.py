@@ -129,7 +129,7 @@ def layers(draws, repeats):
     import numpy as np
 
     from carms import experiments, sampling
-    from carms.copula import DIRICHLET, sample_copula_batch
+    from carms.copula import _sample_dirichlet_copula_batch
     from carms.sampling import (
         GUMBEL_BLOCK,
         _gumbel_categories_batch,
@@ -139,16 +139,16 @@ def layers(draws, repeats):
     )
 
     builds = {"inverse_cdf": lambda q: bivariate_pmf_averaged(q, SAMPLES),
-              "gumbel": lambda q: gumbel_pair_pmf(q, SAMPLES, DIRICHLET),
+              "gumbel": lambda q: gumbel_pair_pmf(q, SAMPLES),
               "inverse_cdf_offdiag": lambda q: sampling._inverse_cdf_offdiag_law(q, SAMPLES),
-              "gumbel_offdiag": lambda q: sampling._gumbel_offdiag_law(q, SAMPLES, DIRICHLET)}
+              "gumbel_offdiag": lambda q: sampling._gumbel_offdiag_law(q, SAMPLES)}
 
     def gumbel_copula_draw(c):
         # the blocks of _gumbel_categories_batch, drawn into its one work pair
         step = max(1, GUMBEL_BLOCK // (c * SAMPLES))
         work = np.empty((2, min(step, draws) * c * SAMPLES))
         for start in range(0, draws, step):
-            sample_copula_batch(DIRICHLET, min(step, draws - start) * c, SAMPLES, rng, work)
+            _sample_dirichlet_copula_batch(min(step, draws - start) * c, SAMPLES, rng, work)
 
     rng = np.random.default_rng(0)
     per_draw = {}
@@ -164,7 +164,7 @@ def layers(draws, repeats):
             "categorize_inverse_cdf":
                 lambda: _inverse_cdf_categories_batch(draws, SAMPLES, p, rng),
             "categorize_gumbel":
-                lambda: _gumbel_categories_batch(draws, SAMPLES, p, rng, DIRICHLET),
+                lambda: _gumbel_categories_batch(draws, SAMPLES, p, rng),
             "carms_core": lambda: experiments._carms_estimates(f, cats, ratios, p),
             "score_core": lambda: experiments._score_sums(f, cats, p),
             "correlation": lambda: experiments._indicator_correlation(cats[:, 0], cats[:, 1], c),

@@ -1,10 +1,7 @@
 #!/usr/bin/env python3
-"""Pair-correlation grid over sampling methods, copulas, category counts, and
-joint sample counts.  One CSV row per cell plus a printed summary of the
-diagonal (self) correlations, which is where antithesis shows up.
-
-The Gaussian copula is skipped for the inverse-CDF method (no closed-form
-pair CDF there).
+"""Pair-correlation grid over sampling methods, category counts, and joint
+sample counts.  One CSV row per cell plus a printed summary of the diagonal
+(self) correlations, which is where antithesis shows up.
 """
 
 import argparse
@@ -13,15 +10,7 @@ import sys
 import numpy as np
 
 from carms.cli import _write_records
-from carms.copula import CopulaKind
-from carms.experiments import CorrelationConfig, run_correlation
-
-GRID_METHODS = (
-    ("inverse-cdf", "dirichlet"),
-    ("gumbel", "dirichlet"),
-    ("gumbel", "gaussian"),
-    ("independent", "dirichlet"),
-)
+from carms.experiments import CORRELATION_METHODS, CorrelationConfig, run_correlation
 
 
 def main(argv=None):
@@ -34,13 +23,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     rows = []
-    for method, family in GRID_METHODS:
+    for method in CORRELATION_METHODS:
         for c in args.categories:
             for n in args.samples:
                 rec = run_correlation(
                     CorrelationConfig(
                         method=method,
-                        copula=CopulaKind(family),
                         categories=c,
                         samples=n,
                         draws=args.draws,
@@ -57,7 +45,7 @@ def main(argv=None):
                     "corr": corr,
                 })
                 print(
-                    f"{method:<12} {family:<10} C={c:<3} N={n}  "
+                    f"{method:<12} C={c:<3} N={n}  "
                     f"diag mean {np.nanmean(diag):+.3f}  "
                     f"min {np.nanmin(diag):+.3f}  max {np.nanmax(diag):+.3f}",
                     file=sys.stderr,

@@ -7,7 +7,8 @@ so those configs hold every default and _config builds one from the flags given.
 Output files are deterministic given the flags and the seed: floats are
 written with 17 significant digits in CSV and as plain IEEE doubles in
 JSON-lines, rows appear in a fixed order, and timing goes to stderr only.
-Exit codes: 0 success, 1 a selfcheck failed, 2 usage error or out of memory.
+Exit codes: 0 success, 1 a selfcheck failed, 2 usage error, out of memory or
+an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import types
 
 import numpy as np
 
-from .copula import CopulaKind
 from .experiments import (
     CORRELATION_METHODS,
     TOY_METHODS,
@@ -134,8 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", choices=["csv", "jsonl"], default="csv")
     common.add_argument("--out-path", default="-")
     sampler = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    sampler.add_argument("--copula", dest="family", choices=["dirichlet", "gaussian"],
-                         default="dirichlet")
     sampler.add_argument("--categories", type=int)
     sampler.add_argument("--samples", type=int)
 
@@ -169,9 +167,8 @@ def _given(args, names) -> dict:
 
 
 def _config(cls, args):
-    """cls (ToyConfig or CorrelationConfig) from the flags given and --copula."""
-    given = _given(args, [field.name for field in dataclasses.fields(cls)])
-    return cls(copula=CopulaKind(args.family), **given)
+    """cls (ToyConfig or CorrelationConfig) from the flags given."""
+    return cls(**_given(args, [field.name for field in dataclasses.fields(cls)]))
 
 
 def _toy(args):
@@ -207,7 +204,11 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         records, summary, code = _COMMANDS[args.command](args)
-        _write_records(args.out_path, args.output, records)
+        try:
+            _write_records(args.out_path, args.output, records)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            print(f"error: cannot write {args.out_path}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

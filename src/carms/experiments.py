@@ -17,13 +17,11 @@ and LOORF and REINFORCE are score estimators on the independent one.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .copula import DIRICHLET, CopulaKind
 from .estimators import _carms_estimates, _score_sums
 from .sampling import (
     _analytic_ratio_matrix,
@@ -40,10 +38,6 @@ from .sampling import (
 TOY_METHODS = ("carms-i", "carms-g", "loorf", "reinforce")
 CORRELATION_METHODS = ("inverse-cdf", "gumbel", "independent")
 _TOY_PATHS = dict(zip(TOY_METHODS, ("inverse-cdf", "gumbel", "independent", "independent")))
-
-
-class UnsupportedPathError(ValueError):
-    """A copula family was asked for on a path that cannot honor it."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,7 @@ def _iid_categories(k: int, n: int, p: np.ndarray, rng: np.random.Generator) -> 
     return _categorize_batch(rng.random((k, n)), p.cumsum())
 
 
-def _path(name: str, copula: CopulaKind):
+def _path(name: str):
     """A sampling path's draw(k, n, p, rng) -> (k, n) categories and its
     off-diagonal pair law(p, n), None for independent samples.
 
@@ -85,15 +79,9 @@ def _path(name: str, copula: CopulaKind):
     them (as a tracer makes) is the one every driver reaches.
     """
     if name == "inverse-cdf":
-        if copula.family != "dirichlet":
-            raise UnsupportedPathError(
-                "the inverse-CDF path needs the analytic pair CDF, which only the "
-                "Dirichlet copula provides; use the Gumbel path for the Gaussian"
-            )
         return _inverse_cdf_categories_batch, _inverse_cdf_offdiag_law
     if name == "gumbel":
-        return (functools.partial(_gumbel_categories_batch, copula=copula),
-                functools.partial(_gumbel_offdiag_law, copula=copula))
+        return _gumbel_categories_batch, _gumbel_offdiag_law
     if name == "independent":
         return _iid_categories, None
     raise ValueError(f"unknown sampling path {name!r}; expected one of {CORRELATION_METHODS}")
@@ -118,7 +106,6 @@ def make_gradient_estimator(
     n_samples: int,
     objective,
     *,
-    copula: CopulaKind = DIRICHLET,
     clip: float | None = 10.0,
 ):
     """Build fn(rng, k) -> (estimates (k, D, C), clipped flags (k,) or None).
@@ -141,7 +128,7 @@ def make_gradient_estimator(
     if n < 1:
         raise ValueError("need at least one sample")
     _check_clip(clip)
-    draw, law = _path(_TOY_PATHS[method], copula)
+    draw, law = _path(_TOY_PATHS[method])
     # exact ratios, built once per dimension; the independent path needs none
     fixed = None if law is None else [_analytic_ratio_matrix(row, law(row, n), clip) for row in p]
 
@@ -177,7 +164,6 @@ class ToyConfig:
     inner: int = 10_000
     seed: int = 0
     clip: float | None = 10.0
-    copula: CopulaKind = DIRICHLET
 
     def __post_init__(self):
         if not self.methods or any(m not in TOY_METHODS for m in self.methods):
@@ -218,12 +204,7 @@ def run_toy(config: ToyConfig):
             )
             for method in config.methods:
                 estimate = make_gradient_estimator(
-                    method,
-                    p,
-                    config.samples,
-                    objective,
-                    copula=config.copula,
-                    clip=config.clip,
+                    method, p, config.samples, objective, clip=config.clip
                 )
                 est_rng = default_rng(SeedSequence([config.seed, a_idx, trial, 1]))
                 # Chan et al.'s exact merge of two-pass chunk moments (one chunk is
@@ -245,7 +226,6 @@ def run_toy(config: ToyConfig):
                     log_var_mean = float(np.log(var_sum / var.size))
                 yield {
                     "method": method,
-                    "copula": config.copula.family,
                     "categories": config.categories,
                     "dims": config.dims,
                     "samples": config.samples,
@@ -269,7 +249,6 @@ class CorrelationConfig:
     """Configuration for one pair-correlation scan at uniform probabilities."""
 
     method: str = "inverse-cdf"
-    copula: CopulaKind = DIRICHLET
     categories: int = 3
     samples: int = 2
     draws: int = 1000
@@ -310,11 +289,10 @@ def run_correlation(config: CorrelationConfig) -> dict:
     c = config.categories
     p = np.full(c, 1.0 / c)
     rng = default_rng(SeedSequence([config.seed]))
-    cats = _path(config.method, config.copula)[0](config.draws, config.samples, p, rng)
+    cats = _path(config.method)[0](config.draws, config.samples, p, rng)
     corr = _indicator_correlation(cats[:, 0], cats[:, 1], c)
     return {
         "method": config.method,
-        "copula": config.copula.family,
         "categories": c,
         "samples": config.samples,
         "draws": config.draws,

@@ -11,11 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .copula import (
-    DIRICHLET,
-    _sample_dirichlet_copula_batch,
-    _sample_gaussian_copula_batch,
-)
+from .copula import _sample_dirichlet_copula_batch
 from .estimators import carms, carms_pair_sum, loorf, loorf_matrix_form
 from .experiments import _empirical_joint_batch, make_gradient_estimator
 from .oracle import (
@@ -176,11 +172,9 @@ def _check_copula_uniformity(rng) -> CheckResult:
 
     worst_p = 1.0
     for n in (2, 5):
-        u_d = _sample_dirichlet_copula_batch(50_000, n, rng)
-        u_g = _sample_gaussian_copula_batch(50_000, n, rng)
-        for u in (u_d, u_g):
-            for coord in range(n):
-                worst_p = min(worst_p, stats.kstest(u[:, coord], "uniform").pvalue)
+        u = _sample_dirichlet_copula_batch(50_000, n, rng)
+        for coord in range(n):
+            worst_p = min(worst_p, stats.kstest(u[:, coord], "uniform").pvalue)
     return CheckResult(
         "copula-uniformity", bool(worst_p > 0.01), f"min KS p-value {worst_p:.4f}"
     )
@@ -195,7 +189,7 @@ def _check_sampler_marginals(rng) -> CheckResult:
             if path == "inverse-cdf":
                 cats = _inverse_cdf_categories_batch(draws, n, p, rng)
             else:
-                cats = _gumbel_categories_batch(draws, n, p, rng, DIRICHLET)
+                cats = _gumbel_categories_batch(draws, n, p, rng)
             freq = np.bincount(cats[:, 0], minlength=c) / draws
             se = np.sqrt(p * (1 - p) / draws)
             worst = max(worst, float(np.max(np.abs(freq - p) / se)))
@@ -217,8 +211,8 @@ def _check_sampler_pair_laws(rng) -> CheckResult:
                 cats = _inverse_cdf_categories_batch(draws, n, p, rng)
                 law = bivariate_pmf_averaged(p, n)
             else:
-                cats = _gumbel_categories_batch(draws, n, p, rng, DIRICHLET)
-                law = gumbel_pair_pmf(p, n, DIRICHLET)
+                cats = _gumbel_categories_batch(draws, n, p, rng)
+                law = gumbel_pair_pmf(p, n)
             joint = _empirical_joint_batch(np.eye(c)[cats].sum(axis=1), n)
             se = np.maximum(joint.std(axis=0) / np.sqrt(draws), 1.0 / draws)
             worst = max(worst, float(np.max(np.abs(joint.mean(axis=0) - law) / se)))

@@ -22,7 +22,6 @@ import time
 
 import numpy as np
 
-from carms.copula import DIRICHLET
 from carms.estimators import carms, carms_pair_sum, loorf, two_sample_loorf
 from carms.experiments import (
     CorrelationConfig,
@@ -220,7 +219,7 @@ def test_criterion_06_sampler_fidelity(pinned_ordering):
                 if path == "inverse-cdf":
                     cats = _inverse_cdf_categories_batch(draws, n, p, rng)
                 else:
-                    cats = _gumbel_categories_batch(draws, n, p, rng, DIRICHLET)
+                    cats = _gumbel_categories_batch(draws, n, p, rng)
                 # per-draw occupancy has a valid standard error even though
                 # the samples inside a draw are coupled
                 occupancy = (cats[:, :, None] == np.arange(c)).mean(axis=1)
