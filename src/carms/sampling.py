@@ -21,7 +21,7 @@ with F_k the Gumbel CDF shifted by log p_k, f_k its density and C the
 copula's bivariate CDF.  The diagonal P(i, i) is what the row's
 off-diagonal mass leaves of p_i, so every row sums to p.  The law is
 evaluated by Gauss-Legendre quadrature; the batched path builds it once per
-(p, N).
+(p, N, copula).
 
 Both samplers are one body, _sample_antithetic, given their path's batched
 draw at k = 1 and its off-diagonal law builder, which the batched estimator
@@ -38,11 +38,14 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .copula import (
-    _dirichlet_cdf,
+    DIRICHLET,
+    CopulaKind,
     _dirichlet_cdf_exact_edges,
+    _pair_cdf,
     _pair_cdfs,
     _sample_dirichlet_copula_batch,
     _validate_n,
+    sample_copula_batch,
 )
 
 
@@ -400,7 +403,8 @@ def sample_antithetic_inverse_cdf(
     Returns the one-hot sample matrix Z (N x C) and the RatioMatrix holding
     p_i p_j / P(i, j) at off-diagonal pairs realized in Z, with P the pair law
     averaged over all anchored orderings (bivariate_pmf_averaged), clipped
-    at `clip`, and 0 elsewhere.
+    at `clip`, and 0 elsewhere.  The copula is the Dirichlet one, the only
+    family with that closed form.
     """
     return _sample_antithetic(
         _inverse_cdf_categories_batch, _inverse_cdf_offdiag_law, n_samples, p, rng, clip
@@ -414,7 +418,11 @@ GUMBEL_BLOCK = 65536
 
 
 def _gumbel_categories_batch(
-    k: int, n_samples: int, p: np.ndarray, rng: np.random.Generator
+    k: int,
+    n_samples: int,
+    p: np.ndarray,
+    rng: np.random.Generator,
+    copula: CopulaKind = DIRICHLET,
 ) -> np.ndarray:
     """k joint Gumbel-max draws of N categories each, shape (k, N)."""
     c = p.size
@@ -422,7 +430,7 @@ def _gumbel_categories_batch(
     step = max(1, GUMBEL_BLOCK // (c * n_samples))
     work = np.empty((2, min(step, k) * c * n_samples))
     for start in range(0, k, step):
-        u = _sample_dirichlet_copula_batch(min(step, k - start) * c, n_samples, rng, work)
+        u = sample_copula_batch(copula, min(step, k - start) * c, n_samples, rng, work)
         # race form of the argmax of log p - log(-log u): the largest
         # log(u) / p, in place, laid out (N, draws, C) so that the argmax runs
         # over contiguous categories; p = 0 and a subnormal p give -inf
@@ -457,7 +465,7 @@ def _unit_nodes(nodes: int):
     return smooth(y), smooth(1.0 - y), w * 30.0 * (y * (1.0 - y)) ** 2
 
 
-def _gumbel_pair_offdiag(q, n, nodes: int, rows) -> np.ndarray:
+def _gumbel_pair_offdiag(q, n, copula: CopulaKind, nodes: int, rows) -> np.ndarray:
     """Off-diagonal pair law of the Gumbel path for positive q, among the categories rows.
 
     A level s enters through x = 1 - exp(-e^{-s}) in (0, 1), where
@@ -481,7 +489,7 @@ def _gumbel_pair_offdiag(q, n, nodes: int, rows) -> np.ndarray:
     mass = np.ones((nodes, nodes))
     for block in _blocks(rows.size, nodes * nodes):
         ub = u[rows[block]]
-        joint, cond = _pair_cdfs(n, ub[:, :, None], ub[:, None, :])
+        joint, cond = _pair_cdfs(copula, n, ub[:, :, None], ub[:, None, :])
         cond *= dens[block, :, None]
         np.divide(cond, joint, out=ratio[block], where=joint > 0.0)
         mass *= joint.prod(axis=0)
@@ -489,7 +497,7 @@ def _gumbel_pair_offdiag(q, n, nodes: int, rows) -> np.ndarray:
     others = np.delete(u, rows, axis=0)
     for block in _blocks(others.shape[0], nodes * nodes):
         ub = others[block]
-        mass *= _dirichlet_cdf(ub[:, :, None], ub[:, None, :], n).prod(axis=0)
+        mass *= _pair_cdf(copula, n, ub[:, :, None], ub[:, None, :]).prod(axis=0)
     right[...] = ratio.transpose(0, 2, 1)
     ratio *= mass
     return ratio.reshape(rows.size, -1) @ right.reshape(rows.size, -1).T
@@ -548,7 +556,9 @@ def _gumbel_pair_offdiag_antithetic(q, nodes: int, rows) -> np.ndarray:
     return out
 
 
-def _gumbel_offdiag_law(p, n, nodes=GUMBEL_NODES, cats=None) -> np.ndarray:
+def _gumbel_offdiag_law(
+    p, n, copula: CopulaKind = DIRICHLET, nodes=GUMBEL_NODES, cats=None
+) -> np.ndarray:
     """The symmetrized off-diagonal Gumbel law among the drawn categories
     cats (default: every live one), (C, C) and 0 elsewhere."""
     live = np.flatnonzero(p > 0.0)
@@ -561,31 +571,31 @@ def _gumbel_offdiag_law(p, n, nodes=GUMBEL_NODES, cats=None) -> np.ndarray:
     if n == 2:
         off = _gumbel_pair_offdiag_antithetic(p[live], nodes, rows)
     else:
-        off = _gumbel_pair_offdiag(p[live], n, nodes, rows)
+        off = _gumbel_pair_offdiag(p[live], n, copula, nodes, rows)
     off = 0.5 * (off + off.T)
     np.fill_diagonal(off, 0.0)
     law[np.ix_(cats, cats)] = off
     return law
 
 
-def _gumbel_pair_pmf(p, n, nodes: int) -> np.ndarray:
+def _gumbel_pair_pmf(p, n, copula: CopulaKind, nodes: int) -> np.ndarray:
     """The off-diagonal Gumbel law plus the diagonal its rows leave of p."""
-    pmf, live = _gumbel_offdiag_law(p, n, nodes), np.flatnonzero(p > 0.0)
+    pmf, live = _gumbel_offdiag_law(p, n, copula, nodes), np.flatnonzero(p > 0.0)
     pmf[live, live] = np.maximum(p[live] - pmf[np.ix_(live, live)].sum(axis=1), 0.0)
     return pmf
 
 
-def gumbel_pair_pmf(p, n_samples: int) -> np.ndarray:
+def gumbel_pair_pmf(p, n_samples: int, copula: CopulaKind = DIRICHLET) -> np.ndarray:
     """P(z = i, z' = j) for two samples of one Gumbel-max draw, shape (C, C).
 
     The exact pair law of the Gumbel path (see the module docstring), by
     Gauss-Legendre quadrature with GUMBEL_NODES points per axis; N = 2 has
-    mirror samples and a quadrature of its own.  P(i, i)
+    mirror samples under either copula and a quadrature of its own.  P(i, i)
     is p_i less the off-diagonal row sum, floored at 0, so the rows sum to p
     (no estimator reads the diagonal).  Zero-probability categories get zero
     rows.  Each call builds a fresh array.
     """
-    return _gumbel_pair_pmf(as_probs(p), _validate_n(n_samples), GUMBEL_NODES)
+    return _gumbel_pair_pmf(as_probs(p), _validate_n(n_samples), copula, GUMBEL_NODES)
 
 
 def sample_antithetic_gumbel(
@@ -593,15 +603,18 @@ def sample_antithetic_gumbel(
     p,
     rng: np.random.Generator,
     *,
+    copula: CopulaKind = DIRICHLET,
     clip: float | None = 10.0,
 ):
     """Draw N antithetically coupled categorical samples via Gumbel-max.
 
     Each category's Gumbel column comes from its own copula draw across the N
-    samples.  The importance ratios p_i p_j / P(i, j)
+    samples (Dirichlet or Gaussian).  The importance ratios p_i p_j / P(i, j)
     come from the exact pair law of gumbel_pair_pmf, clipped at `clip`, built
     at the off-diagonal pairs the draw realizes only, and are 0 elsewhere.
     """
     return _sample_antithetic(
-        _gumbel_categories_batch, _gumbel_offdiag_law, n_samples, p, rng, clip
+        functools.partial(_gumbel_categories_batch, copula=copula),
+        functools.partial(_gumbel_offdiag_law, copula=copula),
+        n_samples, p, rng, clip,
     )

@@ -41,14 +41,19 @@ from scipy import stats
 
 from carms.copula import (
     CLAMP_EPS,
+    DIRICHLET,
+    GAUSSIAN,
+    CopulaKind,
     _dirichlet_cdf,
     _dirichlet_conditional,
     _dirichlet_t,
     _int_power,
     _pair_cdfs,
     _sample_dirichlet_copula_batch,
+    _sample_gaussian_copula_batch,
     bernoulli_pair_correlation,
     dirichlet_bivariate_cdf,
+    sample_copula_batch,
 )
 
 
@@ -141,17 +146,17 @@ def test_dirichlet_pair_cdfs_are_the_cdf_and_its_first_partial():
     grid = np.linspace(0.05, 0.95, 19)
     u, v = grid[:, None], grid[None, :]
     for n in (3, 4, 7):
-        joint, cond = _pair_cdfs(n, u, v)
+        joint, cond = _pair_cdfs(DIRICHLET, n, u, v)
         assert np.array_equal(joint, dirichlet_bivariate_cdf(u, v, n))
         fd = _first_partial(lambda a, b: dirichlet_bivariate_cdf(a, b, n), u, v)
         assert np.max(np.abs(cond - fd)) <= 1e-5
     # n = 2 is the antithetic step
-    assert np.array_equal(_pair_cdfs(2, u, v)[1], (u + v > 1.0) * 1.0)
+    assert np.array_equal(_pair_cdfs(DIRICHLET, 2, u, v)[1], (u + v > 1.0) * 1.0)
     # the boundary row and column at 1: the conditional is exact, the joint
     # CDF carries the rounding of its p + q - 1
     for n in (2, 3, 6):
         for args in ((grid, 1.0), (1.0, grid)):
-            joint, cond = _pair_cdfs(n, *args)
+            joint, cond = _pair_cdfs(DIRICHLET, n, *args)
             assert np.all(cond == 1.0)
             assert np.max(np.abs(joint - grid)) <= 1e-15
 
@@ -186,7 +191,7 @@ def test_dirichlet_kernels_write_only_the_arrays_they_make(n):
     # the kernels work in place: p, q and the t that the CDF and dC/dp share
     # must come out as they went in, and the values as frozen
     p, q = np.array([[0.2], [0.55], [0.9]]), np.array([[0.35, 0.7]])
-    joint, cond = _pair_cdfs(n, p, q)
+    joint, cond = _pair_cdfs(DIRICHLET, n, p, q)
     frozen_joint, frozen_cond = DIRICHLET_PAIR_CDFS[n]
     np.testing.assert_allclose(joint, frozen_joint, rtol=1e-15, atol=1e-17)
     np.testing.assert_allclose(cond, frozen_cond, rtol=1e-15, atol=1e-17)
@@ -203,6 +208,28 @@ def test_dirichlet_kernels_write_only_the_arrays_they_make(n):
     for i, j in np.ndindex(joint.shape):
         value = dirichlet_bivariate_cdf(p[i, 0], q[0, j], n)
         assert isinstance(value, float) and value == joint[i, j]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10], ids=lambda n: str(-1.0 / (n - 1)))
+def test_gaussian_pair_cdfs_match_bivariate_normal(n):
+    # the Gaussian kernels behind the Gumbel pair law, at the copula's
+    # equicorrelation rho = -1/(n-1); n = 2 is the antithetic pair
+    rho = -1.0 / (n - 1)
+    grid = np.array([1e-6, 0.01, 0.2, 0.5, 0.7, 0.99, 1.0])
+    u, v = grid[:, None], grid[None, :]
+    joint, cond = _pair_cdfs(GAUSSIAN, n, u, v)
+    if n == 2:
+        assert np.array_equal(joint, np.maximum(u + v - 1.0, 0.0))
+        assert np.array_equal(cond, (u + v > 1.0) * 1.0)
+        return
+    law = stats.multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]])
+    for ia, a in enumerate(grid[:-1]):
+        for ib, b in enumerate(grid[:-1]):
+            ref = law.cdf([stats.norm.ppf(a), stats.norm.ppf(b)])
+            assert joint[ia, ib] == pytest.approx(ref, abs=1e-9)
+    inner = grid[1:-2, None]
+    fd = _first_partial(lambda x, y: _pair_cdfs(GAUSSIAN, n, x, y)[0], inner, v)
+    assert np.max(np.abs(cond[1:-2] - fd)) <= 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -269,29 +296,54 @@ def test_dirichlet_n2_is_exact_antithetic_pair():
     assert np.max(np.abs(u[:, 0] + u[:, 1] - 1.0)) <= 1e-12
 
 
+def test_gaussian_n2_full_anticorrelation_is_exact_pair():
+    rng = np.random.default_rng(0)
+    u = _sample_gaussian_copula_batch(10_000, 2, rng)
+    assert np.max(np.abs(u[:, 0] + u[:, 1] - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 50, 99])
+def test_gaussian_normal_scores_sum_to_zero(n):
+    # at rho = -1/(n-1), Var(sum x_i) = n (1 + (n-1) rho) = 0: every draw's
+    # normal scores cancel, to rounding
+    from scipy.special import ndtri
+
+    u = _sample_gaussian_copula_batch(20_000, n, np.random.default_rng(n))
+    assert np.max(np.abs(ndtri(u).sum(axis=1))) <= 1e-9
+
+
 def test_draws_are_clamped_strictly_inside_unit_interval():
-    u = _sample_dirichlet_copula_batch(50_000, 3, np.random.default_rng(1))
-    assert u.min() >= CLAMP_EPS
-    assert u.max() <= 1.0 - CLAMP_EPS
+    rng = np.random.default_rng(1)
+    for kind in (DIRICHLET, GAUSSIAN):
+        u = sample_copula_batch(kind, 50_000, 3, rng)
+        assert u.min() >= CLAMP_EPS
+        assert u.max() <= 1.0 - CLAMP_EPS
 
 
 def test_unit_samplers_validate_n():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         _sample_dirichlet_copula_batch(5, 1, rng)
+    with pytest.raises(ValueError):
+        _sample_gaussian_copula_batch(5, 1, rng)
+    for kind in (DIRICHLET, GAUSSIAN):
+        with pytest.raises(ValueError):
+            sample_copula_batch(kind, 5, 1, rng)
 
 
 def test_unit_samplers_return_copula_draws():
     rng = np.random.default_rng(0)
-    assert _sample_dirichlet_copula_batch(5, 4, rng).shape == (5, 4)
-    assert _sample_dirichlet_copula_batch(5, 3, rng).shape == (5, 3)
+    d = sample_copula_batch(DIRICHLET, 5, 4, rng)
+    g = sample_copula_batch(GAUSSIAN, 5, 3, rng)
+    assert d.shape == (5, 4) and g.shape == (5, 3)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 10], ids="{}-dirichlet".format)
-def test_marginal_uniformity_ks(n):
+@pytest.mark.parametrize("kind", [DIRICHLET, GAUSSIAN], ids=["dirichlet", "gaussian"])
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+def test_marginal_uniformity_ks(kind, n):
     # KS at the 1% level over 1e5 draws, every coordinate
     rng = np.random.default_rng(1234 + n)
-    u = _sample_dirichlet_copula_batch(100_000, n, rng)
+    u = sample_copula_batch(kind, 100_000, n, rng)
     for coord in range(n):
         assert stats.kstest(u[:, coord], "uniform").pvalue > 0.01
 
@@ -329,6 +381,29 @@ def test_exchangeability_across_coordinate_pairs():
         assert max(freqs) - min(freqs) <= 8.0 * se
 
 
+def test_gaussian_equicorrelation_value():
+    # corr(u1, u2) for a Gaussian copula with normal correlation rho is
+    # (6/pi) asin(rho/2); check at n = 3, rho = -0.5, within 3 SE
+    rng = np.random.default_rng(3)
+    draws = 100_000
+    u = _sample_gaussian_copula_batch(draws, 3, rng)
+    r = np.corrcoef(u[:, 0], u[:, 1])[0, 1]
+    expected = (6.0 / np.pi) * np.arcsin(-0.25)
+    se = (1 - expected**2) / np.sqrt(draws)
+    assert r < 0
+    assert abs(r - expected) <= 3.0 * se
+
+
+# ---------------------------------------------------------------------------
+# CopulaKind validation
+
+
+def test_copula_kind_defaults_and_errors():
+    assert CopulaKind("gaussian") == GAUSSIAN and CopulaKind("dirichlet") == DIRICHLET
+    with pytest.raises(ValueError):
+        CopulaKind("logistic")
+
+
 # ---------------------------------------------------------------------------
 # bernoulli_pair_correlation
 
@@ -353,6 +428,7 @@ def test_bernoulli_pair_correlation_range_and_errors():
 
 
 def test_same_seed_same_draws():
-    a = _sample_dirichlet_copula_batch(100, 4, np.random.default_rng(99))
-    b = _sample_dirichlet_copula_batch(100, 4, np.random.default_rng(99))
-    assert np.array_equal(a, b)
+    for kind in (DIRICHLET, GAUSSIAN):
+        a = sample_copula_batch(kind, 100, 4, np.random.default_rng(99))
+        b = sample_copula_batch(kind, 100, 4, np.random.default_rng(99))
+        assert np.array_equal(a, b)

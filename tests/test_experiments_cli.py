@@ -1107,6 +1107,33 @@ def test_only_the_full_selfcheck_imports_scipy(tmp_path):
     assert result == {"seen": [False, False, True], "codes": [0] * 5}
 
 
+# the Gaussian copula, reached through the library only, loads scipy.special
+# on its first draw; the Dirichlet draws and pair laws never do
+FRESH_GAUSSIAN_RUN = """
+import json, sys
+import numpy as np
+from carms.copula import GAUSSIAN
+from carms.sampling import gumbel_pair_pmf, sample_antithetic_gumbel
+p, rng = np.array([0.5, 0.3, 0.2]), np.random.default_rng(0)
+seen = ["scipy" in sys.modules]
+sample_antithetic_gumbel(3, p, rng)
+gumbel_pair_pmf(p, 3)
+seen.append("scipy" in sys.modules)
+sample_antithetic_gumbel(3, p, rng, copula=GAUSSIAN)
+seen.append("scipy.special" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_is_imported_on_first_gaussian_use_only():
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_GAUSSIAN_RUN],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, False, True]
+
+
 # ---------------------------------------------------------------------------
 # scripts and the benchmark's traced names
 
@@ -1155,8 +1182,6 @@ def test_benchmark_tracer_finds_every_traced_name():
     tracer = spans.Tracer()
     try:
         tracer.install()
-        # the benchmark still lists the deleted Gaussian copula draw; any other
-        # missing name fails
-        assert tracer.missing == ["carms.copula._sample_gaussian_copula_batch"]
+        assert tracer.missing == []
     finally:
         tracer.uninstall()
