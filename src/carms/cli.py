@@ -14,8 +14,10 @@ an output path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -57,13 +59,18 @@ def _json_value(value):
     return value
 
 
-def _write_records(out_path, output, records):
-    """Write records (dicts) as CSV (with header) or JSON-lines to a file or stdout."""
+def _open_output(out_path):
+    return open(out_path, "w", encoding="utf-8", newline="")
+
+
+def _write_records(out_path, output, records, handle=None):
+    """Write records (dicts) as CSV (with header) or JSON-lines to a file, closed
+    on return (handle: out_path already opened by _open_output), or stdout ("-")."""
     if out_path == "-":
         _emit(sys.stdout, output, records)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            _emit(handle, output, records)
+        with handle or _open_output(out_path) as file:
+            _emit(file, output, records)
 
 
 def _emit(handle, output, records):
@@ -171,13 +178,19 @@ def _config(cls, args):
     return cls(**_given(args, [field.name for field in dataclasses.fields(cls)]))
 
 
-def _toy(args):
-    records = list(run_toy(_config(ToyConfig, args)))
+def _toy(config):
+    records = list(run_toy(config))
     return records, f"toy: {len(records)} records", 0
 
 
-def _correlation(args):
-    return [run_correlation(_config(CorrelationConfig, args))], "correlation: 1 record", 0
+def _correlation(config):
+    return [run_correlation(config)], "correlation: 1 record", 0
+
+
+def _selfcheck_args(args):
+    if getattr(args, "seed", 0) < 0:  # as the configs check theirs
+        raise ValueError("seed must be nonnegative")
+    return args
 
 
 def _selfcheck(args):
@@ -195,25 +208,32 @@ def _selfcheck(args):
     return rows, summary, 1 if n_failed else 0
 
 
-# each subcommand returns (records, summary, exit code)
-_COMMANDS = {"toy": _toy, "correlation": _correlation, "selfcheck": _selfcheck}
+# each subcommand: its config from the flags (ValueError on a bad value), and
+# its run on that config, which returns (records, summary, exit code)
+_COMMANDS = {"toy": (functools.partial(_config, ToyConfig), _toy),
+             "correlation": (functools.partial(_config, CorrelationConfig), _correlation),
+             "selfcheck": (_selfcheck_args, _selfcheck)}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
+    configure, run = _COMMANDS[args.command]
     try:
-        records, summary, code = _COMMANDS[args.command](args)
-        try:
-            _write_records(args.out_path, args.output, records)
-        except OSError as exc:  # a missing directory, a directory, no permission
-            print(f"error: cannot write {args.out_path}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
+        config = configure(args)
+        # opened before the run, so that a path that cannot be written costs no run
+        handle = None if args.out_path == "-" else _open_output(args.out_path)
+        with handle or contextlib.nullcontext():
+            records, summary, code = run(config)
+            _write_records(args.out_path, args.output, records, handle)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # numpy's names the array it could not allocate
         print(f"error: out of memory: {exc}".rstrip(": "), file=sys.stderr)
+        return 2
+    except OSError as exc:  # the output's: a missing directory, a directory, no permission
+        print(f"error: cannot write {args.out_path}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     print(f"{summary} in {time.perf_counter() - start:.2f}s", file=sys.stderr)
     return code

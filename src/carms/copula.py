@@ -28,14 +28,10 @@ Differentiating in p gives the conditional CDF P(u_j < q | u_i = p),
 which at n = 2 is the step 1{p + q > 1}.
 
 The Gaussian copula maps a normal vector at the most negative feasible
-equicorrelation, -1/(n-1), through the standard normal CDF.  Its bivariate
-CDF is the bivariate normal CDF, evaluated through Owen's T function
-(Owen 1956), and its conditional CDF is a normal CDF.  At n = 2 that
-correlation is -1, and both families are the antithetic pair (u, 1 - u): the
-pair CDFs serve either family there with the Dirichlet kernels' n = 2 step.
-No command or estimator draws from the Gaussian copula: it never gave a
-lower gradient variance than the Dirichlet one on the Gumbel path
-(BENCH_21.json), and only the library's copula= arguments reach it.
+equicorrelation, -1/(n-1), through the standard normal CDF.  No command or
+estimator draws from it: it never gave a lower gradient variance than the
+Dirichlet one on the Gumbel path (BENCH_21.json).  Only
+sample_copula_batch(GAUSSIAN, ...) reaches it, and no pair law exists for it.
 """
 
 from __future__ import annotations
@@ -149,26 +145,16 @@ def dirichlet_bivariate_cdf(p, q, n: int):
     return out.item() if p_arr.ndim == 0 and q_arr.ndim == 0 else out
 
 
-def _pair_cdfs(kind: CopulaKind, n: int, p, q):
+def _pair_cdfs(n: int, p, q):
     """(C(p, q), dC/dp(p, q)) for a coordinate pair of n, at float arrays.
 
     Without the public CDFs' argument checks and exact boundary rows, for
     arguments known to lie in (0, 1]: the Gumbel pair law evaluates these on
-    large grids, where every full-size pass counts.  At n = 2 both families
-    are the antithetic pair, served by the Dirichlet kernels.  These write
-    only arrays they make, so p and q must be arrays, not numpy scalars.
+    large grids, where every full-size pass counts.  These write only arrays
+    they make, so p and q must be arrays, not numpy scalars.
     """
-    if kind.family == "dirichlet" or n == 2:
-        t = _dirichlet_t(p, q, n) if n > 2 else None
-        return _dirichlet_cdf(p, q, n, t), _dirichlet_conditional(p, q, n, t)
-    rho = -1.0 / (n - 1)
-    return _gaussian_cdf(p, q, rho), _gaussian_conditional(p, q, rho)
-
-
-def _pair_cdf(kind: CopulaKind, n: int, p, q):
-    if kind.family == "dirichlet" or n == 2:
-        return _dirichlet_cdf(p, q, n)
-    return _gaussian_cdf(p, q, -1.0 / (n - 1))
+    t = _dirichlet_t(p, q, n) if n > 2 else None
+    return _dirichlet_cdf(p, q, n, t), _dirichlet_conditional(p, q, n, t)
 
 
 def _int_power(x, k: int, out=None, scratch=None):
@@ -225,47 +211,6 @@ def _dirichlet_conditional(p_arr, q_arr, n, t):
     tail = _int_power(t, n - 2)
     np.subtract(1.0, np.multiply(tail, slope, out=tail), out=tail)
     return np.clip(tail, 0.0, 1.0, out=tail)
-
-
-def _normal_scores(p_arr):
-    from scipy.special import ndtri
-    # Phi^-1 of the argument, kept finite: the samplers clamp their uniforms
-    # the same way.
-    h = ndtri(np.clip(p_arr, CLAMP_EPS, 1.0 - CLAMP_EPS))
-    # Owen's formula divides by the scores; at a score of exactly 0 a tiny
-    # positive one gives the same value (the CDF is continuous there).
-    return np.where(h == 0.0, np.finfo(float).tiny, h)
-
-
-def _gaussian_cdf(p_arr, q_arr, rho):
-    """Bivariate normal CDF with correlation rho at (Phi^-1(p), Phi^-1(q)).
-
-    Owen's (1956) T-function form:
-
-        Phi2(h, k) = (Phi(h) + Phi(k)) / 2 - T(h, a_h) - T(k, a_k) - beta,
-
-    a_h = (k - rho h) / (h sqrt(1 - rho^2)), a_k likewise, and beta = 1/2
-    where h and k have opposite signs; -1 < rho.
-    """
-    from scipy.special import ndtr, owens_t
-    h, k = _normal_scores(p_arr), _normal_scores(q_arr)
-    r = np.sqrt(1.0 - rho * rho)
-    beta = np.where(h * k < 0.0, 0.5, 0.0)
-    with np.errstate(over="ignore"):  # an infinite slope is T's own limit
-        out = (
-            0.5 * (ndtr(h) + ndtr(k))
-            - owens_t(h, (k - rho * h) / (h * r))
-            - owens_t(k, (h - rho * k) / (k * r))
-            - beta
-        )
-    return np.clip(out, np.maximum(p_arr + q_arr - 1.0, 0.0), np.minimum(p_arr, q_arr))
-
-
-def _gaussian_conditional(p_arr, q_arr, rho):
-    """Phi((Phi^-1(q) - rho Phi^-1(p)) / sqrt(1 - rho^2)) for -1 < rho."""
-    from scipy.special import ndtr
-    h, k = _normal_scores(p_arr), _normal_scores(q_arr)
-    return ndtr((k - rho * h) / np.sqrt(1.0 - rho * rho))
 
 
 def bernoulli_pair_correlation(p, n: int):

@@ -146,17 +146,17 @@ def test_dirichlet_pair_cdfs_are_the_cdf_and_its_first_partial():
     grid = np.linspace(0.05, 0.95, 19)
     u, v = grid[:, None], grid[None, :]
     for n in (3, 4, 7):
-        joint, cond = _pair_cdfs(DIRICHLET, n, u, v)
+        joint, cond = _pair_cdfs(n, u, v)
         assert np.array_equal(joint, dirichlet_bivariate_cdf(u, v, n))
         fd = _first_partial(lambda a, b: dirichlet_bivariate_cdf(a, b, n), u, v)
         assert np.max(np.abs(cond - fd)) <= 1e-5
     # n = 2 is the antithetic step
-    assert np.array_equal(_pair_cdfs(DIRICHLET, 2, u, v)[1], (u + v > 1.0) * 1.0)
+    assert np.array_equal(_pair_cdfs(2, u, v)[1], (u + v > 1.0) * 1.0)
     # the boundary row and column at 1: the conditional is exact, the joint
     # CDF carries the rounding of its p + q - 1
     for n in (2, 3, 6):
         for args in ((grid, 1.0), (1.0, grid)):
-            joint, cond = _pair_cdfs(DIRICHLET, n, *args)
+            joint, cond = _pair_cdfs(n, *args)
             assert np.all(cond == 1.0)
             assert np.max(np.abs(joint - grid)) <= 1e-15
 
@@ -191,7 +191,7 @@ def test_dirichlet_kernels_write_only_the_arrays_they_make(n):
     # the kernels work in place: p, q and the t that the CDF and dC/dp share
     # must come out as they went in, and the values as frozen
     p, q = np.array([[0.2], [0.55], [0.9]]), np.array([[0.35, 0.7]])
-    joint, cond = _pair_cdfs(DIRICHLET, n, p, q)
+    joint, cond = _pair_cdfs(n, p, q)
     frozen_joint, frozen_cond = DIRICHLET_PAIR_CDFS[n]
     np.testing.assert_allclose(joint, frozen_joint, rtol=1e-15, atol=1e-17)
     np.testing.assert_allclose(cond, frozen_cond, rtol=1e-15, atol=1e-17)
@@ -208,28 +208,6 @@ def test_dirichlet_kernels_write_only_the_arrays_they_make(n):
     for i, j in np.ndindex(joint.shape):
         value = dirichlet_bivariate_cdf(p[i, 0], q[0, j], n)
         assert isinstance(value, float) and value == joint[i, j]
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 10], ids=lambda n: str(-1.0 / (n - 1)))
-def test_gaussian_pair_cdfs_match_bivariate_normal(n):
-    # the Gaussian kernels behind the Gumbel pair law, at the copula's
-    # equicorrelation rho = -1/(n-1); n = 2 is the antithetic pair
-    rho = -1.0 / (n - 1)
-    grid = np.array([1e-6, 0.01, 0.2, 0.5, 0.7, 0.99, 1.0])
-    u, v = grid[:, None], grid[None, :]
-    joint, cond = _pair_cdfs(GAUSSIAN, n, u, v)
-    if n == 2:
-        assert np.array_equal(joint, np.maximum(u + v - 1.0, 0.0))
-        assert np.array_equal(cond, (u + v > 1.0) * 1.0)
-        return
-    law = stats.multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]])
-    for ia, a in enumerate(grid[:-1]):
-        for ib, b in enumerate(grid[:-1]):
-            ref = law.cdf([stats.norm.ppf(a), stats.norm.ppf(b)])
-            assert joint[ia, ib] == pytest.approx(ref, abs=1e-9)
-    inner = grid[1:-2, None]
-    fd = _first_partial(lambda x, y: _pair_cdfs(GAUSSIAN, n, x, y)[0], inner, v)
-    assert np.max(np.abs(cond[1:-2] - fd)) <= 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from carms import experiments, sampling
+from carms import cli, experiments, sampling
 from carms.cli import _config, _csv_cell, _emit, _json_value, build_parser, main
 from carms.estimators import carms, carms_pair_sum, loorf
 from carms.experiments import (
@@ -931,13 +931,40 @@ def test_cli_out_of_memory_exits_two_with_one_line(message, monkeypatch, capsys)
 @pytest.mark.parametrize("where, code", [("missing/x.csv", errno.ENOENT), ("", errno.EISDIR)],
                          ids=["missing-directory", "directory"])
 def test_cli_unwritable_out_path_exits_two_with_one_line(where, code, tmp_path, capsys):
-    # the records are made before the output is opened; a path that cannot be
-    # written is a usage error, not a traceback and not a failed selfcheck
+    # a path that cannot be written is a usage error, not a traceback and not
+    # a failed selfcheck
     path = tmp_path / where
     assert main(["correlation", "--trials", "100", "--out-path", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: cannot write {path}: {os.strerror(code)}\n"
+
+
+def test_cli_unwritable_out_path_is_reported_before_the_run(tmp_path, monkeypatch, capsys):
+    # the output is opened once the config is built, so the toy run, about 8 s
+    # at its defaults, never starts
+    def no_run(config):
+        raise AssertionError("run_toy was called")
+
+    monkeypatch.setattr(cli, "run_toy", no_run)
+    path = tmp_path / "missing" / "x.csv"
+    assert main(["toy", "--out-path", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {path}: {os.strerror(errno.ENOENT)}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["toy", "--alpha", "nan"],
+    ["correlation", "--trials", "10"],
+    ["selfcheck", "--seed", "-1"],
+], ids=["toy", "correlation", "selfcheck"])
+def test_cli_bad_flag_value_creates_no_output(argv, tmp_path, capsys):
+    # a bad value is reported before the output is opened
+    path = tmp_path / "out.csv"
+    assert main(argv + ["--out-path", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not path.exists()
 
 
 def test_cli_nonfinite_clip_exits_two(capsys):
@@ -1107,19 +1134,19 @@ def test_only_the_full_selfcheck_imports_scipy(tmp_path):
     assert result == {"seen": [False, False, True], "codes": [0] * 5}
 
 
-# the Gaussian copula, reached through the library only, loads scipy.special
-# on its first draw; the Dirichlet draws and pair laws never do
+# the Gaussian copula, reached through sample_copula_batch only, loads
+# scipy.special on its first draw; the Dirichlet draws and pair laws never do
 FRESH_GAUSSIAN_RUN = """
 import json, sys
 import numpy as np
-from carms.copula import GAUSSIAN
+from carms.copula import GAUSSIAN, sample_copula_batch
 from carms.sampling import gumbel_pair_pmf, sample_antithetic_gumbel
 p, rng = np.array([0.5, 0.3, 0.2]), np.random.default_rng(0)
 seen = ["scipy" in sys.modules]
 sample_antithetic_gumbel(3, p, rng)
 gumbel_pair_pmf(p, 3)
 seen.append("scipy" in sys.modules)
-sample_antithetic_gumbel(3, p, rng, copula=GAUSSIAN)
+sample_copula_batch(GAUSSIAN, 5, 3, rng)
 seen.append("scipy.special" in sys.modules)
 print(json.dumps(seen))
 """
@@ -1173,6 +1200,24 @@ def test_correlation_grid_script_matches_the_cli_cell(tmp_path, monkeypatch):
     assert len(rows) == 3
     (cell,) = [r for r in rows if r["method"] == "gumbel"]
     assert cell["corr"] == cli_row["corr"]
+
+
+def test_layer_benchmark_script_runs_its_in_process_stages(monkeypatch):
+    # bench_layers.py calls the Gumbel kernels by their private signatures;
+    # its whole run takes about 20 s, so only its in-process stages run here
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts perfbench/ first
+    monkeypatch.setattr(os, "environ", dict(os.environ))  # and sets BLAS thread counts
+    bench = _load_by_path("bench_layers", REPO / "scripts" / "bench_layers.py")
+    monkeypatch.setattr(bench, "CALLS", 4)
+    sizes = {str(c) for c in bench.SIZES}
+    record = bench.layers(64, 1)
+    timings = [*record["us_per_draw_dim"].values(), *record["pair_law_ms_per_build"].values()]
+    assert set(record["pair_law_ms_per_build"]) == {
+        "inverse_cdf", "gumbel", "inverse_cdf_offdiag", "gumbel_offdiag"}
+    calls = bench.single_draw(1)
+    assert calls["calls"] == 4 and "sample_antithetic_gumbel_fresh_p" in calls["us_per_call"]
+    for by_size in timings + list(calls["us_per_call"].values()):
+        assert set(by_size) == sizes and all(v > 0.0 for v in by_size.values())
 
 
 def test_benchmark_tracer_finds_every_traced_name():

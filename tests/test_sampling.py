@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 
 import carms.experiments
 import carms.sampling
-from carms.copula import (
-    DIRICHLET,
-    GAUSSIAN,
-    _sample_dirichlet_copula_batch,
-    sample_copula_batch,
-)
+from carms.copula import _sample_dirichlet_copula_batch
 from carms.oracle import TabulatedObjective, exact_carms_expectation, exact_gradient, softmax
 from carms.sampling import (
     GUMBEL_BLOCK,
@@ -133,8 +128,7 @@ def test_category_batches_are_c_ordered():
     p = _simplex(rng, 5)
     for cats in (
         _inverse_cdf_categories_batch(300, 4, p, rng),
-        _gumbel_categories_batch(300, 4, p, rng, DIRICHLET),
-        _gumbel_categories_batch(300, 4, p, rng, GAUSSIAN),
+        _gumbel_categories_batch(300, 4, p, rng),
     ):
         assert cats.shape == (300, 4) and cats.flags.c_contiguous
 
@@ -614,10 +608,7 @@ def test_gumbel_realized_ratio_entries_match_pair_law():
                 assert ratios.ratios[i, j] == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "copula", [DIRICHLET, GAUSSIAN], ids=["dir", "gauss"]
-)
-def test_single_draw_ratios_match_the_full_pair_laws(copula):
+def test_single_draw_ratios_match_the_full_pair_laws():
     # the single draws build their law at the realized pairs only; each
     # realized off-diagonal ratio must match the full law's: the inverse-CDF
     # draw's the batched ratios bit for bit, the Gumbel draw's (a quadrature
@@ -633,14 +624,14 @@ def test_single_draw_ratios_match_the_full_pair_laws(copula):
                 # indices against the full ones
                 p[rng.integers(c)] = 0.0
                 p = p / p.sum()
-            laws = {sample_antithetic_gumbel: gumbel_pair_pmf(p, n, copula)}
-            if copula == DIRICHLET:
-                laws[sample_antithetic_inverse_cdf] = bivariate_pmf_averaged(p, n)
-                batched, _ = _analytic_ratio_matrix(p, laws[sample_antithetic_inverse_cdf], None)
+            laws = {
+                sample_antithetic_gumbel: gumbel_pair_pmf(p, n),
+                sample_antithetic_inverse_cdf: bivariate_pmf_averaged(p, n),
+            }
+            batched, _ = _analytic_ratio_matrix(p, laws[sample_antithetic_inverse_cdf], None)
             for sample, law in laws.items():
-                kwargs = {"copula": copula} if sample is sample_antithetic_gumbel else {}
                 for _ in range(2 if c == 30 else 4):
-                    z, ratios = sample(n, p, rng, clip=None, **kwargs)
+                    z, ratios = sample(n, p, rng, clip=None)
                     present = np.unique(np.argmax(z, axis=1))
                     for i in present:
                         for j in present[present != i]:
@@ -654,42 +645,42 @@ def test_single_draw_ratios_match_the_full_pair_laws(copula):
 GUMBEL_LAW_P = np.array([0.45, 0.3, 0.15, 0.1])
 
 
-def _quadrature_bound(copula, n):
+def _quadrature_bound(n):
     # the Dirichlet conditional CDF has a kink at N = 3 (max(0, t)^(N-2)),
     # and is only a few times differentiable above, which slows the
     # off-diagonal quadrature to algebraic convergence; each diagonal entry
     # is what its row leaves of p, so it converges with the row
-    return 1e-4 if (copula is DIRICHLET and n == 3) else 1e-8
+    return 1e-4 if n == 3 else 1e-8
 
 
 # eight categories, one of them rare
 SMALL_P = np.array([0.01, 0.2, 0.15, 0.14, 0.13, 0.12, 0.11, 0.14])
 
+# the ids of the Gumbel-law cases below name their copula, the Dirichlet one
 
-@pytest.mark.parametrize("n", [2, 3, 5])
-@pytest.mark.parametrize("copula", [DIRICHLET, GAUSSIAN], ids=["dirichlet", "gaussian"])
+
+@pytest.mark.parametrize("n", [2, 3, 5], ids="dirichlet-{}".format)
 @pytest.mark.parametrize("p", [GUMBEL_LAW_P, SMALL_P], ids=["four", "rare"])
-def test_gumbel_pair_pmf_matches_sampled_pairs(p, copula, n):
+def test_gumbel_pair_pmf_matches_sampled_pairs(p, n):
     draws = 100_000
-    seed = [20, n, copula is GAUSSIAN] + ([p.size] if p is SMALL_P else [])
+    seed = [20, n, 0] + ([p.size] if p is SMALL_P else [])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    cats = _gumbel_categories_batch(draws, n, p, rng, copula)
+    cats = _gumbel_categories_batch(draws, n, p, rng)
     emp = np.zeros((p.size, p.size))
     np.add.at(emp, (cats[:, 0], cats[:, 1]), 1.0)
     emp /= draws
-    law = gumbel_pair_pmf(p, n, copula)
+    law = gumbel_pair_pmf(p, n)
     # a cell the law puts at zero may still hold a count or two
     se = np.sqrt(np.maximum(law * (1 - law), 1.0 / draws) / draws)
     assert np.max(np.abs(emp - law) / se) <= 4.0
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 10])
-@pytest.mark.parametrize("copula", [DIRICHLET, GAUSSIAN], ids=["dirichlet", "gaussian"])
-def test_gumbel_pair_pmf_is_a_symmetric_pair_law(copula, n):
-    law = gumbel_pair_pmf(GUMBEL_LAW_P, n, copula)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 10], ids="dirichlet-{}".format)
+def test_gumbel_pair_pmf_is_a_symmetric_pair_law(n):
+    law = gumbel_pair_pmf(GUMBEL_LAW_P, n)
     assert np.all(law >= 0.0)
     assert np.array_equal(law, law.T)
-    # the diagonal is what the row leaves of p, for every copula and N
+    # the diagonal is what the row leaves of p, for every N
     assert np.max(np.abs(law.sum(axis=1) - GUMBEL_LAW_P)) <= 1e-12
     # N = 2 at full strength mirrors the samples: a category less likely than
     # another can never win both, since winning the first forces its mirror
@@ -698,39 +689,25 @@ def test_gumbel_pair_pmf_is_a_symmetric_pair_law(copula, n):
         assert np.all(np.diag(law)[1:] <= 1e-15)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 10])
-@pytest.mark.parametrize("copula", [DIRICHLET, GAUSSIAN], ids=["dirichlet", "gaussian"])
-def test_gumbel_pair_pmf_gives_the_exact_gradient(copula, n):
+@pytest.mark.parametrize("n", [2, 3, 4, 10], ids="dirichlet-{}".format)
+def test_gumbel_pair_pmf_gives_the_exact_gradient(n):
     # over any pair law whose rows sum to p and whose off-diagonal is positive,
     # the pair estimator's exact mean is the gradient; with two dimensions each
     # one's row sums also weight the other's differences, so they must be p
     phi = np.log([GUMBEL_LAW_P, GUMBEL_LAW_P[::-1]])
     f = TabulatedObjective(np.random.default_rng(n).normal(size=(4, 4)))
-    pmf = np.stack([gumbel_pair_pmf(p, n, copula) for p in softmax(phi)])
+    pmf = np.stack([gumbel_pair_pmf(p, n) for p in softmax(phi)])
     moments = exact_carms_expectation(f, phi, pmf)
     assert np.max(np.abs(moments.mean - exact_gradient(f, phi))) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 10])
-@pytest.mark.parametrize("copula", [DIRICHLET, GAUSSIAN], ids=["dirichlet", "gaussian"])
-def test_gumbel_pair_pmf_quadrature_converges(copula, n):
-    coarse = _gumbel_pair_pmf(GUMBEL_LAW_P, n, copula, GUMBEL_NODES // 2)
-    law = gumbel_pair_pmf(GUMBEL_LAW_P, n, copula)
-    fine = _gumbel_pair_pmf(GUMBEL_LAW_P, n, copula, 2 * GUMBEL_NODES)
-    assert np.max(np.abs(law - fine)) <= _quadrature_bound(copula, n)
+@pytest.mark.parametrize("n", [2, 3, 5, 10], ids="dirichlet-{}".format)
+def test_gumbel_pair_pmf_quadrature_converges(n):
+    coarse = _gumbel_pair_pmf(GUMBEL_LAW_P, n, GUMBEL_NODES // 2)
+    law = gumbel_pair_pmf(GUMBEL_LAW_P, n)
+    fine = _gumbel_pair_pmf(GUMBEL_LAW_P, n, 2 * GUMBEL_NODES)
+    assert np.max(np.abs(law - fine)) <= _quadrature_bound(n)
     assert np.max(np.abs(law - fine)) <= np.max(np.abs(coarse - fine))
-
-
-@pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("copula", [GAUSSIAN], ids=["gaussian"])
-def test_gumbel_pair_pmf_diagonal_is_accurate_for_a_rare_category(copula, n):
-    # the Gaussian kernels are smooth, so the row sums are accurate to about
-    # 1e-13 and the diagonal they leave holds to a relative accuracy even for
-    # the rare 0.01 category (about 3e-7 at N = 3)
-    law = gumbel_pair_pmf(SMALL_P, n, copula)
-    fine = _gumbel_pair_pmf(SMALL_P, n, copula, 4 * GUMBEL_NODES)
-    assert np.all(np.diag(fine) > 0.0)
-    assert np.max(np.abs(np.diag(law) / np.diag(fine) - 1.0)) <= 1e-4
 
 
 @pytest.mark.filterwarnings("error")
@@ -762,22 +739,21 @@ def test_gumbel_marginals_quick():
     rng = np.random.default_rng(16)
     p = np.array([0.6, 0.3, 0.1])
     draws = 20_000
-    cats = _gumbel_categories_batch(draws, 3, p, rng, DIRICHLET)
+    cats = _gumbel_categories_batch(draws, 3, p, rng)
     freq = np.bincount(cats[:, 0], minlength=3) / draws
     se = np.sqrt(p * (1 - p) / draws)
     assert np.max(np.abs(freq - p) / se) <= 4.0
 
 
-def _gumbel_one_shot(k, n, p, rng, copula):
+def _gumbel_one_shot(k, n, p, rng):
     # the whole-batch Gumbel-max draw in race form: one copula call for all
     # k C columns, each sample to the largest log(u) / p
-    u = sample_copula_batch(copula, k * p.size, n, rng).reshape(k, p.size, n)
+    u = _sample_dirichlet_copula_batch(k * p.size, n, rng).reshape(k, p.size, n)
     with np.errstate(divide="ignore"):
         return np.argmax(np.log(u) / p[None, :, None], axis=1)
 
 
-@pytest.mark.parametrize("copula", [DIRICHLET, GAUSSIAN], ids=["dirichlet", "gaussian"])
-def test_gumbel_blocks_are_bit_identical_to_one_draw(copula):
+def test_gumbel_blocks_are_bit_identical_to_one_draw():
     # k = 1, exactly one block, and several blocks with a partial last one,
     # with a category that can never win
     p = np.array([0.2, 0.0, 0.35, 0.05, 0.4])
@@ -785,8 +761,8 @@ def test_gumbel_blocks_are_bit_identical_to_one_draw(copula):
         step = GUMBEL_BLOCK // (p.size * n)
         for k in (1, step, 3 * step + 7):
             ref_rng, rng = np.random.default_rng(k), np.random.default_rng(k)
-            ref = _gumbel_one_shot(k, n, p, ref_rng, copula)
-            cats = _gumbel_categories_batch(k, n, p, rng, copula)
+            ref = _gumbel_one_shot(k, n, p, ref_rng)
+            cats = _gumbel_categories_batch(k, n, p, rng)
             assert cats.shape == (k, n) and np.array_equal(cats, ref), (n, k)
             assert cats.flags.c_contiguous and np.all(cats != 1)
             # the blocks leave the stream where the one draw does
@@ -815,7 +791,7 @@ def test_batched_categories_are_pinned(method, c, n):
     k = 2 * (GUMBEL_BLOCK // (c * n)) + 7
     rng = np.random.default_rng(1000 * c + n)
     if method == "gumbel":
-        cats = _gumbel_categories_batch(k, n, p, rng, DIRICHLET)
+        cats = _gumbel_categories_batch(k, n, p, rng)
     else:
         cats = _inverse_cdf_categories_batch(k, n, p, rng)
     digest = hashlib.sha256(cats.astype(np.int64).tobytes()).hexdigest()[:16]
@@ -824,27 +800,26 @@ def test_batched_categories_are_pinned(method, c, n):
 
 # sha256 (first 16 hex digits) of the one-hot samples, ratios and clip flag of
 # 100 single draws at C = 6, N = 4 and a ceiling of 0.5, which engages in
-# 92-96 of them, as drawn when each sampler spelled out its own body
+# 92-96 of them, as drawn when each sampler spelled out its own body; the
+# case ids name the copula
 PINNED_SINGLE_DRAWS = {
-    ("inverse-cdf", "dirichlet"): "7d37f7f23325b101",
-    ("gumbel", "dirichlet"): "72332be0f3478dc9",
-    ("gumbel", "gaussian"): "fe514c423a51f8ef",
+    "inverse-cdf": "7d37f7f23325b101",
+    "gumbel": "72332be0f3478dc9",
 }
 
 
-@pytest.mark.parametrize("method, copula", sorted(PINNED_SINGLE_DRAWS))
-def test_single_draws_are_pinned(method, copula):
+@pytest.mark.parametrize("method", sorted(PINNED_SINGLE_DRAWS), ids="{}-dirichlet".format)
+def test_single_draws_are_pinned(method):
     p = np.random.default_rng(6).dirichlet(np.full(6, 0.3))
     rng, h = np.random.default_rng(61), hashlib.sha256()
     for _ in range(100):
         if method == "inverse-cdf":
             z, r = sample_antithetic_inverse_cdf(4, p, rng, clip=0.5)
         else:
-            copula_kind = DIRICHLET if copula == "dirichlet" else GAUSSIAN
-            z, r = sample_antithetic_gumbel(4, p, rng, copula=copula_kind, clip=0.5)
+            z, r = sample_antithetic_gumbel(4, p, rng, clip=0.5)
         for part in (z, r.ratios, np.array([r.clipped])):
             h.update(part.tobytes())
-    assert h.hexdigest()[:16] == PINNED_SINGLE_DRAWS[method, copula]
+    assert h.hexdigest()[:16] == PINNED_SINGLE_DRAWS[method]
 
 
 def test_gumbel_batch_reuses_its_block_arrays():
@@ -852,8 +827,8 @@ def test_gumbel_batch_reuses_its_block_arrays():
     # (k, N) output (0.3 MiB) are the call's peak.  Fresh arrays for every
     # block, as once drawn, peaked at 2491 KiB
     p, rng = np.full(30, 1.0 / 30), np.random.default_rng(27)
-    _gumbel_categories_batch(10, 4, p, rng, DIRICHLET)
-    peak = _peak_mib(lambda: _gumbel_categories_batch(10_000, 4, p, rng, DIRICHLET))
+    _gumbel_categories_batch(10, 4, p, rng)
+    peak = _peak_mib(lambda: _gumbel_categories_batch(10_000, 4, p, rng))
     assert peak * 1024 < 1700, peak * 1024
 
 
@@ -892,10 +867,7 @@ def test_inverse_cdf_single_category_draw_builds_no_law(monkeypatch):
             assert np.array_equal(r.ratios, ref.ratios) and r.clipped == ref.clipped
 
 
-@pytest.mark.parametrize(
-    "copula", [DIRICHLET, GAUSSIAN], ids=["dirichlet", "gaussian-rho-1"]
-)
-def test_n2_mirror_single_draw_builds_its_pair_bit_for_bit(copula):
+def test_n2_mirror_single_draw_builds_its_pair_bit_for_bit():
     # the one realized pair of an N = 2 mirror draw, against the same pair
     # read from the full C x C block that the batched path builds
     rng = np.random.default_rng(73)
@@ -905,7 +877,7 @@ def test_n2_mirror_single_draw_builds_its_pair_bit_for_bit(copula):
         full = _gumbel_pair_offdiag_antithetic(p, GUMBEL_NODES, np.arange(c))
         full = 0.5 * (full + full.T)
         for _ in range(4):
-            z, r = sample_antithetic_gumbel(2, p, rng, copula=copula)
+            z, r = sample_antithetic_gumbel(2, p, rng)
             i, j = np.argmax(z, axis=1)
             law = np.zeros((c, c))
             if i != j:
@@ -925,15 +897,9 @@ def test_n2_mirror_single_draw_memory_does_not_grow_with_categories():
         p = _simplex(rng, c, 10.0)
         cats = np.array([1, c - 2])
         law = carms.sampling._gumbel_offdiag_law
-        law(p, 2, DIRICHLET, cats=cats)
-        peaks.append(_peak_mib(lambda: law(p, 2, DIRICHLET, cats=cats)))
+        law(p, 2, cats=cats)
+        peaks.append(_peak_mib(lambda: law(p, 2, cats=cats)))
     assert peaks[1] < 1.1 * peaks[0] and max(peaks) < 0.75, peaks
-
-
-def test_gumbel_gaussian_copula_supported():
-    rng = np.random.default_rng(17)
-    z, _ = sample_antithetic_gumbel(4, [0.5, 0.5], rng, copula=GAUSSIAN)
-    assert z.shape == (4, 2)
 
 
 @pytest.mark.parametrize("clip", [0.0, -1.0, np.nan])
