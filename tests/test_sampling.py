@@ -28,6 +28,7 @@ from carms.sampling import (
     _inverse_cdf_categories_batch,
     _ordering_anchors,
     _realized_ratios,
+    _unit_nodes,
     all_orderings,
     as_probs,
     bivariate_pmf_averaged,
@@ -733,6 +734,146 @@ def test_gumbel_pair_pmf_zero_category_and_validation():
     assert np.max(np.abs(law.sum(axis=1) - [0.5, 0.0, 0.5])) <= 1e-12
     with pytest.raises(ValueError):
         gumbel_pair_pmf([0.5, 0.5], 1)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(b"None" if a is None else np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _pair_law_outputs(name, c, n):
+    """What one pair-law function returns at C categories and N samples, for
+    p ~ Dirichlet(0.5) and Dirichlet(5) (seed C), at up to four drawn
+    categories in a non-prefix order (seed 1000 + C)."""
+    drawn = np.random.default_rng(1000 + c).permutation(c)[:4]
+    pairs = np.array([[a, b] for k, a in enumerate(drawn) for b in drawn[k:]])
+    out = []
+    for alpha in (0.5, 5.0):
+        p = np.random.default_rng(c).dirichlet(np.full(c, alpha))
+        if name == "gumbel_pair_pmf":
+            out.append(gumbel_pair_pmf(p, n))
+        elif name == "gumbel_offdiag_law":
+            out += [carms.sampling._gumbel_offdiag_law(p, n, cats=drawn[:r])
+                    for r in range(2, drawn.size + 1)]
+        elif name == "bivariate_pmf_entries":
+            out.append(bivariate_pmf_entries(p, n, pairs))
+        else:
+            law = carms.sampling._inverse_cdf_offdiag_law
+            out += [law(p, n), law(p, n, cats=drawn)]
+    return out
+
+
+# sha256 (first 16 hex digits) of _pair_law_outputs, as built when the Gumbel
+# kernel kept its block arrays outside its one allocation and the rectangle
+# mass called the copula CDF once per corner
+PINNED_PAIR_LAWS = {
+    ("gumbel_pair_pmf", 3, 2): "ee2202479361796f",
+    ("gumbel_pair_pmf", 3, 3): "ebd9bdd935512e86",
+    ("gumbel_pair_pmf", 3, 4): "b06c73fb30c06602",
+    ("gumbel_pair_pmf", 3, 10): "78e4dd781837350b",
+    ("gumbel_pair_pmf", 8, 2): "fcd48afbb371da47",
+    ("gumbel_pair_pmf", 8, 3): "09b091d44ab7cf27",
+    ("gumbel_pair_pmf", 8, 4): "1cd151b4fc591c49",
+    ("gumbel_pair_pmf", 8, 10): "43fb3b0eedbbfc75",
+    ("gumbel_pair_pmf", 30, 2): "6276816a79664c00",
+    ("gumbel_pair_pmf", 30, 3): "0aef89674faa282c",
+    ("gumbel_pair_pmf", 30, 4): "ae0a5f7dd446f8fd",
+    ("gumbel_pair_pmf", 30, 10): "d186599fb3856880",
+    ("gumbel_offdiag_law", 3, 2): "471e50c0fe880b78",
+    ("gumbel_offdiag_law", 3, 3): "65cc1a200d94424a",
+    ("gumbel_offdiag_law", 3, 4): "22e39a859c977fd6",
+    ("gumbel_offdiag_law", 3, 10): "9c9ceee73c5ef683",
+    ("gumbel_offdiag_law", 8, 2): "7805e17557c5574d",
+    ("gumbel_offdiag_law", 8, 3): "bc30a5b665fbc34e",
+    ("gumbel_offdiag_law", 8, 4): "91526b762b7d9de6",
+    ("gumbel_offdiag_law", 8, 10): "d492cd76c0d80bad",
+    ("gumbel_offdiag_law", 30, 2): "c18fd485dde78804",
+    ("gumbel_offdiag_law", 30, 3): "d2db522fd83d51a1",
+    ("gumbel_offdiag_law", 30, 4): "f8a6c09032a5dbba",
+    ("gumbel_offdiag_law", 30, 10): "67758cead6ff8da2",
+    ("bivariate_pmf_entries", 3, 2): "9d66a69162e8a9dd",
+    ("bivariate_pmf_entries", 3, 3): "225ecd5f6f05906e",
+    ("bivariate_pmf_entries", 3, 4): "763b9da877c7f534",
+    ("bivariate_pmf_entries", 3, 10): "019c80e4fa429001",
+    ("bivariate_pmf_entries", 8, 2): "7dc63e6214486ac4",
+    ("bivariate_pmf_entries", 8, 3): "7f611608e381f716",
+    ("bivariate_pmf_entries", 8, 4): "ed903933c2dc30aa",
+    ("bivariate_pmf_entries", 8, 10): "7b9a9c89bd3cff7a",
+    ("bivariate_pmf_entries", 30, 2): "46b478a8efa33067",
+    ("bivariate_pmf_entries", 30, 3): "2b0b7408dfd999a6",
+    ("bivariate_pmf_entries", 30, 4): "1609d610294ec6e6",
+    ("bivariate_pmf_entries", 30, 10): "08056f1f3702b67d",
+    ("inverse_cdf_offdiag_law", 3, 2): "d63a02fb5c75ac3c",
+    ("inverse_cdf_offdiag_law", 3, 3): "274d285ae0a51390",
+    ("inverse_cdf_offdiag_law", 3, 4): "416307f0900f9db5",
+    ("inverse_cdf_offdiag_law", 3, 10): "01f36b0755910a04",
+    ("inverse_cdf_offdiag_law", 8, 2): "a4096d0601002c59",
+    ("inverse_cdf_offdiag_law", 8, 3): "c9165f93da40c57e",
+    ("inverse_cdf_offdiag_law", 8, 4): "81a33f5ce4eebedb",
+    ("inverse_cdf_offdiag_law", 8, 10): "deb4107487c262dc",
+    ("inverse_cdf_offdiag_law", 30, 2): "d5b6f9b37dd97bac",
+    ("inverse_cdf_offdiag_law", 30, 3): "caa56c3669c937ab",
+    ("inverse_cdf_offdiag_law", 30, 4): "aa21e3e6f411c6f7",
+    ("inverse_cdf_offdiag_law", 30, 10): "38db46b882c0e163",
+}
+
+
+@pytest.mark.parametrize("name, c, n", sorted(PINNED_PAIR_LAWS))
+def test_pair_laws_are_pinned(name, c, n):
+    assert _digest(*_pair_law_outputs(name, c, n)) == PINNED_PAIR_LAWS[name, c, n]
+
+
+def _gumbel_offdiag_reference(p, n, cats):
+    """The off-diagonal Gumbel law among cats for a positive p, as the same
+    GUMBEL_NODES quadrature over whole (C, G, G) arrays, with the Dirichlet
+    copula's CDF H and conditional CDF typed out: P(i, j) sums
+    a_i(s, t) / H_i(s, t) · a_j(t, s) / H_j(t, s) · ∏_k H_k(s, t)."""
+    _, xc, w = _unit_nodes(GUMBEL_NODES)
+    m = n - 1
+    u = xc ** p[:, None]
+    us, ut = u[:, :, None], u[:, None, :]
+    t = np.maximum((1.0 - us) ** (1.0 / m) + (1.0 - ut) ** (1.0 / m) - 1.0, 0.0)
+    h = np.clip(us + ut - 1.0 + t**m, np.maximum(us + ut - 1.0, 0.0), np.minimum(us, ut))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # at u = 1 the slope (1 - u)^(1/m - 1) meets t = 0 and the tail vanishes
+        slope = np.where(us < 1.0, (1.0 - us) ** (1.0 / m - 1.0), 0.0)
+        a = (1.0 - t ** (m - 1) * slope) * (p[:, None] * u / xc * w)[:, :, None]
+        ratio = np.where(h > 0.0, a / h, 0.0)
+    law = np.einsum("ist,jts,st->ij", ratio, ratio, h.prod(axis=0))
+    keep = np.zeros(p.size, bool)
+    keep[cats] = True
+    return np.where(np.outer(keep, keep) & ~np.eye(p.size, dtype=bool), 0.5 * (law + law.T), 0.0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 10])
+@pytest.mark.parametrize("c", [3, 8, 12])
+def test_gumbel_offdiag_law_matches_a_whole_array_quadrature(c, n):
+    # all rows, a prefix and a non-prefix subset of them, and a p with a
+    # 1e-12 category, which carries its pairs' mass at relative accuracy
+    rng = np.random.default_rng(100 * c + n)
+    tiny = _simplex(rng, c)
+    tiny[1] = 1e-12
+    for p in (_simplex(rng, c), tiny / tiny.sum()):
+        for cats in (np.arange(c), np.arange(2), np.array([c - 1, 0, 1][: min(c, 3)][::-1])):
+            law = carms.sampling._gumbel_offdiag_law(p, n, cats=cats)
+            ref = _gumbel_offdiag_reference(p, n, cats)
+            assert np.all((law == 0.0) == (ref == 0.0)), (c, n, cats)
+            assert np.all(np.abs(law - ref) <= 1e-13 * ref), (c, n, cats)
+
+
+def test_gumbel_law_memory_stays_within_its_traced_peaks():
+    # N = 4: 1388.6 KiB at C = 8 with four realized categories and 2316.5
+    # KiB at C = 30 with all rows, as traced when the kernel kept its block
+    # arrays outside its one allocation; the bounds leave under 1 KiB for
+    # the interpreter's own small objects
+    rng = np.random.default_rng(75)
+    law = carms.sampling._gumbel_offdiag_law
+    for c, cats, kib in ((8, np.array([6, 1, 3, 4]), 1389), (30, None, 2317)):
+        p = _simplex(rng, c)
+        law(p, 4, cats=cats)
+        assert _peak_mib(lambda: law(p, 4, cats=cats)) * 1024 <= kib, c
 
 
 def test_gumbel_marginals_quick():
