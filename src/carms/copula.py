@@ -145,18 +145,6 @@ def dirichlet_bivariate_cdf(p, q, n: int):
     return out.item() if p_arr.ndim == 0 and q_arr.ndim == 0 else out
 
 
-def _pair_cdfs(n: int, p, q):
-    """(C(p, q), dC/dp(p, q)) for a coordinate pair of n, at float arrays.
-
-    Without the public CDFs' argument checks and exact boundary rows, for
-    arguments known to lie in (0, 1]: the Gumbel pair law evaluates these on
-    large grids, where every full-size pass counts.  These write only arrays
-    they make, so p and q must be arrays, not numpy scalars.
-    """
-    t = _dirichlet_t(p, q, n) if n > 2 else None
-    return _dirichlet_cdf(p, q, n, t), _dirichlet_conditional(p, q, n, t)
-
-
 def _int_power(x, k: int, out=None, scratch=None):
     """x ** k for an integer k >= 1: the squares x^(2^j) at the set bits of k
     multiplied in from the lowest, into out (x itself, or None for a fresh
@@ -183,16 +171,18 @@ def _dirichlet_t(p_arr, q_arr, n):
     return np.maximum(t, 0.0, out=t)
 
 
-def _dirichlet_cdf(p_arr, q_arr, n, t=None):
+def _dirichlet_cdf(p_arr, q_arr, n):
     excess = p_arr + q_arr
     excess -= 1.0
     if n == 2:
         return np.maximum(excess, 0.0, out=excess)
-    t = _dirichlet_t(p_arr, q_arr, n) if t is None else t
-    raw = _int_power(t, n - 1)
+    raw = _int_power(_dirichlet_t(p_arr, q_arr, n), n - 1)
     raw += excess
-    np.maximum(raw, np.maximum(excess, 0.0, out=excess), out=raw)
-    return np.minimum(raw, np.minimum(p_arr, q_arr, out=excess), out=raw)
+    # fl(t^(n-1) + excess) >= excess: the closed form's floor max(excess, 0)
+    # is a floor at 0, and min(raw, p, q) needs no min(p, q) array
+    np.maximum(raw, 0.0, out=raw)
+    np.minimum(raw, p_arr, out=raw)
+    return np.minimum(raw, q_arr, out=raw)
 
 
 def _dirichlet_cdf_exact_edges(p_arr, q_arr, n):
@@ -202,15 +192,20 @@ def _dirichlet_cdf_exact_edges(p_arr, q_arr, n):
     return np.where(p_arr >= 1.0, q_arr, out)
 
 
-def _dirichlet_conditional(p_arr, q_arr, n, t):
-    if n == 2:
-        return (p_arr + q_arr > 1.0).astype(float)
-    # at p = 1, t = 0 and the tail vanishes, whatever (1 - p)^(inv - 1) is
+def _dirichlet_slope(p_arr, n):
+    """(1 - p)^(1/(n-1) - 1), the factor of dC/dp set by p alone; 0 at p = 1,
+    where t = 0 and the tail vanishes."""
     with np.errstate(divide="ignore"):
-        slope = np.where(p_arr < 1.0, np.power(1.0 - p_arr, 1.0 / (n - 1) - 1.0), 0.0)
-    tail = _int_power(t, n - 2)
-    np.subtract(1.0, np.multiply(tail, slope, out=tail), out=tail)
-    return np.clip(tail, 0.0, 1.0, out=tail)
+        return np.where(p_arr < 1.0, np.power(1.0 - p_arr, 1.0 / (n - 1) - 1.0), 0.0)
+
+
+def _dirichlet_conditional(t, slope, n, out=None, scratch=None):
+    """dC/dp = 1 - t^(n-2) slope for n > 2, into out with the squares in
+    scratch (fresh by default); 1 less a product >= 0 needs no ceiling."""
+    tail = t if n == 3 else _int_power(t, n - 2, out=out, scratch=scratch)
+    tail = np.multiply(tail, slope, out=out)
+    np.subtract(1.0, tail, out=tail)
+    return np.maximum(tail, 0.0, out=tail)
 
 
 def bernoulli_pair_correlation(p, n: int):

@@ -38,9 +38,10 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .copula import (
-    _dirichlet_cdf,
     _dirichlet_cdf_exact_edges,
-    _pair_cdfs,
+    _dirichlet_conditional,
+    _dirichlet_slope,
+    _int_power,
     _sample_dirichlet_copula_batch,
     _validate_n,
 )
@@ -189,11 +190,11 @@ def _rectangle_mass(left_a, right_a, left_b, right_b, n: int):
     edges broadcast against each other and, in [0, 1], need no checks.
     """
 
-    cdf = functools.partial(_dirichlet_cdf_exact_edges, n=n)
-    return np.maximum(
-        cdf(right_a, right_b) - cdf(right_a, left_b) - cdf(left_a, right_b) + cdf(left_a, left_b),
-        0.0,
+    left_a, right_a, left_b, right_b = np.broadcast_arrays(left_a, right_a, left_b, right_b)
+    cdf = _dirichlet_cdf_exact_edges(
+        np.stack((right_a, right_a, left_a, left_a)), np.stack((right_b, left_b, right_b, left_b)), n
     )
+    return np.maximum(cdf[0] - cdf[1] - cdf[2] + cdf[3], 0.0)
 
 
 def bivariate_pmf_one_ordering(p, ordering: Ordering, i: int, j: int, n: int) -> float:
@@ -227,9 +228,8 @@ def _blocks(total: int, width: int) -> list[slice]:
     With width floats per item, a block's temporaries stay near 64 KiB.
     They come from glibc's heap, which gives free top past 128 KiB back to
     the system until a large mapping is freed: a call whose temporaries
-    reach further faults them in again each time, so the Gumbel kernels work
-    in place and free each block's arrays before the next.  The loops over
-    these blocks give the same result at any size.
+    reach further faults them in again each time.  The loops over these
+    blocks give the same result at any size.
     """
     step = max(1, 8192 // max(width, 1))
     return [slice(lo, lo + step) for lo in range(0, total, step)]
@@ -239,7 +239,8 @@ def _ordering_mean_mass(p: np.ndarray, n: int, first, second) -> np.ndarray:
     """Mean over all anchored orderings of the rectangle mass of the cells
     first[k] x second[k], for (K,) category index arrays.
 
-    The orderings come from their anchors, about 8192 / max(K, C) a block.
+    The orderings come from their anchors, about 8192 / max(4 K, C) a block,
+    as the rectangle mass stacks its four corners.
     Each block's first row takes the running total and cumsum adds down the
     rows, so the orderings are summed strictly one after another: an entry
     depends neither on the block size nor on the other entries asked for.
@@ -247,7 +248,7 @@ def _ordering_mean_mass(p: np.ndarray, n: int, first, second) -> np.ndarray:
     c = p.size
     orderings = c * (c - 1) // 2
     total = 0.0
-    for rows in _blocks(orderings, max(first.size, c)):
+    for rows in _blocks(orderings, max(4 * first.size, c)):
         numbers = np.arange(*rows.indices(orderings))
         inverse = _anchored_inverse(*_ordering_anchors(numbers, c), c)
         # row m lays the cells out in the order inverse[m], edges kept by category
@@ -467,30 +468,53 @@ def _gumbel_pair_offdiag(q, n, nodes: int, rows) -> np.ndarray:
     sample 2 below t in k) and H[k] = C(F_k(s), F_k(t)), the pair (i, j) is
     summed over the grid as (a_i / H_i) · (a_j^T / H_j) · ∏_k H_k, which is
     one matrix product for all pairs.  Where H_k underflows to 0 the grid
-    point carries no mass, so its a_k / H_k is set to 0.  The mass takes every
-    H_k; a_k / H_k is formed for the rows only.
+    point carries no mass at (s, t) nor, H_k being symmetric, at (t, s), so
+    a_k / H_k is taken over 1 there.
+
+    a_k / H_k is formed for the rows only, in the one allocation that also
+    takes its transpose and, until then, each block's t.  The blocks are
+    pairs of rows, then pairs of the others in index order, with H and a
+    scratch array made once per call: the mass ∏_k H_k is multiplied in the
+    pairs that the 64 KiB blocks of _blocks gave at GUMBEL_NODES, for their
+    rounding.  Larger blocks in the allocation's free part ran faster but
+    touched more fresh pages on a process's first calls.
     """
     _, xc, w = _unit_nodes(nodes)
     u = np.power(xc, q[:, None])
-    dens = q[rows, None] * u[rows] / xc * w
-    # one allocation for ratio and its transpose, room for at least 16 rows
-    # (1 MiB at 64 nodes) of which only the rows' part is touched: freed, it
-    # lifts glibc's trim threshold to twice its size, above the working set
-    # whatever the rows, so later calls reuse the heap top unfaulted
+    # [v_s, 1] @ [1, v_t]^T is v_s + v_t at one rounding, with no broadcast buffers
+    sums = np.ones((2, q.size, nodes, 2))
+    sums[0, ..., 0], sums[1, ..., 0] = np.power(1.0 - u, 1.0 / (n - 1)), u
+    slope, dens = _dirichlet_slope(u[rows], n), q[rows, None] * u[rows] / xc * w
+    # room for at least 16 rows (1 MiB at 64 nodes) of which only the rows'
+    # part is touched: freed, it lifts glibc's trim threshold to twice its
+    # size, above the working set whatever the rows, so later calls reuse the
+    # heap top unfaulted
     ratio, right = np.empty((2, max(rows.size, 16), nodes, nodes))[:, : rows.size]
-    ratio[...] = 0.0
+    pair_h, pair_tmp = np.empty((2, nodes, nodes)), np.empty((2, nodes, nodes))
     mass = np.ones((nodes, nodes))
-    for block in _blocks(rows.size, nodes * nodes):
-        ub = u[rows[block]]
-        joint, cond = _pair_cdfs(n, ub[:, :, None], ub[:, None, :])
-        cond *= dens[block, :, None]
-        np.divide(cond, joint, out=ratio[block], where=joint > 0.0)
-        mass *= joint.prod(axis=0)
-        del joint, cond  # freed before the next block's are made (see _blocks)
-    others = np.delete(u, rows, axis=0)
-    for block in _blocks(others.shape[0], nodes * nodes):
-        ub = others[block]
-        mass *= _dirichlet_cdf(ub[:, :, None], ub[:, None, :], n).prod(axis=0)
+    for cats in (rows, np.flatnonzero(np.bincount(rows, minlength=q.size) == 0)):
+        for lo in range(0, cats.size, 2):
+            block = slice(lo, lo + 2)
+            roots, ub = sums[:, cats[block]]
+            h, tmp = pair_h[: ub.shape[0]], pair_tmp[: ub.shape[0]]
+            t = right[block] if cats is rows else right[: ub.shape[0]]
+            # H = C(u_s, u_t) in place (see copula._dirichlet_cdf)
+            np.matmul(roots, roots.swapaxes(1, 2)[:, ::-1], out=t)
+            t -= 1.0
+            np.maximum(t, 0.0, out=t)
+            _int_power(t, n - 1, out=h, scratch=tmp)
+            np.matmul(ub, ub.swapaxes(1, 2)[:, ::-1], out=tmp)
+            tmp -= 1.0
+            h += tmp
+            np.maximum(h, 0.0, out=h)
+            np.minimum(h, ub[:, :, :1], out=h)
+            np.minimum(h, ub[:, None, :, 0], out=h)
+            if cats is rows:
+                cond = _dirichlet_conditional(t, slope[block, :, None], n, ratio[block], tmp)
+                cond *= dens[block, :, None]
+                np.equal(h, 0.0, out=tmp)
+                np.divide(cond, np.add(h, tmp, out=tmp), out=cond)
+            mass *= np.multiply.reduce(h, axis=0, out=tmp[0])
     right[...] = ratio.transpose(0, 2, 1)
     ratio *= mass
     return ratio.reshape(rows.size, -1) @ right.reshape(rows.size, -1).T

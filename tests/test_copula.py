@@ -46,9 +46,9 @@ from carms.copula import (
     CopulaKind,
     _dirichlet_cdf,
     _dirichlet_conditional,
+    _dirichlet_slope,
     _dirichlet_t,
     _int_power,
-    _pair_cdfs,
     _sample_dirichlet_copula_batch,
     _sample_gaussian_copula_batch,
     bernoulli_pair_correlation,
@@ -140,9 +140,18 @@ def _first_partial(cdf, u, v, h=1e-6):
     return (cdf(u + h, v) - cdf(u - h, v)) / (2 * h)
 
 
+def _pair_cdfs(n, p, q):
+    # C(p, q) and, for n > 2, dC/dp(p, q), from the pieces the Gumbel pair
+    # law's kernel shares between them
+    cond = None
+    if n > 2:
+        cond = _dirichlet_conditional(_dirichlet_t(p, q, n), _dirichlet_slope(p, n), n)
+    return _dirichlet_cdf(p, q, n), cond
+
+
 def test_dirichlet_pair_cdfs_are_the_cdf_and_its_first_partial():
     # the Dirichlet kernels behind the Gumbel pair law, on (0, 1] where it
-    # evaluates them
+    # evaluates them (N = 2 has a mirror law of its own and no dC/dp)
     grid = np.linspace(0.05, 0.95, 19)
     u, v = grid[:, None], grid[None, :]
     for n in (3, 4, 7):
@@ -150,21 +159,19 @@ def test_dirichlet_pair_cdfs_are_the_cdf_and_its_first_partial():
         assert np.array_equal(joint, dirichlet_bivariate_cdf(u, v, n))
         fd = _first_partial(lambda a, b: dirichlet_bivariate_cdf(a, b, n), u, v)
         assert np.max(np.abs(cond - fd)) <= 1e-5
-    # n = 2 is the antithetic step
-    assert np.array_equal(_pair_cdfs(2, u, v)[1], (u + v > 1.0) * 1.0)
     # the boundary row and column at 1: the conditional is exact, the joint
     # CDF carries the rounding of its p + q - 1
     for n in (2, 3, 6):
         for args in ((grid, 1.0), (1.0, grid)):
             joint, cond = _pair_cdfs(n, *args)
-            assert np.all(cond == 1.0)
+            assert n == 2 or np.all(cond == 1.0)
             assert np.max(np.abs(joint - grid)) <= 1e-15
 
 
-# (C(p, q), dC/dp(p, q)) at p in (0.2, 0.55, 0.9) down, q in (0.35, 0.7) across
+# (C(p, q), dC/dp(p, q)) at p in (0.2, 0.55, 0.9) down, q in (0.35, 0.7) across;
+# no dC/dp at n = 2, whose law is the mirror kernel's
 DIRICHLET_PAIR_CDFS = {
-    2: ([[0.0, 0.0], [0.0, 0.25], [0.25, 0.6000000000000001]],
-        [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+    2: ([[0.0, 0.0], [0.0, 0.25], [0.25, 0.6000000000000001]], None),
     3: ([[0.040914578526054124, 0.0954964001031072],
          [0.12757304647961312, 0.2977610213247474],
          [0.2649948696658927, 0.6000000000000001]],
@@ -194,13 +201,14 @@ def test_dirichlet_kernels_write_only_the_arrays_they_make(n):
     joint, cond = _pair_cdfs(n, p, q)
     frozen_joint, frozen_cond = DIRICHLET_PAIR_CDFS[n]
     np.testing.assert_allclose(joint, frozen_joint, rtol=1e-15, atol=1e-17)
-    np.testing.assert_allclose(cond, frozen_cond, rtol=1e-15, atol=1e-17)
-    assert np.array_equal(_dirichlet_cdf(p, q, n), joint)
     if n > 2:
+        np.testing.assert_allclose(cond, frozen_cond, rtol=1e-15, atol=1e-17)
         t = _dirichlet_t(p, q, n)
-        shared = t.copy()
-        assert np.array_equal(_dirichlet_cdf(p, q, n, t), joint)
-        assert np.array_equal(_dirichlet_conditional(p, q, n, t), cond)
+        shared, slope = t.copy(), _dirichlet_slope(p, n)
+        # into given arrays, as the Gumbel kernel calls it, bit for bit
+        out, scratch = np.empty(t.shape), np.empty(t.shape)
+        assert _dirichlet_conditional(t, slope, n, out, scratch) is out
+        assert np.array_equal(out, cond)
         assert np.array_equal(t, shared)
         assert _int_power(t, 1) is not t
     assert np.array_equal(p, [[0.2], [0.55], [0.9]]) and np.array_equal(q, [[0.35, 0.7]])
