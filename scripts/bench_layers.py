@@ -57,12 +57,6 @@ import subprocess
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
-from run import BLAS_ENV, machine_info  # noqa: E402
-
-for _var in BLAS_ENV:
-    os.environ.setdefault(_var, "1")
-
 SIZES = (3, 10, 30)
 SAMPLES = 4
 CALLS = 200
@@ -294,6 +288,13 @@ def main():
     ap.add_argument("--toy", action="store_true",
                     help="also time `carms toy` at its defaults, wall-clock and peak RSS")
     args = ap.parse_args()
+    # perfbench's machine record and BLAS thread variables, set before numpy
+    # loads here or in the children
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+    from run import BLAS_ENV, machine_info
+
+    for var in BLAS_ENV:
+        os.environ.setdefault(var, "1")
     sys.path.insert(0, os.path.abspath(args.src))
 
     record = {"machine": machine_info(), **(toy_default(args.src) if args.toy else {}),

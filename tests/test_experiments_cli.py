@@ -1205,9 +1205,10 @@ def test_correlation_grid_script_matches_the_cli_cell(tmp_path, monkeypatch):
 def test_layer_benchmark_script_runs_its_in_process_stages(monkeypatch):
     # bench_layers.py calls the Gumbel kernels by their private signatures;
     # its whole run takes about 20 s, so only its in-process stages run here
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts perfbench/ first
-    monkeypatch.setattr(os, "environ", dict(os.environ))  # and sets BLAS thread counts
+    # loading the script changes neither the import path nor the environment
+    path, environ = list(sys.path), dict(os.environ)
     bench = _load_by_path("bench_layers", REPO / "scripts" / "bench_layers.py")
+    assert sys.path == path and dict(os.environ) == environ
     monkeypatch.setattr(bench, "CALLS", 4)
     sizes = {str(c) for c in bench.SIZES}
     record = bench.layers(64, 1)
