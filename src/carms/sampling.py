@@ -182,18 +182,17 @@ def all_orderings(n_categories: int) -> list[Ordering]:
     ]
 
 
-def _rectangle_mass(left_a, right_a, left_b, right_b, n: int):
-    """P(u in [left_a, right_a), u' in [left_b, right_b)), clamped at 0.
+def _rectangle_mass(a, b, n: int):
+    """P(u in [a[0], a[1]), u' in [b[0], b[1])), clamped at 0, for the
+    (left, right) edges a and b of two cells stacked on a first axis.
 
     Inclusion-exclusion of the Dirichlet copula CDF, exact at edges of 0
-    and 1, over the cell rectangle for two coordinates of one draw; the
-    edges broadcast against each other and, in [0, 1], need no checks.
+    and 1, over the cell rectangle for two coordinates of one draw, its four
+    corners stacked into one CDF call; the edges broadcast against each
+    other and, in [0, 1], need no checks.
     """
-
-    left_a, right_a, left_b, right_b = np.broadcast_arrays(left_a, right_a, left_b, right_b)
-    cdf = _dirichlet_cdf_exact_edges(
-        np.stack((right_a, right_a, left_a, left_a)), np.stack((right_b, left_b, right_b, left_b)), n
-    )
+    a, b = np.broadcast_arrays(a, b)
+    cdf = _dirichlet_cdf_exact_edges(a[[1, 1, 0, 0]], b[[1, 0, 1, 0]], n)
     return np.maximum(cdf[0] - cdf[1] - cdf[2] + cdf[3], 0.0)
 
 
@@ -207,9 +206,9 @@ def bivariate_pmf_one_ordering(p, ordering: Ordering, i: int, j: int, n: int) ->
     p = as_probs(p)
     if ordering.n_categories != p.size:
         raise ValueError("ordering and probability vector disagree on C")
-    left, right = _cell_edges(ordering.permuted(p))
-    ip, jp = ordering.perm[_as_indices([[i], [j]], p.size)]
-    return _rectangle_mass(left[ip], right[ip], left[jp], right[jp], n).item()
+    edges = np.stack(_cell_edges(ordering.permuted(p)))
+    ip, jp = ordering.perm[_as_indices([i, j], p.size)]
+    return _rectangle_mass(edges[:, ip], edges[:, jp], n).item()
 
 
 def bivariate_pmf_matrix(p, ordering: Ordering, n: int) -> np.ndarray:
@@ -218,8 +217,8 @@ def bivariate_pmf_matrix(p, ordering: Ordering, n: int) -> np.ndarray:
     p = as_probs(p)
     if ordering.n_categories != p.size:
         raise ValueError("ordering and probability vector disagree on C")
-    left, right = (e[ordering.perm] for e in _cell_edges(ordering.permuted(p)))
-    return _rectangle_mass(left[:, None], right[:, None], left, right, n)
+    edges = np.stack(_cell_edges(ordering.permuted(p)))[:, ordering.perm]
+    return _rectangle_mass(edges[:, :, None], edges[:, None, :], n)
 
 
 def _blocks(total: int, width: int) -> list[slice]:
@@ -239,16 +238,17 @@ def _ordering_mean_mass(p: np.ndarray, n: int, first, second) -> np.ndarray:
     """Mean over all anchored orderings of the rectangle mass of the cells
     first[k] x second[k], for (K,) category index arrays.
 
-    The orderings come from their anchors, about 8192 / max(4 K, C) a block,
-    as the rectangle mass stacks its four corners.
-    Each block's first row takes the running total and cumsum adds down the
-    rows, so the orderings are summed strictly one after another: an entry
-    depends neither on the block size nor on the other entries asked for.
+    The orderings come from their anchors, about 8192 / C a block, and take
+    their masses about 2048 / K orderings at a time, as the rectangle mass
+    stacks its four corners.  Each such run's first row takes the running
+    total and cumsum adds down the rows, so the orderings are summed strictly
+    one after another: an entry depends neither on the block sizes nor on
+    the other entries asked for.
     """
     c = p.size
     orderings = c * (c - 1) // 2
     total = 0.0
-    for rows in _blocks(orderings, max(4 * first.size, c)):
+    for rows in _blocks(orderings, c):
         numbers = np.arange(*rows.indices(orderings))
         inverse = _anchored_inverse(*_ordering_anchors(numbers, c), c)
         # row m lays the cells out in the order inverse[m], edges kept by category
@@ -256,11 +256,12 @@ def _ordering_mean_mass(p: np.ndarray, n: int, first, second) -> np.ndarray:
         flat = inverse + np.arange(0, inverse.size, c)[:, None]  # row m's flat offset
         for edge, by_position in zip(by_category, _cell_edges(p[inverse])):
             edge[flat] = by_position
-        left, right = by_category.reshape((2,) + inverse.shape)
-        edges = [edge.take(idx, axis=1) for idx in (first, second) for edge in (left, right)]
-        mass = _rectangle_mass(*edges, n)
-        mass[0] += total
-        total = mass.cumsum(axis=0, out=mass)[-1]
+        edges = by_category.reshape((2,) + inverse.shape)
+        for run in _blocks(inverse.shape[0], 4 * first.size):
+            a, b = (edges[:, run].take(idx, axis=2) for idx in (first, second))
+            mass = _rectangle_mass(a, b, n)
+            mass[0] += total
+            total = mass.cumsum(axis=0, out=mass)[-1]
     return total / orderings
 
 
@@ -497,7 +498,7 @@ def _gumbel_pair_offdiag(q, n, nodes: int, rows) -> np.ndarray:
             block = slice(lo, lo + 2)
             roots, ub = sums[:, cats[block]]
             h, tmp = pair_h[: ub.shape[0]], pair_tmp[: ub.shape[0]]
-            t = right[block] if cats is rows else right[: ub.shape[0]]
+            t = right[block] if cats is rows else right[: ub.shape[0]]  # two rows or more
             # H = C(u_s, u_t) in place (see copula._dirichlet_cdf)
             np.matmul(roots, roots.swapaxes(1, 2)[:, ::-1], out=t)
             t -= 1.0
