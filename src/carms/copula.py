@@ -171,24 +171,23 @@ def _dirichlet_t(p_arr, q_arr, n):
     return np.maximum(t, 0.0, out=t)
 
 
-def _dirichlet_cdf(p_arr, q_arr, n):
+def _dirichlet_cdf(p_arr, q_arr, n, t=None):
     excess = p_arr + q_arr
     excess -= 1.0
     if n == 2:
         return np.maximum(excess, 0.0, out=excess)
-    raw = _int_power(_dirichlet_t(p_arr, q_arr, n), n - 1)
+    raw = _int_power(_dirichlet_t(p_arr, q_arr, n) if t is None else t, n - 1)
     raw += excess
-    # fl(t^(n-1) + excess) >= excess: the closed form's floor max(excess, 0)
-    # is a floor at 0, and min(raw, p, q) needs no min(p, q) array
+    # fl(t^(n-1) + excess) >= excess: the floor max(excess, 0) is one at 0
     np.maximum(raw, 0.0, out=raw)
     np.minimum(raw, p_arr, out=raw)
     return np.minimum(raw, q_arr, out=raw)
 
 
-def _dirichlet_cdf_exact_edges(p_arr, q_arr, n):
+def _dirichlet_cdf_exact_edges(p_arr, q_arr, n, t=None):
     """_dirichlet_cdf on [0, 1], exact at 0 (its clamp) and at 1: C(p, 1) = p
     and C(1, q) = q are set, as p + 1 - 1 need not round to p."""
-    out = np.where(q_arr >= 1.0, p_arr, _dirichlet_cdf(p_arr, q_arr, n))
+    out = np.where(q_arr >= 1.0, p_arr, _dirichlet_cdf(p_arr, q_arr, n, t))
     return np.where(p_arr >= 1.0, q_arr, out)
 
 

@@ -192,7 +192,11 @@ def _rectangle_mass(a, b, n: int):
     other and, in [0, 1], need no checks.
     """
     a, b = np.broadcast_arrays(a, b)
-    cdf = _dirichlet_cdf_exact_edges(a[[1, 1, 0, 0]], b[[1, 0, 1, 0]], n)
+    t = None
+    if n > 2:  # each edge's (1 - x)^(1/(n-1)) once, read at its two corners
+        ra, rb = (np.power(1.0 - x, 1.0 / (n - 1)) for x in (a, b))
+        t = np.maximum(ra[[1, 1, 0, 0]] + rb[[1, 0, 1, 0]] - 1.0, 0.0)
+    cdf = _dirichlet_cdf_exact_edges(a[[1, 1, 0, 0]], b[[1, 0, 1, 0]], n, t)
     return np.maximum(cdf[0] - cdf[1] - cdf[2] + cdf[3], 0.0)
 
 
@@ -239,11 +243,10 @@ def _ordering_mean_mass(p: np.ndarray, n: int, first, second) -> np.ndarray:
     first[k] x second[k], for (K,) category index arrays.
 
     The orderings come from their anchors, about 8192 / C a block, and take
-    their masses about 2048 / K orderings at a time, as the rectangle mass
-    stacks its four corners.  Each such run's first row takes the running
-    total and cumsum adds down the rows, so the orderings are summed strictly
-    one after another: an entry depends neither on the block sizes nor on
-    the other entries asked for.
+    their masses in runs of about 2048 / K (four stacked corners each).  A
+    run's first row takes the running total and cumsum adds down the rows,
+    so the orderings are summed strictly one after another: an entry depends
+    neither on the block sizes nor on the other entries asked for.
     """
     c = p.size
     orderings = c * (c - 1) // 2
@@ -475,10 +478,9 @@ def _gumbel_pair_offdiag(q, n, nodes: int, rows) -> np.ndarray:
     a_k / H_k is formed for the rows only, in the one allocation that also
     takes its transpose and, until then, each block's t.  The blocks are
     pairs of rows, then pairs of the others in index order, with H and a
-    scratch array made once per call: the mass ∏_k H_k is multiplied in the
-    pairs that the 64 KiB blocks of _blocks gave at GUMBEL_NODES, for their
-    rounding.  Larger blocks in the allocation's free part ran faster but
-    touched more fresh pages on a process's first calls.
+    scratch array made once per call (larger blocks in the allocation touch
+    more fresh pages): the mass ∏_k H_k keeps the pairwise rounding of the
+    64 KiB blocks of _blocks at GUMBEL_NODES.
     """
     _, xc, w = _unit_nodes(nodes)
     u = np.power(xc, q[:, None])
@@ -486,10 +488,9 @@ def _gumbel_pair_offdiag(q, n, nodes: int, rows) -> np.ndarray:
     sums = np.ones((2, q.size, nodes, 2))
     sums[0, ..., 0], sums[1, ..., 0] = np.power(1.0 - u, 1.0 / (n - 1)), u
     slope, dens = _dirichlet_slope(u[rows], n), q[rows, None] * u[rows] / xc * w
-    # room for at least 16 rows (1 MiB at 64 nodes) of which only the rows'
-    # part is touched: freed, it lifts glibc's trim threshold to twice its
-    # size, above the working set whatever the rows, so later calls reuse the
-    # heap top unfaulted
+    # room for at least 16 rows (1 MiB at 64 nodes), touched in the rows' part
+    # only: freed, it lifts glibc's trim threshold above the working set
+    # whatever the rows, so later calls reuse the heap top unfaulted
     ratio, right = np.empty((2, max(rows.size, 16), nodes, nodes))[:, : rows.size]
     pair_h, pair_tmp = np.empty((2, nodes, nodes)), np.empty((2, nodes, nodes))
     mass = np.ones((nodes, nodes))
