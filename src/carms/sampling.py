@@ -191,7 +191,6 @@ def _rectangle_mass(a, b, n: int):
     corners stacked into one CDF call; the edges broadcast against each
     other and, in [0, 1], need no checks.
     """
-    a, b = np.broadcast_arrays(a, b)
     t = None
     if n > 2:  # each edge's (1 - x)^(1/(n-1)) once, read at its two corners
         ra, rb = (np.power(1.0 - x, 1.0 / (n - 1)) for x in (a, b))
