@@ -141,8 +141,8 @@ def _first_partial(cdf, u, v, h=1e-6):
 
 
 def _pair_cdfs(n, p, q):
-    # C(p, q) and, for n > 2, dC/dp(p, q), from the pieces the Gumbel pair
-    # law's kernel shares between them
+    # C(p, q) and, for n > 2, dC/dp(p, q) from the shared t and p's slope,
+    # as the Gumbel pair law's kernel forms it
     cond = None
     if n > 2:
         cond = _dirichlet_conditional(_dirichlet_t(p, q, n), _dirichlet_slope(p, n), n)

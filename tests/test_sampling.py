@@ -765,9 +765,9 @@ def _pair_law_outputs(name, c, n):
     return out
 
 
-# sha256 (first 16 hex digits) of _pair_law_outputs, as built when the Gumbel
-# kernel kept its block arrays outside its one allocation and the rectangle
-# mass called the copula CDF once per corner
+# sha256 (first 16 hex digits) of _pair_law_outputs, as built when each Gumbel
+# block made its CDF arrays afresh and the rectangle mass called the copula
+# CDF once per corner
 PINNED_PAIR_LAWS = {
     ("gumbel_pair_pmf", 3, 2): "ee2202479361796f",
     ("gumbel_pair_pmf", 3, 3): "ebd9bdd935512e86",
@@ -865,9 +865,9 @@ def test_gumbel_offdiag_law_matches_a_whole_array_quadrature(c, n):
 
 def test_gumbel_law_memory_stays_within_its_traced_peaks():
     # N = 4: 1388.6 KiB at C = 8 with four realized categories and 2316.5
-    # KiB at C = 30 with all rows, as traced when the kernel kept its block
-    # arrays outside its one allocation; the bounds leave under 1 KiB for
-    # the interpreter's own small objects
+    # KiB at C = 30 with all rows, as traced when each block made its CDF
+    # arrays afresh; the bounds leave under 1 KiB for the interpreter's own
+    # small objects
     rng = np.random.default_rng(75)
     law = carms.sampling._gumbel_offdiag_law
     for c, cats, kib in ((8, np.array([6, 1, 3, 4]), 1389), (30, None, 2317)):
