@@ -171,12 +171,16 @@ def _dirichlet_t(p_arr, q_arr, n):
     return np.maximum(t, 0.0, out=t)
 
 
-def _dirichlet_cdf(p_arr, q_arr, n, t=None):
-    excess = p_arr + q_arr
-    excess -= 1.0
+def _dirichlet_cdf(p_arr, q_arr, n, t=None, out=None, scratch=None):
+    """C(p, q) on [0, 1] from t (_dirichlet_t's, formed if not given), into
+    out with the squares and p + q - 1 in scratch (fresh by default)."""
     if n == 2:
+        excess = np.add(p_arr, q_arr, out=out)
+        excess -= 1.0
         return np.maximum(excess, 0.0, out=excess)
-    raw = _int_power(_dirichlet_t(p_arr, q_arr, n) if t is None else t, n - 1)
+    raw = _int_power(_dirichlet_t(p_arr, q_arr, n) if t is None else t, n - 1, out, scratch)
+    excess = np.add(p_arr, q_arr, out=scratch)
+    excess -= 1.0
     raw += excess
     # fl(t^(n-1) + excess) >= excess: the floor max(excess, 0) is one at 0
     np.maximum(raw, 0.0, out=raw)

@@ -38,10 +38,10 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .copula import (
+    _dirichlet_cdf,
     _dirichlet_cdf_exact_edges,
     _dirichlet_conditional,
     _dirichlet_slope,
-    _int_power,
     _sample_dirichlet_copula_batch,
     _validate_n,
 )
@@ -474,18 +474,14 @@ def _gumbel_pair_offdiag(q, n, nodes: int, rows) -> np.ndarray:
     point carries no mass at (s, t) nor, H_k being symmetric, at (t, s), so
     a_k / H_k is taken over 1 there.
 
-    a_k / H_k is formed for the rows only, in the one allocation that also
-    takes its transpose and, until then, each block's t.  The blocks are
-    pairs of rows, then pairs of the others in index order, with H and a
-    scratch array made once per call (larger blocks in the allocation touch
-    more fresh pages): the mass ∏_k H_k keeps the pairwise rounding of the
-    64 KiB blocks of _blocks at GUMBEL_NODES.
+    a_k / H_k is formed for the rows only, in one allocation that also takes
+    its transpose and, until then, each block's t.  The blocks are pairs of
+    rows, then pairs of the others, so ∏_k H_k keeps the pairwise rounding of
+    64 KiB blocks at GUMBEL_NODES.
     """
     _, xc, w = _unit_nodes(nodes)
     u = np.power(xc, q[:, None])
-    # [v_s, 1] @ [1, v_t]^T is v_s + v_t at one rounding, with no broadcast buffers
-    sums = np.ones((2, q.size, nodes, 2))
-    sums[0, ..., 0], sums[1, ..., 0] = np.power(1.0 - u, 1.0 / (n - 1)), u
+    root = np.power(1.0 - u, 1.0 / (n - 1))
     slope, dens = _dirichlet_slope(u[rows], n), q[rows, None] * u[rows] / xc * w
     # room for at least 16 rows (1 MiB at 64 nodes), touched in the rows' part
     # only: freed, it lifts glibc's trim threshold above the working set
@@ -496,20 +492,13 @@ def _gumbel_pair_offdiag(q, n, nodes: int, rows) -> np.ndarray:
     for cats in (rows, np.flatnonzero(np.bincount(rows, minlength=q.size) == 0)):
         for lo in range(0, cats.size, 2):
             block = slice(lo, lo + 2)
-            roots, ub = sums[:, cats[block]]
+            rb, ub = root[cats[block], :, None], u[cats[block], :, None]
             h, tmp = pair_h[: ub.shape[0]], pair_tmp[: ub.shape[0]]
             t = right[block] if cats is rows else right[: ub.shape[0]]  # two rows or more
-            # H = C(u_s, u_t) in place (see copula._dirichlet_cdf)
-            np.matmul(roots, roots.swapaxes(1, 2)[:, ::-1], out=t)
+            np.add(rb, rb.swapaxes(1, 2), out=t)  # t as copula._dirichlet_t forms it
             t -= 1.0
             np.maximum(t, 0.0, out=t)
-            _int_power(t, n - 1, out=h, scratch=tmp)
-            np.matmul(ub, ub.swapaxes(1, 2)[:, ::-1], out=tmp)
-            tmp -= 1.0
-            h += tmp
-            np.maximum(h, 0.0, out=h)
-            np.minimum(h, ub[:, :, :1], out=h)
-            np.minimum(h, ub[:, None, :, 0], out=h)
+            _dirichlet_cdf(ub, ub.swapaxes(1, 2), n, t, h, tmp)
             if cats is rows:
                 cond = _dirichlet_conditional(t, slope[block, :, None], n, ratio[block], tmp)
                 cond *= dens[block, :, None]

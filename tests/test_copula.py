@@ -209,6 +209,9 @@ def test_dirichlet_kernels_write_only_the_arrays_they_make(n):
         out, scratch = np.empty(t.shape), np.empty(t.shape)
         assert _dirichlet_conditional(t, slope, n, out, scratch) is out
         assert np.array_equal(out, cond)
+        assert _dirichlet_cdf(p, q, n, t, out, scratch) is out
+        assert np.array_equal(out, joint)
+        assert np.array_equal(_dirichlet_cdf(p, q, n, t), joint)
         assert np.array_equal(t, shared)
         assert _int_power(t, 1) is not t
     assert np.array_equal(p, [[0.2], [0.55], [0.9]]) and np.array_equal(q, [[0.35, 0.7]])
