@@ -44,12 +44,24 @@ process faults in again on every call.
     python scripts/bench_layers.py BENCH_13.json --label parent --toy --src ../parent/src
 
 --src times another checkout's package (default: this checkout's src/).
+
+    python scripts/bench_layers.py BENCH_24.json --label paired --paired ../parent/src
+
+--paired times only the in-process layer stages above, of the --src package
+and of the one under its argument (imported under another name), call by
+call, the side that runs first alternating, both sides on generators seeded
+alike and the pair-law builds on the same p.  Each stage records both
+medians, the median of its per-call ratios (--src over --paired) and the
+share of calls in which --src ran faster: timing each label in its own run,
+minutes apart, lets the host's drift move a median by up to 2x.
 Each label's numbers replace that label's earlier ones in the file; the
 machine and numpy/scipy versions (as the benchmark in perfbench/ reports
 them) are recorded beside them.
 """
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import resource
@@ -66,6 +78,7 @@ COLD_STEPS = 60
 CORRELATION_SIZES = (100, 200, 400)
 CORRELATION_RUNS = 3
 PROBE_CAP = 1 << 30
+PAIRED = "carms_paired"
 TOY_PROBE = ["toy", "--trials", "1", "--alpha", "1", "--method", "carms-i", "--inner"]
 MEMORY_PROBES = {
     **{f"toy_inner_{n}": TOY_PROBE + [str(n)] for n in (10**4, 10**5, 10**6)},
@@ -109,6 +122,10 @@ print(1e3 * seconds / steps, faults / steps)
 """
 
 
+def _median(values):
+    return sorted(values)[len(values) // 2]
+
+
 def _median_seconds(fn, repeats):
     fn()
     times = []
@@ -116,53 +133,53 @@ def _median_seconds(fn, repeats):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return sorted(times)[len(times) // 2]
+    return _median(times)
+
+
+def _layer_stages(package, draws, c, rng):
+    """layers' stages at C = c of the carms package imported as package, on
+    rng: ({name: fn()} timed per draw, {name: build(p)} timed per pair-law build)."""
+    import numpy as np
+
+    copula, experiments, sampling = (importlib.import_module(f"{package}.{name}")
+                                     for name in ("copula", "experiments", "sampling"))
+
+    def gumbel_copula_draw():
+        # the blocks of _gumbel_categories_batch, drawn into its one work pair
+        step = max(1, sampling.GUMBEL_BLOCK // (c * SAMPLES))
+        work = np.empty((2, min(step, draws) * c * SAMPLES))
+        for start in range(0, draws, step):
+            copula._sample_dirichlet_copula_batch(min(step, draws - start) * c, SAMPLES, rng, work)
+
+    p = np.full(c, 1.0 / c)
+    law = sampling.bivariate_pmf_averaged(p, SAMPLES)
+    ratios, _ = experiments._analytic_ratio_matrix(p, law, 10.0)
+    cats = sampling._inverse_cdf_categories_batch(draws, SAMPLES, p, rng)
+    f = rng.normal(size=(draws, SAMPLES))
+    stages = {
+        "copula_draw": gumbel_copula_draw,
+        "categorize_inverse_cdf":
+            lambda: sampling._inverse_cdf_categories_batch(draws, SAMPLES, p, rng),
+        "categorize_gumbel": lambda: sampling._gumbel_categories_batch(draws, SAMPLES, p, rng),
+        "carms_core": lambda: experiments._carms_estimates(f, cats, ratios, p),
+        "score_core": lambda: experiments._score_sums(f, cats, p),
+        "correlation": lambda: experiments._indicator_correlation(cats[:, 0], cats[:, 1], c),
+    }
+    builds = {"inverse_cdf": lambda q: sampling.bivariate_pmf_averaged(q, SAMPLES),
+              "gumbel": lambda q: sampling.gumbel_pair_pmf(q, SAMPLES),
+              "inverse_cdf_offdiag": lambda q: sampling._inverse_cdf_offdiag_law(q, SAMPLES),
+              "gumbel_offdiag": lambda q: sampling._gumbel_offdiag_law(q, SAMPLES)}
+    return stages, builds
 
 
 def layers(draws, repeats):
     import numpy as np
 
-    from carms import experiments, sampling
-    from carms.copula import _sample_dirichlet_copula_batch
-    from carms.sampling import (
-        GUMBEL_BLOCK,
-        _gumbel_categories_batch,
-        _inverse_cdf_categories_batch,
-        bivariate_pmf_averaged,
-        gumbel_pair_pmf,
-    )
-
-    builds = {"inverse_cdf": lambda q: bivariate_pmf_averaged(q, SAMPLES),
-              "gumbel": lambda q: gumbel_pair_pmf(q, SAMPLES),
-              "inverse_cdf_offdiag": lambda q: sampling._inverse_cdf_offdiag_law(q, SAMPLES),
-              "gumbel_offdiag": lambda q: sampling._gumbel_offdiag_law(q, SAMPLES)}
-
-    def gumbel_copula_draw(c):
-        # the blocks of _gumbel_categories_batch, drawn into its one work pair
-        step = max(1, GUMBEL_BLOCK // (c * SAMPLES))
-        work = np.empty((2, min(step, draws) * c * SAMPLES))
-        for start in range(0, draws, step):
-            _sample_dirichlet_copula_batch(min(step, draws - start) * c, SAMPLES, rng, work)
-
     rng = np.random.default_rng(0)
     per_draw = {}
     build_ms = {}
     for c in SIZES:
-        p = np.full(c, 1.0 / c)
-        law = bivariate_pmf_averaged(p, SAMPLES)
-        ratios, _ = experiments._analytic_ratio_matrix(p, law, 10.0)
-        cats = _inverse_cdf_categories_batch(draws, SAMPLES, p, rng)
-        f = rng.normal(size=(draws, SAMPLES))
-        stages = {
-            "copula_draw": lambda: gumbel_copula_draw(c),
-            "categorize_inverse_cdf":
-                lambda: _inverse_cdf_categories_batch(draws, SAMPLES, p, rng),
-            "categorize_gumbel":
-                lambda: _gumbel_categories_batch(draws, SAMPLES, p, rng),
-            "carms_core": lambda: experiments._carms_estimates(f, cats, ratios, p),
-            "score_core": lambda: experiments._score_sums(f, cats, p),
-            "correlation": lambda: experiments._indicator_correlation(cats[:, 0], cats[:, 1], c),
-        }
+        stages, builds = _layer_stages("carms", draws, c, rng)
         for name, fn in stages.items():
             per_draw.setdefault(name, {})[str(c)] = (
                 _median_seconds(fn, repeats) * 1e6 / draws
@@ -175,6 +192,64 @@ def layers(draws, repeats):
             )
     return {"draws": draws, "samples": SAMPLES, "repeats": repeats,
             "us_per_draw_dim": per_draw, "pair_law_ms_per_build": build_ms}
+
+
+def _paired_seconds(fns, calls):
+    """Seconds of each fn(i) of a pair per call i = 1..calls, after a warm-up
+    call of each at i = 0; the side that runs first alternates with i."""
+    for fn in fns:
+        fn(0)
+    times = ([], [])
+    for i in range(1, calls + 1):
+        for side in (0, 1) if i % 2 else (1, 0):
+            start = time.perf_counter()
+            fns[side](i)
+            times[side].append(time.perf_counter() - start)
+    return times
+
+
+def paired_layers(other_src, draws, repeats):
+    """layers' stages of the carms package and of the one under other_src,
+    loaded as PAIRED, alternated call by call on generators seeded alike, so
+    both sides do the same work; the pair-law builds take the same fresh p.
+    Per stage and C: each side's median and the median per-call ratio
+    carms / PAIRED, with the share of calls in which carms ran faster."""
+    import numpy as np
+
+    import carms
+
+    def summary(times, scale):
+        ratios = sorted(a / b for a, b in zip(*times))
+        return {"this": _median(times[0]) * scale, "other": _median(times[1]) * scale,
+                "ratio_median": _median(ratios),
+                "this_faster_share": sum(a < b for a, b in zip(*times)) / len(ratios)}
+
+    path = os.path.join(os.path.abspath(other_src), "carms")
+    spec = importlib.util.spec_from_file_location(
+        PAIRED, os.path.join(path, "__init__.py"), submodule_search_locations=[path])
+    sys.modules[PAIRED] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(sys.modules[PAIRED])
+        per_draw, build_ms = {}, {}
+        for c in SIZES:
+            sides = [_layer_stages(pkg, draws, c, np.random.default_rng(c))
+                     for pkg in ("carms", PAIRED)]
+            for name in sides[0][0]:
+                fns = [lambda i, fn=side[0][name]: fn() for side in sides]
+                per_draw.setdefault(name, {})[str(c)] = summary(
+                    _paired_seconds(fns, repeats), 1e6 / draws)
+            fresh = np.random.default_rng(c).dirichlet(np.full(c, 10.0), size=repeats + 1)
+            for name in sides[0][1]:
+                fns = [lambda i, build=side[1][name]: build(fresh[i]) for side in sides]
+                build_ms.setdefault(name, {})[str(c)] = summary(
+                    _paired_seconds(fns, repeats), 1e3)
+    finally:
+        for name in [name for name in sys.modules if name.partition(".")[0] == PAIRED]:
+            del sys.modules[name]
+    return {"paired": {"this_src": os.path.dirname(os.path.dirname(carms.__file__)),
+                       "other_src": os.path.abspath(other_src), "draws": draws,
+                       "samples": SAMPLES, "calls": repeats,
+                       "us_per_draw_dim": per_draw, "pair_law_ms_per_build": build_ms}}
 
 
 def single_draw(repeats):
@@ -287,6 +362,9 @@ def main():
     ap.add_argument("--repeats", type=int, default=9)
     ap.add_argument("--toy", action="store_true",
                     help="also time `carms toy` at its defaults, wall-clock and peak RSS")
+    ap.add_argument("--paired", metavar="OTHER_SRC",
+                    help="time only the in-process layer stages, alternating call by call "
+                         "with the carms package under OTHER_SRC")
     args = ap.parse_args()
     # perfbench's machine record and BLAS thread variables, set before numpy
     # loads here or in the children
@@ -297,9 +375,13 @@ def main():
         os.environ.setdefault(var, "1")
     sys.path.insert(0, os.path.abspath(args.src))
 
-    record = {"machine": machine_info(), **(toy_default(args.src) if args.toy else {}),
-              **cold_start(args.src), **layers(args.draws, args.repeats),
-              **single_draw(args.repeats)}
+    if args.paired:
+        record = {"machine": machine_info(),
+                  **paired_layers(args.paired, args.draws, args.repeats)}
+    else:
+        record = {"machine": machine_info(), **(toy_default(args.src) if args.toy else {}),
+                  **cold_start(args.src), **layers(args.draws, args.repeats),
+                  **single_draw(args.repeats)}
     try:
         with open(args.out, encoding="utf-8") as handle:
             merged = json.load(handle)
@@ -309,6 +391,16 @@ def main():
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(merged, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    if args.paired:
+        paired = record["paired"]
+        for unit, key in (("us/(draw, dim)", "us_per_draw_dim"),
+                          ("ms/build", "pair_law_ms_per_build")):
+            for name, by_c in paired[key].items():
+                cells = "  ".join(f"C={c}: {v['ratio_median']:.3f} ({v['this_faster_share']:.0%})"
+                                  for c, v in by_c.items())
+                print(f"{args.label:<8} {name:<24} {cells}  paired ratio of {unit} "
+                      "(share of calls faster)", file=sys.stderr)
+        return
     for name, by_c in record["us_per_draw_dim"].items():
         cells = "  ".join(f"C={c}: {v:8.3f}" for c, v in by_c.items())
         print(f"{args.label:<8} {name:<24} {cells}  us/(draw, dim)", file=sys.stderr)

@@ -34,7 +34,6 @@ from .experiments import (
     run_correlation,
     run_toy,
 )
-from .selfcheck import run_selfcheck
 
 
 def _csv_cell(value) -> str:
@@ -194,6 +193,8 @@ def _selfcheck_args(args):
 
 
 def _selfcheck(args):
+    from .selfcheck import run_selfcheck  # with the oracles, on first use only
+
     results = run_selfcheck(args.level, **_given(args, ["seed"]))
     # the CSV reads pass/fail where the JSON has a boolean
     if args.output == "csv":
@@ -215,8 +216,15 @@ _COMMANDS = {"toy": (functools.partial(_config, ToyConfig), _toy),
              "selfcheck": (_selfcheck_args, _selfcheck)}
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first call to main: parsing leaves
+    it unchanged, so every later call reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     configure, run = _COMMANDS[args.command]
     try:

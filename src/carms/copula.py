@@ -83,20 +83,25 @@ def _sum_in_order(terms):
 
 
 def _sample_dirichlet_copula_batch(
-    k: int, n: int, rng: np.random.Generator, work=None
+    k: int, n: int, rng: np.random.Generator, work=None, keep=None
 ) -> np.ndarray:
     """k independent Dirichlet-copula draws, shape (k, n), as the transpose of
     (n, k) columns formed in work[1]; work[0] takes the exponentials, then the
     power's squares (work: two arrays of at least k n floats, fresh by default).
+
+    keep (default n) forms the leading keep coordinates only, shape (k, keep):
+    every exponential is still drawn and summed, so the generator's stream and
+    the kept coordinates are bit for bit those of the whole draw.
     """
     n = _validate_n(n)
-    e, u = (np.empty(k * n), np.empty(k * n)) if work is None else work
+    keep = n if keep is None else keep
+    e, u = (np.empty(k * n), np.empty(k * keep)) if work is None else work
     e = rng.standard_exponential(out=e[: k * n].reshape(k, n))
-    u = u[: k * n].reshape(n, k)
+    u = u[: k * keep].reshape(keep, k)
     # u = 1 - (1 - e / sum(e))^(n - 1), each draw's sum left to right
-    np.divide(e.T, _sum_in_order(e.T), out=u)
+    np.divide(e.T[:keep], _sum_in_order(e.T), out=u)
     np.subtract(1.0, u, out=u)
-    _int_power(u, n - 1, out=u, scratch=e.reshape(n, k))
+    _int_power(u, n - 1, out=u, scratch=e.reshape(n, k)[:keep])
     np.subtract(1.0, u, out=u)
     return np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS, out=u).T
 

@@ -67,13 +67,17 @@ def toy_objective(n_categories: int, dims: int) -> LinearToyObjective:
     return LinearToyObjective(int(n_categories), int(dims))
 
 
-def _iid_categories(k: int, n: int, p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    return _categorize_batch(rng.random((k, n)), p.cumsum())
+def _iid_categories(k: int, n: int, p: np.ndarray, rng: np.random.Generator,
+                    keep=None) -> np.ndarray:
+    return _categorize_batch(rng.random((k, n))[:, :keep], p.cumsum())
 
 
 def _path(name: str):
-    """A sampling path's draw(k, n, p, rng) -> (k, n) categories and its
-    off-diagonal pair law(p, n), None for independent samples.
+    """A sampling path's draw(k, n, p, rng, keep=None) -> (k, n) categories
+    and its off-diagonal pair law(p, n), None for independent samples.  A
+    draw given keep returns the leading keep samples, (k, keep): it still
+    takes every uniform of the whole draw from rng, so the stream and the
+    kept samples are bit for bit those of the whole draw.
 
     The functions are this module's bindings when called, so a rebinding of
     them (as a tracer makes) is the one every driver reaches.
@@ -285,11 +289,12 @@ def _indicator_correlation(a: np.ndarray, b: np.ndarray, c: int) -> np.ndarray:
 
 
 def run_correlation(config: CorrelationConfig) -> dict:
-    """Correlation matrix of the first two samples' indicators at uniform p."""
+    """Correlation matrix of the first two samples' indicators at uniform p;
+    the draw forms those two samples only."""
     c = config.categories
     p = np.full(c, 1.0 / c)
     rng = default_rng(SeedSequence([config.seed]))
-    cats = _path(config.method)[0](config.draws, config.samples, p, rng)
+    cats = _path(config.method)[0](config.draws, config.samples, p, rng, keep=2)
     corr = _indicator_correlation(cats[:, 0], cats[:, 1], c)
     return {
         "method": config.method,

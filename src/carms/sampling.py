@@ -365,17 +365,19 @@ def _realized_ratios(p: np.ndarray, law: np.ndarray, clip) -> RatioMatrix:
 
 
 def _inverse_cdf_categories_batch(
-    k: int, n_samples: int, p: np.ndarray, rng: np.random.Generator
+    k: int, n_samples: int, p: np.ndarray, rng: np.random.Generator, keep=None
 ) -> np.ndarray:
     """k joint draws of N categories each, shape (k, N): each takes a uniform
     anchored ordering by its number in all_orderings, so the averaged PMF is
     its exact pair law, then one copula draw.  The min(k, M) rows of edges come
-    from the anchors, one per draw while k < M and else one per ordering."""
+    from the anchors, one per draw while k < M and else one per ordering.
+    keep (default N) returns the leading keep samples only, (k, keep), from
+    the same stream and bit for bit the whole draw's."""
     orderings = p.size * (p.size - 1) // 2
     numbers = rng.integers(0, orderings, size=k)
     built, rows = (numbers, None) if k < orderings else (np.arange(orderings), numbers)
     inverse = _anchored_inverse(*_ordering_anchors(built, p.size), p.size)
-    u = _sample_dirichlet_copula_batch(k, n_samples, rng)
+    u = _sample_dirichlet_copula_batch(k, n_samples, rng, keep=keep)
     idx = np.arange(k) if rows is None else rows
     return inverse[idx[:, None], _categorize_batch(u, p[inverse].cumsum(axis=1), rows)]
 
@@ -419,19 +421,23 @@ GUMBEL_BLOCK = 65536
 
 
 def _gumbel_categories_batch(
-    k: int, n_samples: int, p: np.ndarray, rng: np.random.Generator
+    k: int, n_samples: int, p: np.ndarray, rng: np.random.Generator, keep=None
 ) -> np.ndarray:
-    """k joint Gumbel-max draws of N categories each, shape (k, N)."""
+    """k joint Gumbel-max draws of N categories each, shape (k, N); keep
+    (default N) returns the leading keep samples only, (k, keep), from the
+    same stream and bit for bit the whole draw's."""
     c = p.size
-    out = np.empty((k, n_samples), dtype=np.intp)
+    keep = n_samples if keep is None else keep
+    out = np.empty((k, keep), dtype=np.intp)
     step = max(1, GUMBEL_BLOCK // (c * n_samples))
     work = np.empty((2, min(step, k) * c * n_samples))
     for start in range(0, k, step):
-        u = _sample_dirichlet_copula_batch(min(step, k - start) * c, n_samples, rng, work)
+        u = _sample_dirichlet_copula_batch(
+            min(step, k - start) * c, n_samples, rng, work, keep=keep)
         # race form of the argmax of log p - log(-log u): the largest
-        # log(u) / p, in place, laid out (N, draws, C) so that the argmax runs
+        # log(u) / p, in place, laid out (keep, draws, C) so that the argmax runs
         # over contiguous categories; p = 0 and a subnormal p give -inf
-        scores = np.ascontiguousarray(u.T).reshape(n_samples, -1, c)
+        scores = np.ascontiguousarray(u.T).reshape(keep, -1, c)
         np.log(scores, out=scores)
         with np.errstate(divide="ignore", over="ignore"):
             np.divide(scores, p, out=scores)

@@ -606,6 +606,26 @@ def test_correlation_inverse_cdf_diagonal_negative():
     assert np.all(np.diag(rec["corr"]) < 0.0)
 
 
+def test_correlation_memory_grows_with_the_samples_only_by_the_exponentials():
+    # a record reads two samples, so only the draw's exponentials (the
+    # independent path's uniforms) grow with N: 8 bytes per draw and extra
+    # sample, and none on the Gumbel path, whose blocks hold a fixed count.
+    # Forming all N samples grew the peak by 192, 57 and 256 bytes per draw
+    k = 20_000
+    for method, per_sample in (("inverse-cdf", 8), ("gumbel", 0), ("independent", 8)):
+        peaks = []
+        for n in (2, 10):
+            config = CorrelationConfig(method, 5, n, k, 1)
+            run_correlation(config)
+            tracemalloc.start()
+            try:
+                run_correlation(config)
+                peaks.append(tracemalloc.get_traced_memory()[1] / k)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= per_sample * (10 - 2) + 1.0, (method, peaks)
+
+
 def test_correlation_config_validation():
     with pytest.raises(ValueError):
         CorrelationConfig(method="nope")
@@ -786,6 +806,29 @@ def test_cli_toy_csv_contract(tmp_path, capsys):
     probs = np.array([float(v) for v in by_col["probs"].split(";")]).reshape(2, 3)
     records = list(run_toy(_tiny_toy_config(alphas=(1.0,))))
     assert np.array_equal(probs, records[0]["probs"])
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    # later calls reuse the first call's parser, and a flag given to one call
+    # leaves no default changed for the next
+    built = []
+
+    def counted():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    outs = [tmp_path / f"{idx}.csv" for idx in range(3)]
+    try:
+        assert main(["correlation", "--out-path", str(outs[0])]) == 0
+        assert main(["correlation", "--categories", "4", "--samples", "3", "--seed", "5",
+                     "--method", "gumbel", "--out-path", str(outs[1])]) == 0
+        assert main(["correlation", "--out-path", str(outs[2])]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert outs[0].read_bytes() == outs[2].read_bytes() != outs[1].read_bytes()
 
 
 def test_cli_toy_jsonl_validates_against_schema(tmp_path):
@@ -1134,6 +1177,34 @@ def test_only_the_full_selfcheck_imports_scipy(tmp_path):
     assert result == {"seen": [False, False, True], "codes": [0] * 5}
 
 
+# the selfcheck and the oracles it judges by load on its first run only
+FRESH_SELFCHECK_RUN = """
+import json, sys
+from carms.cli import main
+out = sys.argv[1]
+lazy = ("carms.selfcheck", "carms.oracle")
+seen = [[name in sys.modules for name in lazy]]
+small = ["--categories", "3", "--out-path", out]
+codes = [main(["toy", "--dims", "1", "--trials", "1", "--inner", "16", *small]),
+         main(["correlation", "--trials", "200", *small])]
+seen.append([name in sys.modules for name in lazy])
+codes.append(main(["selfcheck", "--out-path", out]))
+seen.append([name in sys.modules for name in lazy])
+print(json.dumps({"seen": seen, "codes": codes}))
+"""
+
+
+def test_only_the_selfcheck_imports_the_selfcheck_and_the_oracles(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_SELFCHECK_RUN, str(tmp_path / "out.csv")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result == {"seen": [[False, False], [False, False], [True, True]],
+                      "codes": [0, 0, 0]}
+
+
 # the Gaussian copula, reached through sample_copula_batch only, loads
 # scipy.special on its first draw; the Dirichlet draws and pair laws never do
 FRESH_GAUSSIAN_RUN = """
@@ -1219,6 +1290,18 @@ def test_layer_benchmark_script_runs_its_in_process_stages(monkeypatch):
     assert calls["calls"] == 4 and "sample_antithetic_gumbel_fresh_p" in calls["us_per_call"]
     for by_size in timings + list(calls["us_per_call"].values()):
         assert set(by_size) == sizes and all(v > 0.0 for v in by_size.values())
+    # the paired mode against this same tree, loaded under another name and
+    # dropped again from sys.modules
+    modules = set(sys.modules)
+    paired = bench.paired_layers(str(REPO / "src"), 64, 2)["paired"]
+    assert set(sys.modules) == modules
+    for key in ("us_per_draw_dim", "pair_law_ms_per_build"):
+        assert set(paired[key]) == set(record[key])
+        for by_size in paired[key].values():
+            assert set(by_size) == sizes
+            for cell in by_size.values():
+                assert cell["this"] > 0.0 and cell["other"] > 0.0
+                assert cell["ratio_median"] > 0.0 and 0.0 <= cell["this_faster_share"] <= 1.0
 
 
 def test_benchmark_tracer_finds_every_traced_name():

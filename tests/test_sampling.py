@@ -910,6 +910,44 @@ def test_gumbel_blocks_are_bit_identical_to_one_draw():
             assert np.array_equal(rng.random(4), ref_rng.random(4)), (n, k)
 
 
+def test_draws_given_keep_form_the_leading_samples_of_the_whole_draw():
+    # keep forms fewer samples from the whole draw's stream: the kept columns
+    # are its leading ones bit for bit, and the generator ends where it does.
+    # C = 5 has M = 10 orderings, so the inverse-CDF draws cover k < M and
+    # k >= M; the Gumbel draw spans several blocks with a partial last one
+    p = np.array([0.2, 0.0, 0.35, 0.05, 0.4])
+    for n in (2, 3, 4, 10):
+        step = GUMBEL_BLOCK // (p.size * n)
+        draws = [(_inverse_cdf_categories_batch, 7), (_inverse_cdf_categories_batch, 300),
+                 (_gumbel_categories_batch, 2 * step + 7),
+                 (carms.experiments._iid_categories, 300)]
+        for draw, k in draws:
+            for keep in range(1, n + 1):
+                ref_rng, rng = np.random.default_rng(k), np.random.default_rng(k)
+                whole, kept = draw(k, n, p, ref_rng), draw(k, n, p, rng, keep=keep)
+                assert kept.shape == (k, keep), (draw.__name__, n, k, keep)
+                assert np.array_equal(kept, whole[:, :keep]), (draw.__name__, n, k, keep)
+                assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+
+def test_copula_draw_given_keep_forms_the_leading_coordinates():
+    # with and without work arrays, which keep fills only in part
+    k = 257
+    for n in (2, 3, 4, 10):
+        for keep in range(1, n + 1):
+            ref_rng, rng, work_rng = (np.random.default_rng(n) for _ in range(3))
+            whole = _sample_dirichlet_copula_batch(k, n, ref_rng)
+            work = np.full((2, k * n), np.nan)
+            for u in (_sample_dirichlet_copula_batch(k, n, rng, keep=keep),
+                      _sample_dirichlet_copula_batch(k, n, work_rng, work, keep=keep)):
+                assert u.shape == (k, keep) and u.T.flags.c_contiguous, (n, keep)
+                assert np.array_equal(u.view(np.int64), whole[:, :keep].view(np.int64))
+            assert np.shares_memory(u, work[1])
+            ahead = ref_rng.random(4)
+            for gen in (rng, work_rng):
+                assert np.array_equal(gen.random(4), ahead), (n, keep)
+
+
 # sha256 (first 16 hex digits) of the int64 categories of both batched draws
 # at p ~ Dirichlet(1) (seed C), seed 1000 C + N and k = 2 blocks + 7 draws,
 # as drawn with np.power(u, N - 1) in the copula: the uniforms' last bits
