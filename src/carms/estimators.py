@@ -61,16 +61,6 @@ def loorf(f, z, p) -> np.ndarray:
     return centered @ (z - p) / (n - 1)
 
 
-def loorf_matrix_form(f, z, p) -> np.ndarray:
-    """(1/N) f^T [I - (1/(N-1)) (1 - I)] (Z - 1 p^T); equals loorf algebraically."""
-    f = _as_values(f)
-    z = _as_onehot_matrix(z, f.size)
-    p = as_probs(p)
-    n = f.size
-    m = np.eye(n) - (np.ones((n, n)) - np.eye(n)) / (n - 1)
-    return f @ m @ (z - p) / n
-
-
 def two_sample_loorf(f_z: float, f_zp: float, z, zp) -> np.ndarray:
     """N = 2 leave-one-out: (1/2) (f(z) - f(z')) (z - z'). The baseline cancels p."""
     return 0.5 * (float(f_z) - float(f_zp)) * (_as_onehot_row(z) - _as_onehot_row(zp))
@@ -145,21 +135,6 @@ def carms(f, z, ratios, p) -> np.ndarray:
     if not np.isfinite(r[cats[:, None], cats]).all():
         raise ValueError("nonfinite importance ratio at a realized sample pair")
     return _carms_estimates(f[None], cats[None], r, p)[0]
-
-
-def carms_pair_sum(f, z, ratios) -> np.ndarray:
-    """Explicit (1/(N(N-1))) sum over ordered pairs of carts; the slow oracle."""
-    f = _as_values(f)
-    z = _as_onehot_matrix(z, f.size)
-    n = f.size
-    if n < 2:
-        raise ValueError("carms needs N >= 2 samples")
-    total = np.zeros(z.shape[1])
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                total += carts(f[a], f[b], z[a], z[b], ratios)
-    return total / (n * (n - 1))
 
 
 def arms_binary(f, b, p, rho) -> np.ndarray:

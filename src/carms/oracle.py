@@ -1,10 +1,10 @@
-"""Brute-force ground truth for small categorical problems.
+"""Ground truth for small categorical problems; it imports nothing from carms.
 
-Everything here enumerates: the exact gradient comes from summing the score
-identity over every assignment, and the exact estimator moments come from
-summing over every ordered pair of assignments weighted by the pair PMF.
-These are the references the sampled estimators are tested against, so they
-deliberately share no code with the estimator implementations.
+The exact gradient and estimator moments enumerate every assignment or
+ordered pair of assignments.  The inverse-CDF path's single-ordering pair
+laws (with their anchored orderings, cell edges and copula CDF), loorf in
+matrix form and carms as a pair sum are written out again here, so that a
+defect in the kernels they judge cannot cancel against them.
 """
 
 from __future__ import annotations
@@ -258,3 +258,107 @@ def mc_estimator_moments(
     variance = m2 / (trials - 1)
     stderr = np.sqrt(variance / trials)
     return McMoments(mean, variance, stderr, trials, n_clipped / trials)
+
+
+def _as_samples(f, z) -> tuple[np.ndarray, np.ndarray]:
+    """Finite values (N,) and one-hot rows (N, C) of N >= 2 samples."""
+    f, z = np.asarray(f, dtype=float), np.asarray(z, dtype=float)
+    onehot = z.ndim == 2 and np.all((z == 0.0) | (z == 1.0)) and np.all(z.sum(axis=1) == 1.0)
+    if f.ndim != 1 or f.size < 2 or not np.all(np.isfinite(f)) or not onehot or len(z) != f.size:
+        raise ValueError("need N >= 2 finite function values and N one-hot sample rows")
+    return f, z
+
+
+def _as_probs(p, c: int) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if p.shape != (c,) or not np.all(np.isfinite(p) & (p >= 0.0)) or abs(p.sum() - 1.0) > 1e-12:
+        raise ValueError(f"need a probability vector over {c} categories")
+    return p
+
+
+def loorf_matrix_form(f, z, p) -> np.ndarray:
+    """(1/N) f^T [I - (1/(N-1)) (1 - I)] (Z - 1 p^T); equals loorf algebraically."""
+    f, z = _as_samples(f, z)
+    p = _as_probs(p, z.shape[1])
+    n = f.size
+    m = np.eye(n) - (np.ones((n, n)) - np.eye(n)) / (n - 1)
+    return f @ m @ (z - p) / n
+
+
+def carms_pair_sum(f, z, ratios) -> np.ndarray:
+    """(1/(N(N-1))) sum over ordered sample pairs (a, b) of the paper's pair
+    term (1/2) (f_a - f_b) (z_a - z_b) r[c_a, c_b]; a pair in one category adds
+    0 and reads no ratio.  The slow reference for the batched carms."""
+    f, z = _as_samples(f, z)
+    (n, c), r = z.shape, np.asarray(ratios, dtype=float)
+    if r.shape != (c, c):
+        raise ValueError("ratio matrix does not match the category count")
+    cats, total = z.argmax(axis=1), np.zeros(c)
+    for a in range(n):
+        for b in np.flatnonzero(cats != cats[a]):
+            total += 0.5 * (f[a] - f[b]) * (z[a] - z[b]) * r[cats[a], cats[b]]
+    return total / (n * (n - 1))
+
+
+class Ordering:
+    """A category-to-position permutation anchored at a pair (i, j): perm[k] is
+    the position of category k, with i at position 0 and j at the last one,
+    which maximally separates their cells for an antithetic copula draw."""
+
+    def __init__(self, perm, anchor: tuple[int, int]):
+        self.perm, self.anchor = np.asarray(perm, dtype=np.int64), tuple(map(int, anchor))
+        self.n_categories, self.inverse = self.perm.size, np.argsort(self.perm)
+        c, (i, j) = self.n_categories, self.anchor
+        if c < 2 or not np.array_equal(np.sort(self.perm), np.arange(c)):
+            raise ValueError("perm must be a permutation of 0..C-1 with C >= 2")
+        if self.perm[i] != 0 or self.perm[j] != c - 1:  # so i != j, as C >= 2
+            raise ValueError("anchor must map to the first and last positions")
+
+    def permuted(self, p) -> np.ndarray:
+        """Probabilities rearranged into position order (inverse[position] = category)."""
+        return np.asarray(p, dtype=float)[self.inverse]
+
+
+def make_ordering(i: int, j: int, n_categories: int) -> Ordering:
+    """Rotate category i to position 0, then j and the category left last trade places."""
+    c = int(n_categories)
+    if not (0 <= i < c and 0 <= j < c):
+        raise ValueError("anchor categories out of range")
+    perm, last = (np.arange(c) - i) % c, (i - 1) % c
+    perm[[j, last]] = perm[[last, j]]
+    return Ordering(perm, (i, j))  # which rejects i == j: the swap moves i from 0
+
+
+def all_orderings(n_categories: int) -> list[Ordering]:
+    """The C(C-1)/2 anchored orderings, one per category pair i < j, in number order."""
+    c = int(n_categories)
+    return [make_ordering(i, j, c) for i in range(c) for j in range(i + 1, c)]
+
+
+def _copula_cdf(x, y, n: int) -> np.ndarray:
+    """C(x, y) = x + y - 1 + max(0, (1-x)^(1/(N-1)) + (1-y)^(1/(N-1)) - 1)^(N-1) for
+    two coordinates of one Dirichlet-copula draw, clamped to the Frechet envelope;
+    max(x + y - 1, 0) at N = 2, and C(x, 1) = x and C(1, y) = y exactly."""
+    cdf = lower = np.maximum(x + y - 1.0, 0.0)
+    if n > 2:
+        t = np.maximum((1.0 - x) ** (1.0 / (n - 1)) + (1.0 - y) ** (1.0 / (n - 1)) - 1.0, 0.0)
+        cdf = np.clip(x + y - 1.0 + t ** (n - 1), lower, np.minimum(x, y))
+    return np.where(y >= 1.0, x, np.where(x >= 1.0, y, cdf))
+
+
+def bivariate_pmf_matrix(p, ordering: Ordering, n: int) -> np.ndarray:
+    """P(z = i, z' = j) of two samples of one inverse-CDF draw under an ordering,
+    (C, C): inclusion-exclusion of the copula CDF over cell pairs, floored at 0.
+    The cells lie in position order; the cumsum may pass 1, so edges cap at 1."""
+    right = np.minimum(np.cumsum(_as_probs(p, ordering.n_categories)[ordering.inverse]), 1.0)
+    right[-1] = 1.0
+    left = np.concatenate(([0.0], right[:-1]))
+    a, b = left[ordering.perm, None], right[ordering.perm, None]  # by category
+    mass = (_copula_cdf(b, b.T, n) - _copula_cdf(b, a.T, n)
+            - _copula_cdf(a, b.T, n) + _copula_cdf(a, a.T, n))
+    return np.maximum(mass, 0.0)
+
+
+def bivariate_pmf_one_ordering(p, ordering: Ordering, i: int, j: int, n: int) -> float:
+    """bivariate_pmf_matrix at (i, j)."""
+    return float(bivariate_pmf_matrix(p, ordering, n)[i, j])

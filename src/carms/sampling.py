@@ -102,45 +102,6 @@ def _categorize_batch(u: np.ndarray, right: np.ndarray, rows=None) -> np.ndarray
     return np.ascontiguousarray(below.T)
 
 
-@dataclass(frozen=True)
-class Ordering:
-    """A category-to-position permutation anchored at a pair (i, j), for the
-    single-ordering references; the samplers and the averaged law know an
-    ordering only by its number in all_orderings (see _ordering_anchors).
-
-    perm[k] is the position of category k; the anchor's first member sits at
-    position 0 and its second at the last position, which maximally separates
-    the two cells for an antithetic copula draw.
-    """
-
-    perm: np.ndarray
-    anchor: tuple[int, int]
-
-    def __post_init__(self):
-        perm = np.asarray(self.perm, dtype=np.int64)
-        c = perm.size
-        if c < 2 or not np.array_equal(np.sort(perm), np.arange(c)):
-            raise ValueError("perm must be a permutation of 0..C-1 with C >= 2")
-        i, j = self.anchor
-        if perm[i] != 0 or perm[j] != c - 1:  # so i != j, as C >= 2
-            raise ValueError("anchor must map to the first and last positions")
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "anchor", (int(i), int(j)))
-
-    @property
-    def n_categories(self) -> int:
-        return self.perm.size
-
-    @property
-    def inverse(self) -> np.ndarray:
-        """inverse[position] = category."""
-        return np.argsort(self.perm)
-
-    def permuted(self, p: np.ndarray) -> np.ndarray:
-        """Probabilities rearranged into position order."""
-        return np.asarray(p, dtype=float)[self.inverse]
-
-
 def _anchored_inverse(a: np.ndarray, b: np.ndarray, c: int) -> np.ndarray:
     """The category at each position of the orderings anchored at (a[m], b[m]), (B, C).
 
@@ -156,30 +117,11 @@ def _anchored_inverse(a: np.ndarray, b: np.ndarray, c: int) -> np.ndarray:
 
 
 def _ordering_anchors(numbers: np.ndarray, c: int):
-    """Anchors (a, b), a < b, of the orderings numbered as all_orderings lists them."""
+    """Anchors (a, b), a < b, of the orderings numbered in lexicographic order
+    of their anchors, from (0, 1) to (C - 2, C - 1)."""
     ends = np.arange(c - 1, 0, -1).cumsum()  # ends[k]: the orderings with a <= k
     a = ends.searchsorted(numbers, side="right")
     return a, numbers - ends[a] + c
-
-
-def make_ordering(i: int, j: int, n_categories: int) -> Ordering:
-    """Rotate category i to the front, then swap j into the last position."""
-    c = int(n_categories)
-    if not (0 <= i < c and 0 <= j < c):
-        raise ValueError("anchor categories out of range")
-    if i == j:
-        raise ValueError("anchor categories must be distinct")
-    inverse = _anchored_inverse(np.array([i]), np.array([j]), c)[0]
-    return Ordering(np.argsort(inverse), (i, j))
-
-
-def all_orderings(n_categories: int) -> list[Ordering]:
-    """The C(C-1)/2 anchored orderings, one per unordered category pair."""
-    return [
-        make_ordering(i, j, n_categories)
-        for i in range(n_categories)
-        for j in range(i + 1, n_categories)
-    ]
 
 
 def _rectangle_mass(a, b, n: int):
@@ -197,31 +139,6 @@ def _rectangle_mass(a, b, n: int):
         t = np.maximum(ra[[1, 1, 0, 0]] + rb[[1, 0, 1, 0]] - 1.0, 0.0)
     cdf = _dirichlet_cdf_exact_edges(a[[1, 1, 0, 0]], b[[1, 0, 1, 0]], n, t)
     return np.maximum(cdf[0] - cdf[1] - cdf[2] + cdf[3], 0.0)
-
-
-def bivariate_pmf_one_ordering(p, ordering: Ordering, i: int, j: int, n: int) -> float:
-    """P(z = i, z' = j) for two coordinates of one copula draw under an ordering.
-
-    Inclusion-exclusion of the copula CDF over the rectangle
-    cell(i) x cell(j) in permuted position space, one pair at a time: the
-    scalar reference for the broadcast builds below.
-    """
-    p = as_probs(p)
-    if ordering.n_categories != p.size:
-        raise ValueError("ordering and probability vector disagree on C")
-    edges = np.stack(_cell_edges(ordering.permuted(p)))
-    ip, jp = ordering.perm[_as_indices([i, j], p.size)]
-    return _rectangle_mass(edges[:, ip], edges[:, jp], n).item()
-
-
-def bivariate_pmf_matrix(p, ordering: Ordering, n: int) -> np.ndarray:
-    """Full C x C pair PMF under one fixed ordering, each category's edges read
-    at its position ordering.perm: the reference for the averaged law's layout."""
-    p = as_probs(p)
-    if ordering.n_categories != p.size:
-        raise ValueError("ordering and probability vector disagree on C")
-    edges = np.stack(_cell_edges(ordering.permuted(p)))[:, ordering.perm]
-    return _rectangle_mass(edges[:, :, None], edges[:, None, :], n)
 
 
 def _blocks(total: int, width: int) -> list[slice]:
@@ -368,7 +285,7 @@ def _inverse_cdf_categories_batch(
     k: int, n_samples: int, p: np.ndarray, rng: np.random.Generator, keep=None
 ) -> np.ndarray:
     """k joint draws of N categories each, shape (k, N): each takes a uniform
-    anchored ordering by its number in all_orderings, so the averaged PMF is
+    anchored ordering by its number (see _ordering_anchors), so the averaged PMF is
     its exact pair law, then one copula draw.  The min(k, M) rows of edges come
     from the anchors, one per draw while k < M and else one per ordering.
     keep (default N) returns the leading keep samples only, (k, keep), from

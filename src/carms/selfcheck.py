@@ -12,21 +12,23 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .copula import _sample_dirichlet_copula_batch
-from .estimators import carms, carms_pair_sum, loorf, loorf_matrix_form
+from .estimators import carms, loorf
 from .experiments import _empirical_joint_batch, make_gradient_estimator
 from .oracle import (
     TabulatedObjective,
+    bivariate_pmf_one_ordering,
+    carms_pair_sum,
     exact_carms_expectation,
     exact_gradient,
+    loorf_matrix_form,
+    make_ordering,
     mc_estimator_moments,
 )
 from .sampling import (
     _gumbel_categories_batch,
     _inverse_cdf_categories_batch,
     bivariate_pmf_averaged,
-    bivariate_pmf_one_ordering,
     gumbel_pair_pmf,
-    make_ordering,
     onehot,
 )
 

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from carms.sampling import all_orderings
+from carms.oracle import all_orderings
 
 
 class PinnedOrdering:

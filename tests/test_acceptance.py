@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from carms.estimators import carms, carms_pair_sum, loorf, two_sample_loorf
+from carms.estimators import carms, loorf, two_sample_loorf
 from carms.experiments import (
     CorrelationConfig,
     ToyConfig,
@@ -33,19 +33,20 @@ from carms.experiments import (
 )
 from carms.oracle import (
     TabulatedObjective,
+    all_orderings,
+    bivariate_pmf_matrix,
+    bivariate_pmf_one_ordering,
+    carms_pair_sum,
     exact_carms_expectation,
     exact_gradient,
+    make_ordering,
     mc_estimator_moments,
     softmax,
 )
 from carms.sampling import (
     _gumbel_categories_batch,
     _inverse_cdf_categories_batch,
-    all_orderings,
     bivariate_pmf_averaged,
-    bivariate_pmf_matrix,
-    bivariate_pmf_one_ordering,
-    make_ordering,
     onehot,
 )
 

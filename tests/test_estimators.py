@@ -10,13 +10,12 @@ from carms.copula import bernoulli_pair_correlation
 from carms.estimators import (
     arms_binary,
     carms,
-    carms_pair_sum,
     carts,
     loorf,
-    loorf_matrix_form,
     reinforce_single,
     two_sample_loorf,
 )
+from carms.oracle import carms_pair_sum, loorf_matrix_form
 from carms.sampling import (
     bivariate_pmf_averaged,
     gumbel_pair_pmf,

@@ -26,7 +26,7 @@ import pytest
 
 from carms import cli, experiments, sampling
 from carms.cli import _config, _csv_cell, _emit, _json_value, build_parser, main
-from carms.estimators import carms, carms_pair_sum, loorf
+from carms.estimators import carms, loorf
 from carms.experiments import (
     CORRELATION_METHODS,
     TOY_CHUNK,
@@ -43,8 +43,15 @@ from carms.experiments import (
     run_toy,
     toy_objective,
 )
-from carms.oracle import TabulatedObjective, exact_gradient, mc_estimator_moments
+from carms.oracle import (
+    TabulatedObjective,
+    carms_pair_sum,
+    exact_gradient,
+    mc_estimator_moments,
+)
 from carms.sampling import (
+    GUMBEL_BLOCK,
+    _categorize_batch,
     _gumbel_offdiag_law,
     _inverse_cdf_categories_batch,
     _inverse_cdf_offdiag_law,
@@ -624,6 +631,52 @@ def test_correlation_memory_grows_with_the_samples_only_by_the_exponentials():
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= per_sample * (10 - 2) + 1.0, (method, peaks)
+
+
+def test_independent_draw_takes_its_uniforms_in_blocks():
+    # GUMBEL_BLOCK uniforms a block, over three full blocks and a partial one:
+    # the categories are the one-shot draw's at every keep, and the generator
+    # ends where the one-shot draw leaves it
+    p = np.array([0.2, 0.0, 0.35, 0.05, 0.4])
+    for n in (2, 3, 4, 10):
+        k = 3 * (GUMBEL_BLOCK // n) + 7
+        for keep in range(1, n + 1):
+            ref_rng, rng = np.random.default_rng(k), np.random.default_rng(k)
+            ref = _categorize_batch(ref_rng.random((k, n))[:, :keep], p.cumsum())
+            cats = _iid_categories(k, n, p, rng, keep=keep)
+            assert cats.shape == (k, keep) and np.array_equal(cats, ref), (n, keep)
+            assert np.array_equal(rng.random(4), ref_rng.random(4)), (n, keep)
+
+
+# peak RSS (kB) of one fresh `carms correlation` of 10^6 draws at C = 30, N = 4:
+# the VmHWM of its own address space, as ru_maxrss would keep the larger peak
+# of the process that spawned it
+FRESH_CORRELATION_PEAK = """
+import re, sys
+from carms.cli import main
+code = main(["correlation", "--categories", "30", "--samples", "4", "--trials",
+             "1000000", "--method", sys.argv[1], "--out-path", sys.argv[2]])
+with open("/proc/self/status") as fh:
+    print(code, re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_independent_correlation_peaks_no_higher_than_the_gumbel_one(tmp_path):
+    # both draws hold one block of uniforms beside the kept samples, so both
+    # runs peak in the record's shared count phase, where the heap layout
+    # moves the peak by about 0.1 MB: 1 MB of slack.  The one-shot (k, N)
+    # uniforms peaked 55 MB above the Gumbel path
+    peaks = {}
+    for method in ("independent", "gumbel"):
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH_CORRELATION_PEAK, method, str(tmp_path / "out.csv")],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, peaks[method] = map(int, proc.stdout.split())
+        assert code == 0, method
+    assert peaks["independent"] <= peaks["gumbel"] + 1024, peaks
 
 
 def test_correlation_config_validation():

@@ -5,9 +5,15 @@ independent cross-checks: finite differences against the score identity, and a
 hand-rolled pair enumeration against the vectorized one.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import carms.estimators
+import carms.oracle
+import carms.sampling
 from carms.estimators import loorf
 from carms.experiments import make_gradient_estimator, toy_objective
 from carms.oracle import (
@@ -329,3 +335,36 @@ def test_mc_moments_one_chunk_is_numpys_variance():
     moments = mc_estimator_moments(est, 3000, np.random.default_rng(32))
     estimates = est(np.random.default_rng(32), 3000)[0]
     assert np.array_equal(moments.variance, estimates.var(axis=0, ddof=1))
+
+
+# ---------------------------------------------------------------------------
+# independence of the references
+
+
+MOVED_REFERENCES = (
+    "Ordering", "make_ordering", "all_orderings", "bivariate_pmf_one_ordering",
+    "bivariate_pmf_matrix", "carms_pair_sum", "loorf_matrix_form",
+)
+# the library kernels and checks that a reference computing through them would name
+KERNEL_NAMES = {
+    "_cell_edges", "_rectangle_mass", "_dirichlet_cdf", "_dirichlet_cdf_exact_edges",
+    "_anchored_inverse", "as_probs", "carts",
+}
+
+
+def test_the_oracles_import_nothing_from_the_library():
+    # a reference that shares a kernel with what it judges cancels the same
+    # way, so the oracles take nothing from carms, and the references that
+    # moved here are not left behind as re-exports
+    tree = ast.parse((Path(__file__).parents[1] / "src/carms/oracle.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import at line {node.lineno}"
+            assert node.module.split(".")[0] != "carms", node.module
+        elif isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "carms" for alias in node.names)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            assert getattr(node, "id", getattr(node, "attr", None)) not in KERNEL_NAMES
+    for name in MOVED_REFERENCES:
+        assert hasattr(carms.oracle, name), name
+        assert not hasattr(carms.sampling, name) and not hasattr(carms.estimators, name), name
