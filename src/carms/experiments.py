@@ -72,7 +72,8 @@ def _iid_categories(k: int, n: int, p: np.ndarray, rng: np.random.Generator,
                     keep=None) -> np.ndarray:
     """k draws of n independent categories, GUMBEL_BLOCK uniforms a block; the
     generator fills arrays in order, so the blocks take one (k, n) draw's stream."""
-    right, step = p.cumsum(), max(1, GUMBEL_BLOCK // n)
+    right = p.cumsum()
+    step = max(1, GUMBEL_BLOCK // n)
     if k <= step:  # one block, as drawn: a copy into out raised toy-draws' peak RSS 0.4 MB
         return _categorize_batch(rng.random((k, n))[:, :keep], right)
     out = np.empty((k, n if keep is None else keep), dtype=np.intp)

@@ -262,7 +262,8 @@ def mc_estimator_moments(
 
 def _as_samples(f, z) -> tuple[np.ndarray, np.ndarray]:
     """Finite values (N,) and one-hot rows (N, C) of N >= 2 samples."""
-    f, z = np.asarray(f, dtype=float), np.asarray(z, dtype=float)
+    f = np.asarray(f, dtype=float)
+    z = np.asarray(z, dtype=float)
     onehot = z.ndim == 2 and np.all((z == 0.0) | (z == 1.0)) and np.all(z.sum(axis=1) == 1.0)
     if f.ndim != 1 or f.size < 2 or not np.all(np.isfinite(f)) or not onehot or len(z) != f.size:
         raise ValueError("need N >= 2 finite function values and N one-hot sample rows")
@@ -290,10 +291,12 @@ def carms_pair_sum(f, z, ratios) -> np.ndarray:
     term (1/2) (f_a - f_b) (z_a - z_b) r[c_a, c_b]; a pair in one category adds
     0 and reads no ratio.  The slow reference for the batched carms."""
     f, z = _as_samples(f, z)
-    (n, c), r = z.shape, np.asarray(ratios, dtype=float)
+    n, c = z.shape
+    r = np.asarray(getattr(ratios, "ratios", ratios), dtype=float)  # a RatioMatrix too
     if r.shape != (c, c):
         raise ValueError("ratio matrix does not match the category count")
-    cats, total = z.argmax(axis=1), np.zeros(c)
+    cats = z.argmax(axis=1)
+    total = np.zeros(c)
     for a in range(n):
         for b in np.flatnonzero(cats != cats[a]):
             total += 0.5 * (f[a] - f[b]) * (z[a] - z[b]) * r[cats[a], cats[b]]
@@ -306,9 +309,12 @@ class Ordering:
     which maximally separates their cells for an antithetic copula draw."""
 
     def __init__(self, perm, anchor: tuple[int, int]):
-        self.perm, self.anchor = np.asarray(perm, dtype=np.int64), tuple(map(int, anchor))
-        self.n_categories, self.inverse = self.perm.size, np.argsort(self.perm)
-        c, (i, j) = self.n_categories, self.anchor
+        self.perm = np.asarray(perm, dtype=np.int64)
+        self.anchor = tuple(map(int, anchor))
+        self.n_categories = self.perm.size
+        self.inverse = np.argsort(self.perm)
+        c = self.n_categories
+        i, j = self.anchor
         if c < 2 or not np.array_equal(np.sort(self.perm), np.arange(c)):
             raise ValueError("perm must be a permutation of 0..C-1 with C >= 2")
         if self.perm[i] != 0 or self.perm[j] != c - 1:  # so i != j, as C >= 2
@@ -324,7 +330,8 @@ def make_ordering(i: int, j: int, n_categories: int) -> Ordering:
     c = int(n_categories)
     if not (0 <= i < c and 0 <= j < c):
         raise ValueError("anchor categories out of range")
-    perm, last = (np.arange(c) - i) % c, (i - 1) % c
+    perm = (np.arange(c) - i) % c
+    last = (i - 1) % c
     perm[[j, last]] = perm[[last, j]]
     return Ordering(perm, (i, j))  # which rejects i == j: the swap moves i from 0
 
@@ -353,12 +360,24 @@ def bivariate_pmf_matrix(p, ordering: Ordering, n: int) -> np.ndarray:
     right = np.minimum(np.cumsum(_as_probs(p, ordering.n_categories)[ordering.inverse]), 1.0)
     right[-1] = 1.0
     left = np.concatenate(([0.0], right[:-1]))
-    a, b = left[ordering.perm, None], right[ordering.perm, None]  # by category
+    a = left[ordering.perm, None]  # by category
+    b = right[ordering.perm, None]
     mass = (_copula_cdf(b, b.T, n) - _copula_cdf(b, a.T, n)
             - _copula_cdf(a, b.T, n) + _copula_cdf(a, a.T, n))
     return np.maximum(mass, 0.0)
 
 
 def bivariate_pmf_one_ordering(p, ordering: Ordering, i: int, j: int, n: int) -> float:
-    """bivariate_pmf_matrix at (i, j)."""
-    return float(bivariate_pmf_matrix(p, ordering, n)[i, j])
+    """P(z = i, z' = j) under an ordering, one entry at a time: the copula CDF's
+    inclusion-exclusion over the cells at positions perm[i] and perm[j] of the
+    position-order cumsum, floored at 0; the scalar reference for the matrix."""
+    c = ordering.n_categories
+    if not (0 <= i < c and 0 <= j < c):
+        raise ValueError("categories out of range")
+    edges = np.minimum(np.cumsum([0.0, *ordering.permuted(_as_probs(p, c))]), 1.0)
+    edges[-1] = 1.0
+    x = edges[ordering.perm[i] : ordering.perm[i] + 2]  # the cell's left and right edges
+    y = edges[ordering.perm[j] : ordering.perm[j] + 2]
+    mass = (_copula_cdf(x[1], y[1], n) - _copula_cdf(x[1], y[0], n)
+            - _copula_cdf(x[0], y[1], n) + _copula_cdf(x[0], y[0], n))
+    return max(float(mass), 0.0)
