@@ -917,6 +917,31 @@ def test_cli_selfcheck_full_level_writes_jsonl(tmp_path):
         jsonschema.validate(json.loads(line), schema)
 
 
+# the rows of `carms selfcheck --seed 0`; the fast level writes the first six
+# of the full level's eleven
+PINNED_SELFCHECK_ROWS = (
+    'loorf-matrix-equivalence,pass,max relative gap 2.220e-16',
+    'carms-pair-identity,pass,max relative gap 1.945e-16',
+    'pmf-validity,pass,"mass gap 8.882e-16, row gap 1.665e-16, off-diagonals positive: True"',
+    'unbiasedness-enumeration,pass,max coordinate gap 1.665e-16',
+    'antithetic-variance-dominance,pass,"mean gap 1.110e-16, dominated=True, strict=True"',
+    'impossible-pair,pass,"P(1, 2) under the identity ordering = 0.0"',
+    'copula-uniformity,pass,min KS p-value 0.0146',
+    'sampler-marginals,pass,max marginal deviation 3.00 SE',
+    'estimator-unbiasedness-mc,pass,max mean deviation 0.70 SE',
+    'sampler-pair-laws,pass,max pair-law deviation 2.24 SE',
+    'unbiasedness-enumeration-wide,pass,max coordinate gap 2.220e-16',
+)
+
+
+@pytest.mark.parametrize("level, rows", [("fast", 6), ("full", 11)])
+def test_selfcheck_output_is_pinned(level, rows, tmp_path):
+    out = tmp_path / "check.csv"
+    assert main(["selfcheck", "--level", level, "--seed", "0", "--out-path", str(out)]) == 0
+    expected = ["check,status,detail", *PINNED_SELFCHECK_ROWS[:rows]]
+    assert out.read_bytes() == "".join(row + "\n" for row in expected).encode()
+
+
 def test_selfcheck_full_level_all_pass():
     from carms.selfcheck import run_selfcheck
 
