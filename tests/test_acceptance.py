@@ -9,62 +9,44 @@ and fails loudly when a gate does not hold.  The lines are echoed in the
 terminal summary (see conftest.py) because capture would otherwise swallow
 the passing ones.  Tolerances and runtime budgets are part of the gates.
 
-Gate 10 probes the statistical accuracy of the Gumbel-path estimator over
-many trials.  Its ratios come from the exact Gumbel-path pair law (a 2-D
-quadrature), so over 10^5 trials the measured mean must stay within the
+Gates 1, 2, 4, 5, 6 (its marginal half), 7 and 10 run the checks of
+`carms selfcheck` (carms.selfcheck) at their own sizes and seeds, with the
+checks' bounds, so each claim is checked by one function.  A gate's line
+carries the check's detail and whatever the gate measures beyond it.
+
+Gate 10 probes the statistical accuracy of both carms estimators over many
+trials.  Their ratios come from exact pair laws (a 2-D quadrature on the
+Gumbel path), so over 10^5 trials the measured mean must stay within the
 4-standard-error band; the printed line carries the measured deviation and
-clipping frequency.  See the README for the pair law.
+clipping frequency.  See the README for the pair laws.
 """
 
+import itertools
 import subprocess
 import sys
 import time
 
 import numpy as np
 
-from carms.estimators import carms, loorf, two_sample_loorf
-from carms.experiments import (
-    CorrelationConfig,
-    ToyConfig,
-    make_gradient_estimator,
-    run_correlation,
-    run_toy,
-    toy_objective,
-)
-from carms.oracle import (
-    TabulatedObjective,
-    all_orderings,
-    bivariate_pmf_matrix,
-    bivariate_pmf_one_ordering,
-    carms_pair_sum,
-    exact_carms_expectation,
-    exact_gradient,
-    make_ordering,
-    mc_estimator_moments,
-    softmax,
-)
-from carms.sampling import (
-    _gumbel_categories_batch,
-    _inverse_cdf_categories_batch,
-    bivariate_pmf_averaged,
-    onehot,
+from carms.estimators import loorf, two_sample_loorf
+from carms.experiments import CorrelationConfig, ToyConfig, run_correlation, run_toy
+from carms.oracle import bivariate_pmf_matrix, bivariate_pmf_one_ordering, make_ordering
+from carms.sampling import _inverse_cdf_categories_batch, bivariate_pmf_averaged, onehot
+from carms.selfcheck import (
+    _check_antithetic_variance_dominance,
+    _check_carms_pair_identity,
+    _check_estimator_unbiasedness_mc,
+    _check_impossible_pair,
+    _check_loorf_matrix_equivalence,
+    _check_pmf_validity,
+    _check_sampler_marginals,
+    _check_unbiasedness_enumeration,
+    _random_law,
 )
 
 SEED = 20260817
 
-# three-category worked antithetic coupling for p = (0.6, 0.3, 0.1): the
-# published table with its duplicate-pair cell (3, 3) corrected from 0.01 to
-# 0.00 so the mass and marginals are consistent
-WORKED_P = np.array([0.6, 0.3, 0.1])
-WORKED_ANTITHETIC_PMF = np.array(
-    [
-        [0.30, 0.24, 0.06],
-        [0.24, 0.02, 0.04],
-        [0.06, 0.04, 0.00],
-    ]
-)
-
-MARGINAL_TEST_P = {
+PAIR_TEST_P = {
     2: np.array([0.3, 0.7]),
     3: np.array([0.2, 0.3, 0.5]),
     5: np.array([0.1, 0.15, 0.2, 0.25, 0.3]),
@@ -81,64 +63,42 @@ def _line(n: int, ok: bool, detail: str):
     print(text, file=sys.__stdout__, flush=True)
 
 
-def _random_onehot_batch(rng, n, c):
-    cats = rng.integers(0, c, size=n)
-    return onehot(cats, c), rng.normal(size=n)
+def _rng(gate: int):
+    return np.random.default_rng(np.random.SeedSequence([SEED, gate]))
 
 
 def test_criterion_01_unbiasedness_by_enumeration():
     start = time.perf_counter()
-    rng = np.random.default_rng(np.random.SeedSequence([SEED, 1]))
-    worst = 0.0
-    for _ in range(100):
-        c = int(rng.integers(2, 6))
-        d = int(rng.integers(1, 3))
-        n = int(rng.choice([2, 3, 5]))
-        phi = rng.normal(size=(d, c))
-        f = TabulatedObjective(rng.normal(size=(c,) * d))
-        p = softmax(phi)
-        pmf = np.stack([bivariate_pmf_averaged(p[k], n) for k in range(d)])
-        moments = exact_carms_expectation(f, phi, pmf)
-        worst = max(worst, float(np.max(np.abs(moments.mean - exact_gradient(f, phi)))))
+    result = _check_unbiasedness_enumeration(_rng(1), cases=100, max_c=5)
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-9 and elapsed < 120.0
-    _line(1, ok, f"100 instances, max coordinate gap {worst:.3e}, {elapsed:.1f}s")
+    ok = result.passed and elapsed < 120.0
+    _line(1, ok, f"100 instances, {result.detail}, {elapsed:.1f}s")
     assert ok
 
 
 def test_criterion_02_matrix_pair_equivalence():
     start = time.perf_counter()
-    rng = np.random.default_rng(np.random.SeedSequence([SEED, 2]))
-    worst_pair = 0.0
-    worst_loorf = 0.0
-    for _ in range(1000):
-        n, c = int(rng.integers(2, 8)), int(rng.integers(2, 6))
-        z, f = _random_onehot_batch(rng, n, c)
-        p = rng.dirichlet(np.ones(c))
-        r = np.exp(rng.normal(size=(c, c)))
-        r = 0.5 * (r + r.T)
-        ref = carms_pair_sum(f, z, r)
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        worst_pair = max(worst_pair, float(np.max(np.abs(carms(f, z, r, p) - ref))) / scale)
-        gap = np.max(np.abs(carms(f, z, np.ones((c, c)), p) - loorf(f, z, p)))
-        worst_loorf = max(worst_loorf, float(gap))
+    rng = _rng(2)
+    pair_sum = _check_carms_pair_identity(rng, cases=1000)
+    unit_ratio = _check_loorf_matrix_equivalence(rng, cases=1000)
     elapsed = time.perf_counter() - start
-    ok = worst_pair <= 1e-12 and worst_loorf <= 1e-13 and elapsed < 30.0
+    ok = pair_sum.passed and unit_ratio.passed and elapsed < 30.0
     _line(
         2,
         ok,
-        f"1000 instances, pair-sum gap {worst_pair:.3e} rel, "
-        f"unit-ratio loorf gap {worst_loorf:.3e}, {elapsed:.1f}s",
+        f"1000 instances each, pair sum: {pair_sum.detail}, "
+        f"unit-ratio and matrix-form loorf: {unit_ratio.detail}, {elapsed:.1f}s",
     )
     assert ok
 
 
 def test_criterion_03_pair_decomposition_of_loorf():
-    rng = np.random.default_rng(np.random.SeedSequence([SEED, 3]))
+    rng = _rng(3)
     worst = 0.0
     for _ in range(1000):
         n, c = int(rng.integers(2, 8)), int(rng.integers(2, 6))
-        z, f = _random_onehot_batch(rng, n, c)
+        z = onehot(rng.integers(0, c, size=n), c)
+        f = rng.normal(size=n)
         p = rng.dirichlet(np.ones(c))
         pair_mean = np.zeros(c)
         for a in range(n):
@@ -153,112 +113,71 @@ def test_criterion_03_pair_decomposition_of_loorf():
 
 
 def test_criterion_04_worked_example_dominance():
-    phi = np.log(WORKED_P)[None]
-    f = TabulatedObjective([1.0, 2.0, 4.0])
-    grad = exact_gradient(f, phi)
-    anti = exact_carms_expectation(f, phi, WORKED_ANTITHETIC_PMF)
-    ind = exact_carms_expectation(f, phi, np.outer(WORKED_P, WORKED_P))
-    mean_gap = max(
-        float(np.max(np.abs(anti.mean - grad))), float(np.max(np.abs(ind.mean - grad)))
-    )
-    dominated = bool(np.all(anti.variance <= ind.variance + 1e-12))
-    strict = bool(np.any(anti.variance < ind.variance - 1e-12))
-    ok = mean_gap <= 1e-10 and dominated and strict
-    _line(
-        4,
-        ok,
-        f"mean gap {mean_gap:.3e}, variance dominated={dominated}, strict={strict}",
-    )
-    assert ok
+    result = _check_antithetic_variance_dominance(None)
+    _line(4, result.passed, f"worked p = (0.6, 0.3, 0.1): {result.detail}")
+    assert result.passed
 
 
 def test_criterion_05_pmf_validity_and_anchored_positivity():
-    rng = np.random.default_rng(np.random.SeedSequence([SEED, 5]))
-    worst_mass = 0.0
-    worst_row = 0.0
+    result = _check_pmf_validity(_rng(5), cases=200)
+    # the check's 200 vectors again, for what it does not print: the smallest
+    # entry, and the mass each anchored ordering puts on its own pair
+    rng = _rng(5)
     min_entry = np.inf
     min_anchored = np.inf
     for _ in range(200):
-        c = int(rng.integers(2, 7))
-        n = int(rng.integers(2, 11))
-        p = rng.dirichlet(np.ones(c))
-        m = bivariate_pmf_averaged(p, n)
-        min_entry = min(min_entry, float(m.min()))
-        worst_mass = max(worst_mass, abs(float(m.sum()) - 1.0))
-        worst_row = max(worst_row, float(np.max(np.abs(m.sum(axis=1) - p))))
-        for i in range(c):
-            for j in range(c):
-                if i != j:
-                    val = bivariate_pmf_one_ordering(p, make_ordering(i, j, c), i, j, n)
-                    min_anchored = min(min_anchored, float(val))
-    ok = (
-        min_entry >= 0.0
-        and worst_mass <= 1e-10
-        and worst_row <= 1e-10
-        and min_anchored > 0.0
-    )
+        p, n = _random_law(rng)
+        min_entry = min(min_entry, float(bivariate_pmf_averaged(p, n).min()))
+        for i, j in itertools.permutations(range(p.size), 2):
+            val = bivariate_pmf_one_ordering(p, make_ordering(i, j, p.size), i, j, n)
+            min_anchored = min(min_anchored, float(val))
+    ok = result.passed and min_entry >= 0.0 and min_anchored > 0.0
     _line(
         5,
         ok,
-        f"200 vectors, min entry {min_entry:.3e}, mass gap {worst_mass:.3e}, "
-        f"row gap {worst_row:.3e}, min anchored pair {min_anchored:.3e}",
+        f"200 vectors, min entry {min_entry:.3e}, {result.detail}, "
+        f"min anchored pair {min_anchored:.3e}",
     )
     assert ok
 
 
 def test_criterion_06_sampler_fidelity(pinned_ordering):
     draws = 100_000
-    worst_marginal = 0.0
+    cells = [(c, n) for c in PAIR_TEST_P for n in (2, 3, 5)]
+    marginals = _check_sampler_marginals(_rng(6), draws=draws, cells=cells)
     worst_pair = 0.0
     zero_cells_clean = True
-    for c, p in MARGINAL_TEST_P.items():
-        for n in (2, 3, 5):
-            for path in ("inverse-cdf", "gumbel"):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([SEED, 6, c, n, path == "gumbel"])
-                )
-                if path == "inverse-cdf":
-                    cats = _inverse_cdf_categories_batch(draws, n, p, rng)
-                else:
-                    cats = _gumbel_categories_batch(draws, n, p, rng)
-                # per-draw occupancy has a valid standard error even though
-                # the samples inside a draw are coupled
-                occupancy = (cats[:, :, None] == np.arange(c)).mean(axis=1)
-                mean = occupancy.mean(axis=0)
-                se = occupancy.std(axis=0, ddof=1) / np.sqrt(draws)
-                dev = np.max(np.abs(mean - p) / np.maximum(se, 1e-12))
-                worst_marginal = max(worst_marginal, float(dev))
-            # pair law of the first two samples under one fixed ordering
-            rng = np.random.default_rng(np.random.SeedSequence([SEED, 6, c, n, 7]))
-            o = make_ordering(0, c - 1, c)
-            cats = _inverse_cdf_categories_batch(draws, n, p, pinned_ordering(rng, o))
-            emp = np.zeros((c, c))
-            np.add.at(emp, (cats[:, 0], cats[:, 1]), 1.0)
-            emp /= draws
-            analytic = bivariate_pmf_matrix(p, o, n)
-            live = analytic > 0.0
-            zero_cells_clean &= bool(np.all(emp[~live] == 0.0))
-            se = np.sqrt(analytic[live] * (1 - analytic[live]) / draws)
-            dev = np.max(np.abs(emp[live] - analytic[live]) / se)
-            worst_pair = max(worst_pair, float(dev))
-    ok = worst_marginal <= 4.0 and worst_pair <= 4.0 and zero_cells_clean
+    for c, n in cells:
+        # pair law of the first two samples under one fixed ordering
+        p = PAIR_TEST_P[c]
+        rng = np.random.default_rng(np.random.SeedSequence([SEED, 6, c, n, 7]))
+        o = make_ordering(0, c - 1, c)
+        cats = _inverse_cdf_categories_batch(draws, n, p, pinned_ordering(rng, o))
+        emp = np.zeros((c, c))
+        np.add.at(emp, (cats[:, 0], cats[:, 1]), 1.0)
+        emp /= draws
+        analytic = bivariate_pmf_matrix(p, o, n)
+        live = analytic > 0.0
+        zero_cells_clean &= bool(np.all(emp[~live] == 0.0))
+        se = np.sqrt(analytic[live] * (1 - analytic[live]) / draws)
+        dev = np.max(np.abs(emp[live] - analytic[live]) / se)
+        worst_pair = max(worst_pair, float(dev))
+    ok = marginals.passed and worst_pair <= 4.0 and zero_cells_clean
     _line(
         6,
         ok,
-        f"10^5 draws per cell: worst marginal dev {worst_marginal:.2f} SE, "
-        f"worst pair dev {worst_pair:.2f} SE, impossible cells empty={zero_cells_clean}",
+        f"10^5 draws per cell, both paths: {marginals.detail}, "
+        f"worst pinned-ordering pair dev {worst_pair:.2f} SE, "
+        f"impossible cells empty={zero_cells_clean}",
     )
     assert ok
 
 
 def test_criterion_07_zero_pair_reproduction():
-    p = [0.1, 0.2, 0.7]
-    val = bivariate_pmf_one_ordering(p, make_ordering(0, 2, 3), 0, 1, 2)
-    identity_perm = bool(
-        np.array_equal(make_ordering(0, 2, 3).perm, np.arange(3))
-    )
-    ok = val == 0.0 and identity_perm
-    _line(7, ok, f"identity-ordering P(cat 0, cat 1) = {val!r}")
+    result = _check_impossible_pair(None)
+    identity_perm = bool(np.array_equal(make_ordering(0, 2, 3).perm, np.arange(3)))
+    ok = result.passed and identity_perm
+    _line(7, ok, f"{result.detail}, identity perm={identity_perm}")
     assert ok
 
 
@@ -324,26 +243,16 @@ def test_criterion_09_negative_diagonal_correlation():
 
 
 def test_criterion_10_gumbel_statistical_unbiasedness():
-    # near-uniform three categories, ten samples: clipping is rare, so the
+    # near-uniform categories on the Gumbel path: clipping is rare, so the
     # 4-SE band tests the exact pair-law ratios alone; a ratio taken from a
     # wrong pair law would push the mean outside the band over 10^5 trials
-    p = np.array([0.35, 0.33, 0.32])
-    f = toy_objective(3, 1)
-    grad = exact_gradient(f, np.log(p)[None])
-    est = make_gradient_estimator("carms-g", p[None], 10, f, clip=10.0)
-    moments = mc_estimator_moments(
-        est, 100_000, np.random.default_rng(np.random.SeedSequence([SEED, 10]))
-    )
-    dev = float(np.max(np.abs(moments.mean - grad) / moments.stderr))
-    clip_ok = moments.clip_fraction < 0.01
-    ok = dev <= 4.0 and clip_ok
+    result = _check_estimator_unbiasedness_mc(_rng(10), trials=100_000)
     _line(
         10,
-        ok,
-        f"mean deviation {dev:.2f} SE over 10^5 trials, "
-        f"clip fraction {moments.clip_fraction:.2e} (gate: <=4 SE, clips <1%)",
+        result.passed,
+        f"carms-i and carms-g, 10^5 trials each: {result.detail} (gate: <=4 SE, clips <1%)",
     )
-    assert ok
+    assert result.passed
 
 
 def test_criterion_11_cli_byte_determinism(tmp_path):

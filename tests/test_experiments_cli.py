@@ -45,8 +45,10 @@ from carms.experiments import (
 )
 from carms.oracle import (
     TabulatedObjective,
+    bivariate_pmf_matrix,
     carms_pair_sum,
     exact_gradient,
+    make_ordering,
     mc_estimator_moments,
 )
 from carms.sampling import (
@@ -920,15 +922,15 @@ def test_cli_selfcheck_full_level_writes_jsonl(tmp_path):
 # the rows of `carms selfcheck --seed 0`; the fast level writes the first six
 # of the full level's eleven
 PINNED_SELFCHECK_ROWS = (
-    'loorf-matrix-equivalence,pass,max relative gap 2.220e-16',
+    'loorf-matrix-equivalence,pass,max absolute gap 2.220e-16',
     'carms-pair-identity,pass,max relative gap 1.945e-16',
     'pmf-validity,pass,"mass gap 8.882e-16, row gap 1.665e-16, off-diagonals positive: True"',
     'unbiasedness-enumeration,pass,max coordinate gap 1.665e-16',
     'antithetic-variance-dominance,pass,"mean gap 1.110e-16, dominated=True, strict=True"',
     'impossible-pair,pass,"P(1, 2) under the identity ordering = 0.0"',
-    'copula-uniformity,pass,min KS p-value 0.0146',
-    'sampler-marginals,pass,max marginal deviation 3.00 SE',
-    'estimator-unbiasedness-mc,pass,max mean deviation 0.70 SE',
+    'copula-uniformity,pass,"min KS p-value 1.457e-02 of 7, bound 1.429e-04"',
+    'sampler-marginals,pass,max marginal deviation 2.57 SE',
+    'estimator-unbiasedness-mc,pass,"max mean deviation 0.70 SE, max clip fraction 0.00e+00"',
     'sampler-pair-laws,pass,max pair-law deviation 2.24 SE',
     'unbiasedness-enumeration-wide,pass,max coordinate gap 2.220e-16',
 )
@@ -940,6 +942,61 @@ def test_selfcheck_output_is_pinned(level, rows, tmp_path):
     assert main(["selfcheck", "--level", level, "--seed", "0", "--out-path", str(out)]) == 0
     expected = ["check,status,detail", *PINNED_SELFCHECK_ROWS[:rows]]
     assert out.read_bytes() == "".join(row + "\n" for row in expected).encode()
+
+
+def _single_ordering_law(p, n):
+    return bivariate_pmf_matrix(p, make_ordering(0, 1, len(p)), n)
+
+
+def _first_coordinate_bent(sample):
+    def bent(*args):
+        u = sample(*args)
+        u[:, 0] **= 1.1
+        return u
+
+    return bent
+
+
+# each check, a name it reads through carms.selfcheck, and a broken stand-in
+# made from what that name holds
+BROKEN_KERNELS = [
+    ("loorf_matrix_equivalence", "carms", lambda carms: lambda *a: 1.01 * carms(*a)),
+    ("carms_pair_identity", "carms", lambda carms: lambda *a: 1.01 * carms(*a)),
+    ("pmf_validity", "bivariate_pmf_averaged", lambda _: _single_ordering_law),
+    ("unbiasedness_enumeration", "bivariate_pmf_averaged", lambda _: _single_ordering_law),
+    ("antithetic_variance_dominance", "WORKED_ANTITHETIC_PMF",
+     lambda _: np.outer([0.6, 0.3, 0.1], [0.6, 0.3, 0.1])),
+    ("impossible_pair", "make_ordering", lambda make: lambda i, j, c: make(0, 1, c)),
+    ("copula_uniformity", "_sample_dirichlet_copula_batch", _first_coordinate_bent),
+    ("sampler_marginals", "_inverse_cdf_categories_batch",
+     lambda draw: lambda k, n, p, rng: draw(k, n, p[::-1], rng)),
+    ("sampler_pair_laws", "bivariate_pmf_averaged", lambda _: _single_ordering_law),
+    ("estimator_unbiasedness_mc", "make_gradient_estimator",
+     lambda make: lambda method, p, *a, **kw: make(method, p[:, ::-1], *a, **kw)),
+]
+
+
+@pytest.mark.parametrize("check, name, broken", BROKEN_KERNELS,
+                         ids=[row[0] for row in BROKEN_KERNELS])
+def test_each_check_fails_on_a_broken_kernel(check, name, broken, monkeypatch):
+    # the acceptance gates rest on these checks, so each must be able to fail
+    from carms import selfcheck
+
+    monkeypatch.setattr(selfcheck, name, broken(getattr(selfcheck, name)))
+    result = getattr(selfcheck, f"_check_{check}")(np.random.default_rng(0))
+    assert result.passed is False, result.detail
+
+
+@pytest.mark.parametrize("seed", [54, 105, 116, 137, 200, 202, 232])
+def test_copula_uniformity_passes_where_an_uncorrected_bound_failed(seed):
+    # the smallest of the check's 7 KS p-values fell below 0.01 at these
+    # seeds; the bound now holds the family-wise false-alarm rate
+    from carms import selfcheck
+
+    checks = selfcheck._FAST_CHECKS + selfcheck._FULL_EXTRA_CHECKS
+    index = checks.index(selfcheck._check_copula_uniformity)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    assert selfcheck._check_copula_uniformity(rng).passed
 
 
 def test_selfcheck_full_level_all_pass():

@@ -28,8 +28,7 @@ from carms.oracle import (
     softmax,
 )
 from carms.sampling import bivariate_pmf_averaged, onehot
-
-WORKED_P = np.array([0.6, 0.3, 0.1])
+from carms.selfcheck import WORKED_P
 
 
 def _independent_pmf(p):
