@@ -243,9 +243,9 @@ def test_criterion_09_negative_diagonal_correlation():
 
 
 def test_criterion_10_gumbel_statistical_unbiasedness():
-    # near-uniform categories on the Gumbel path: clipping is rare, so the
-    # 4-SE band tests the exact pair-law ratios alone; a ratio taken from a
-    # wrong pair law would push the mean outside the band over 10^5 trials
+    # the check holds clipping below 1 %, so the 4-SE band tests the exact
+    # pair-law ratios alone; a ratio taken from a wrong pair law would push
+    # the mean outside the band over 10^5 trials
     result = _check_estimator_unbiasedness_mc(_rng(10), trials=100_000)
     _line(
         10,

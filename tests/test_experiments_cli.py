@@ -24,7 +24,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from carms import cli, experiments, sampling
+from carms import cli, experiments, sampling, selfcheck
 from carms.cli import _config, _csv_cell, _emit, _json_value, build_parser, main
 from carms.estimators import carms, loorf
 from carms.experiments import (
@@ -965,7 +965,7 @@ BROKEN_KERNELS = [
     ("pmf_validity", "bivariate_pmf_averaged", lambda _: _single_ordering_law),
     ("unbiasedness_enumeration", "bivariate_pmf_averaged", lambda _: _single_ordering_law),
     ("antithetic_variance_dominance", "WORKED_ANTITHETIC_PMF",
-     lambda _: np.outer([0.6, 0.3, 0.1], [0.6, 0.3, 0.1])),
+     lambda _: np.outer(selfcheck.WORKED_P, selfcheck.WORKED_P)),
     ("impossible_pair", "make_ordering", lambda make: lambda i, j, c: make(0, 1, c)),
     ("copula_uniformity", "_sample_dirichlet_copula_batch", _first_coordinate_bent),
     ("sampler_marginals", "_inverse_cdf_categories_batch",
@@ -980,8 +980,6 @@ BROKEN_KERNELS = [
                          ids=[row[0] for row in BROKEN_KERNELS])
 def test_each_check_fails_on_a_broken_kernel(check, name, broken, monkeypatch):
     # the acceptance gates rest on these checks, so each must be able to fail
-    from carms import selfcheck
-
     monkeypatch.setattr(selfcheck, name, broken(getattr(selfcheck, name)))
     result = getattr(selfcheck, f"_check_{check}")(np.random.default_rng(0))
     assert result.passed is False, result.detail
@@ -991,8 +989,6 @@ def test_each_check_fails_on_a_broken_kernel(check, name, broken, monkeypatch):
 def test_copula_uniformity_passes_where_an_uncorrected_bound_failed(seed):
     # the smallest of the check's 7 KS p-values fell below 0.01 at these
     # seeds; the bound now holds the family-wise false-alarm rate
-    from carms import selfcheck
-
     checks = selfcheck._FAST_CHECKS + selfcheck._FULL_EXTRA_CHECKS
     index = checks.index(selfcheck._check_copula_uniformity)
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
