@@ -348,44 +348,73 @@ def _digest(*arrays):
 
 
 # sha256 (first 16 hex digits) of the estimates and clip flags of one estimator
-# call, as drawn when each driver spelled out its own sampling path: D = 3,
-# p ~ Dirichlet(1/2) (seed C), 200 draws (seed 100 C + N); case ids name the copula
+# call, keyed (method, C, N, clip, stack), 200 draws (seed 100 C + N), as drawn
+# when each driver spelled out its own sampling path (the "dirichlet" stacks)
+# and when each dimension's pair law was built on its own (the others).  The
+# stacks (_pinned_stack) are D = 3 rows of p ~ Dirichlet(1/2) (seed C); D = 6
+# such rows ("dirichlet-d6"); and D = 4 such rows with an exact-zero category
+# in row 1 and the least one set to 1e-12 in row 2 ("zero-tiny").  Case ids
+# name the stack.
 PINNED_ESTIMATES = {
-    ("carms-i", 3, 2, 10.0): "6a684a6e55ff34aa",
-    ("carms-i", 3, 2, 0.5): "087d8cf0785b1cc1",
-    ("carms-i", 3, 4, 10.0): "cb9a189116a3fef5",
-    ("carms-i", 3, 4, 0.5): "8b9360f4a4b4675f",
-    ("carms-i", 8, 2, 10.0): "9b9944f44653f15e",
-    ("carms-i", 8, 2, 0.5): "094c14e1f25bdf0d",
-    ("carms-i", 8, 4, 10.0): "0e3e83e8db146baa",
-    ("carms-i", 8, 4, 0.5): "2c455a7745867600",
-    ("carms-g", 3, 2, 10.0): "53457405535f9880",
-    ("carms-g", 3, 2, 0.5): "40ffc9ecb7d5cc78",
-    ("carms-g", 3, 4, 10.0): "6ea72756ed895899",
-    ("carms-g", 3, 4, 0.5): "944c00d8405e663b",
-    ("carms-g", 8, 2, 10.0): "a80d00619a1e8b36",
-    ("carms-g", 8, 2, 0.5): "a4d23e194bada72e",
-    ("carms-g", 8, 4, 10.0): "b51b056e1b89ce22",
-    ("carms-g", 8, 4, 0.5): "2a120fff520b5578",
-    ("loorf", 3, 2, 10.0): "9ff057cb471f1bf4",
-    ("loorf", 3, 4, 10.0): "01dd87b313f6d9f3",
-    ("loorf", 8, 2, 10.0): "c18d966146503759",
-    ("loorf", 8, 4, 10.0): "0664a0a4b5c49ae2",
-    ("reinforce", 3, 2, 10.0): "225feaa7cf743011",
-    ("reinforce", 3, 4, 10.0): "9596b0ff0b7a0572",
-    ("reinforce", 8, 2, 10.0): "6621bb54a44165f2",
-    ("reinforce", 8, 4, 10.0): "fd9647bdb17aa7dc",
+    ("carms-i", 3, 2, 10.0, "dirichlet"): "6a684a6e55ff34aa",
+    ("carms-i", 3, 2, 0.5, "dirichlet"): "087d8cf0785b1cc1",
+    ("carms-i", 3, 4, 10.0, "dirichlet"): "cb9a189116a3fef5",
+    ("carms-i", 3, 4, 0.5, "dirichlet"): "8b9360f4a4b4675f",
+    ("carms-i", 8, 2, 10.0, "dirichlet"): "9b9944f44653f15e",
+    ("carms-i", 8, 2, 0.5, "dirichlet"): "094c14e1f25bdf0d",
+    ("carms-i", 8, 4, 10.0, "dirichlet"): "0e3e83e8db146baa",
+    ("carms-i", 8, 4, 0.5, "dirichlet"): "2c455a7745867600",
+    ("carms-g", 3, 2, 10.0, "dirichlet"): "53457405535f9880",
+    ("carms-g", 3, 2, 0.5, "dirichlet"): "40ffc9ecb7d5cc78",
+    ("carms-g", 3, 4, 10.0, "dirichlet"): "6ea72756ed895899",
+    ("carms-g", 3, 4, 0.5, "dirichlet"): "944c00d8405e663b",
+    ("carms-g", 8, 2, 10.0, "dirichlet"): "a80d00619a1e8b36",
+    ("carms-g", 8, 2, 0.5, "dirichlet"): "a4d23e194bada72e",
+    ("carms-g", 8, 4, 10.0, "dirichlet"): "b51b056e1b89ce22",
+    ("carms-g", 8, 4, 0.5, "dirichlet"): "2a120fff520b5578",
+    ("loorf", 3, 2, 10.0, "dirichlet"): "9ff057cb471f1bf4",
+    ("loorf", 3, 4, 10.0, "dirichlet"): "01dd87b313f6d9f3",
+    ("loorf", 8, 2, 10.0, "dirichlet"): "c18d966146503759",
+    ("loorf", 8, 4, 10.0, "dirichlet"): "0664a0a4b5c49ae2",
+    ("reinforce", 3, 2, 10.0, "dirichlet"): "225feaa7cf743011",
+    ("reinforce", 3, 4, 10.0, "dirichlet"): "9596b0ff0b7a0572",
+    ("reinforce", 8, 2, 10.0, "dirichlet"): "6621bb54a44165f2",
+    ("reinforce", 8, 4, 10.0, "dirichlet"): "fd9647bdb17aa7dc",
+    ("carms-i", 10, 2, 10.0, "dirichlet-d6"): "817677600ced0710",
+    ("carms-i", 10, 3, 10.0, "dirichlet-d6"): "b66773d904bde6c1",
+    ("carms-i", 10, 10, 10.0, "dirichlet-d6"): "fb9b7c07b3bee400",
+    ("carms-g", 10, 2, 10.0, "dirichlet-d6"): "39ce6cd14fc1e135",
+    ("carms-g", 10, 3, 10.0, "dirichlet-d6"): "3c1029f0876ca06c",
+    ("carms-g", 10, 10, 10.0, "dirichlet-d6"): "7afb8ca8c881f909",
+    ("carms-i", 6, 2, 10.0, "zero-tiny"): "7e93aa40242f57c8",
+    ("carms-i", 6, 3, 10.0, "zero-tiny"): "4d28ba54b7d6a64e",
+    ("carms-i", 6, 4, 10.0, "zero-tiny"): "37ff054b392024ec",
+    ("carms-g", 6, 2, 10.0, "zero-tiny"): "f8ee6148b7774de2",
+    ("carms-g", 6, 3, 10.0, "zero-tiny"): "33e35c57b2f87c84",
+    ("carms-g", 6, 4, 10.0, "zero-tiny"): "e52f7f5b84d45c13",
 }
 
 
-@pytest.mark.parametrize("method, c, n, clip", sorted(PINNED_ESTIMATES), ids=[
-    f"{method}-dirichlet-{c}-{n}-{clip}" for method, c, n, clip in sorted(PINNED_ESTIMATES)
+def _pinned_stack(stack, c):
+    dims = {"dirichlet": 3, "dirichlet-d6": 6, "zero-tiny": 4}[stack]
+    p = np.random.default_rng(c).dirichlet(np.full(c, 0.5), size=dims)
+    if stack == "zero-tiny":
+        p[1, 2] = 0.0
+        p[1] /= p[1].sum()
+        tiny = p[2].argmin()
+        p[2, p[2].argmax()] += p[2, tiny] - 1e-12
+        p[2, tiny] = 1e-12
+    return p
+
+
+@pytest.mark.parametrize("method, c, n, clip, stack", sorted(PINNED_ESTIMATES), ids=[
+    f"{method}-{stack}-{c}-{n}-{clip}" for method, c, n, clip, stack in sorted(PINNED_ESTIMATES)
 ])
-def test_estimates_and_flags_are_pinned(method, c, n, clip):
-    p = np.random.default_rng(c).dirichlet(np.full(c, 0.5), size=3)
-    estimate = make_gradient_estimator(method, p, n, toy_objective(c, 3), clip=clip)
+def test_estimates_and_flags_are_pinned(method, c, n, clip, stack):
+    p = _pinned_stack(stack, c)
+    estimate = make_gradient_estimator(method, p, n, toy_objective(c, len(p)), clip=clip)
     g, flags = estimate(np.random.default_rng(100 * c + n), 200)
-    assert _digest(g, flags) == PINNED_ESTIMATES[method, c, n, clip]
+    assert _digest(g, flags) == PINNED_ESTIMATES[method, c, n, clip, stack]
 
 
 # the same for the correlation matrix at C = 5, N = 3, 2000 draws, seed 4
