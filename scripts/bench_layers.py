@@ -9,7 +9,13 @@ GUMBEL_BLOCK uniforms into one reused pair of arrays), the inverse-CDF and
 Gumbel categorizations (copula draw included), the carms estimator core, the
 loorf/reinforce score core and the pair-correlation matrix.  Pair-law builds
 are timed in ms per build for both paths: the public full laws and the
-off-diagonal laws that make_gradient_estimator builds.  The single-draw
+off-diagonal laws that make_gradient_estimator builds.  Two stages time the
+public API in ms per call: make_gradient_estimator for carms-i and carms-g
+on a fresh Dirichlet(10) (D, C) stack at each (C, D) in STACKS, which
+builds every dimension's pair law, and one whole run_toy cell (all four
+methods at one alpha and trial) at the sizes of the toy-setups and
+toy-draws benchmark workloads (TOY_CELLS), call i at seed i and alpha
+ALPHAS[i % 4].  The single-draw
 API is timed in microseconds per call, over CALLS calls at the same C and
 N: both samplers at the fixed uniform p, both again with a fresh
 Dirichlet(10) p per call (as in a training step, where p moves every
@@ -47,7 +53,7 @@ process faults in again on every call.
 
     python scripts/bench_layers.py BENCH_24.json --label paired --paired ../parent/src
 
---paired times only the in-process layer stages above, of the --src package
+--paired times only the in-process layer and API stages above, of the --src package
 and of the one under its argument (imported under another name), call by
 call, the side that runs first alternating, both sides on generators seeded
 alike and the pair-law builds on the same p.  Each stage records both
@@ -72,6 +78,9 @@ import time
 SIZES = (3, 10, 30)
 SAMPLES = 4
 CALLS = 200
+STACKS = ((8, 4), (8, 6), (10, 10))
+TOY_CELLS = {"toy_setups": (8, 4, 200), "toy_draws": (8, 6, 2500)}  # C, D, inner draws
+ALPHAS = (1.0, 10.0, 100.0, 1000.0)
 TOY_RUNS = 3
 COLD_RUNS = 5
 COLD_STEPS = 60
@@ -172,6 +181,42 @@ def _layer_stages(package, draws, c, rng):
     return stages, builds
 
 
+def _api_stages(package, calls):
+    """The public-API stages of the carms package imported as package:
+    {stage: {size: fn(i)}} for calls i = 0..calls, call i of a stage on the
+    same p or seed in every package."""
+    import numpy as np
+
+    experiments = importlib.import_module(f"{package}.experiments")
+    stages = {}
+    for c, d in STACKS:
+        fresh = np.random.default_rng(100 * c + d).dirichlet(np.full(c, 10.0), size=(calls + 1, d))
+        objective = experiments.toy_objective(c, d)
+        for method in ("carms-i", "carms-g"):
+            stages.setdefault(f"make_gradient_estimator_{method}", {})[f"C={c},D={d}"] = (
+                lambda i, method=method, fresh=fresh, objective=objective:
+                experiments.make_gradient_estimator(method, fresh[i], SAMPLES, objective))
+    for name, (c, d, inner) in TOY_CELLS.items():
+        def cell(i, c=c, d=d, inner=inner):
+            config = experiments.ToyConfig(alphas=(ALPHAS[i % len(ALPHAS)],), categories=c,
+                                           dims=d, samples=SAMPLES, trials=1, inner=inner, seed=i)
+            for _ in experiments.run_toy(config):
+                pass
+
+        stages.setdefault("run_toy_cell", {})[name] = cell
+    return stages
+
+
+def api(repeats):
+    """ms per call of each public-API stage, the median over repeats after a warm-up."""
+    out = {}
+    for stage, by_size in _api_stages("carms", repeats).items():
+        for size, fn in by_size.items():
+            calls = iter(range(repeats + 1))
+            out.setdefault(stage, {})[size] = _median_seconds(lambda: fn(next(calls)), repeats) * 1e3
+    return {"api_ms_per_call": out}
+
+
 def layers(draws, repeats):
     import numpy as np
 
@@ -243,13 +288,20 @@ def paired_layers(other_src, draws, repeats):
                 fns = [lambda i, build=side[1][name]: build(fresh[i]) for side in sides]
                 build_ms.setdefault(name, {})[str(c)] = summary(
                     _paired_seconds(fns, repeats), 1e3)
+        api_ms = {}
+        sides = [_api_stages(pkg, repeats) for pkg in ("carms", PAIRED)]
+        for stage, by_size in sides[0].items():
+            for size in by_size:
+                fns = [side[stage][size] for side in sides]
+                api_ms.setdefault(stage, {})[size] = summary(_paired_seconds(fns, repeats), 1e3)
     finally:
         for name in [name for name in sys.modules if name.partition(".")[0] == PAIRED]:
             del sys.modules[name]
     return {"paired": {"this_src": os.path.dirname(os.path.dirname(carms.__file__)),
                        "other_src": os.path.abspath(other_src), "draws": draws,
                        "samples": SAMPLES, "calls": repeats,
-                       "us_per_draw_dim": per_draw, "pair_law_ms_per_build": build_ms}}
+                       "us_per_draw_dim": per_draw, "pair_law_ms_per_build": build_ms,
+                       "api_ms_per_call": api_ms}}
 
 
 def single_draw(repeats):
@@ -381,7 +433,7 @@ def main():
     else:
         record = {"machine": machine_info(), **(toy_default(args.src) if args.toy else {}),
                   **cold_start(args.src), **layers(args.draws, args.repeats),
-                  **single_draw(args.repeats)}
+                  **api(args.repeats), **single_draw(args.repeats)}
     try:
         with open(args.out, encoding="utf-8") as handle:
             merged = json.load(handle)
@@ -394,9 +446,10 @@ def main():
     if args.paired:
         paired = record["paired"]
         for unit, key in (("us/(draw, dim)", "us_per_draw_dim"),
-                          ("ms/build", "pair_law_ms_per_build")):
+                          ("ms/build", "pair_law_ms_per_build"), ("ms/call", "api_ms_per_call")):
             for name, by_c in paired[key].items():
-                cells = "  ".join(f"C={c}: {v['ratio_median']:.3f} ({v['this_faster_share']:.0%})"
+                cells = "  ".join(f"{c if key == 'api_ms_per_call' else f'C={c}'}: "
+                                  f"{v['ratio_median']:.3f} ({v['this_faster_share']:.0%})"
                                   for c, v in by_c.items())
                 print(f"{args.label:<8} {name:<24} {cells}  paired ratio of {unit} "
                       "(share of calls faster)", file=sys.stderr)
@@ -407,6 +460,9 @@ def main():
     for name, by_c in record["pair_law_ms_per_build"].items():
         cells = "  ".join(f"C={c}: {v:8.3f}" for c, v in by_c.items())
         print(f"{args.label:<8} pair_law_{name:<19} {cells}  ms/build", file=sys.stderr)
+    for name, by_size in record["api_ms_per_call"].items():
+        cells = "  ".join(f"{size}: {v:8.3f}" for size, v in by_size.items())
+        print(f"{args.label:<8} {name:<31} {cells}  ms/call", file=sys.stderr)
     for name, by_c in record["us_per_call"].items():
         cells = "  ".join(f"C={c}: {v:8.3f}" for c, v in by_c.items())
         print(f"{args.label:<8} {name:<37} {cells}  us/call", file=sys.stderr)

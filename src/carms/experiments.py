@@ -33,7 +33,7 @@ from .sampling import (
     _gumbel_offdiag_law,
     _inverse_cdf_categories_batch,
     _inverse_cdf_offdiag_law,
-    as_probs,
+    _prob_rows,
 )
 
 TOY_METHODS = ("carms-i", "carms-g", "loorf", "reinforce")
@@ -131,9 +131,7 @@ def make_gradient_estimator(
     """
     if method not in TOY_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {TOY_METHODS}")
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    for row in p:
-        as_probs(row)
+    p = _prob_rows(np.atleast_2d(p), 2)
     dims, c = p.shape
     if objective.dims != dims or objective.n_categories != c:
         raise ValueError("objective and probabilities disagree on (D, C)")
@@ -144,8 +142,9 @@ def make_gradient_estimator(
         raise ValueError("need at least one sample")
     _check_clip(clip)
     draw, law = _path(_TOY_PATHS[method])
-    # exact ratios, built once per dimension; the independent path needs none
-    fixed = None if law is None else [_analytic_ratio_matrix(row, law(row, n), clip) for row in p]
+    # exact ratios of every dimension, from the whole stack's laws in one
+    # call; the independent path needs none
+    fixed = None if law is None else _analytic_ratio_matrix(p, law(p, n), clip)
 
     def estimate(rng, k):
         cats = np.stack([draw(k, n, row, rng) for row in p], axis=-1)
@@ -157,7 +156,7 @@ def make_gradient_estimator(
                 g[:, d] = _score_sums(w, cats[:, :, d], p[d])
             return g, None
         flags = np.zeros(k, dtype=bool)
-        for d, (ratios, exceed) in enumerate(fixed):
+        for d, (ratios, exceed) in enumerate(zip(*fixed)):
             g[:, d] = _carms_estimates(f, cats[:, :, d], ratios, p[d])
             if exceed.any():
                 flags |= _clip_flags(exceed, cats[:, :, d])

@@ -20,8 +20,11 @@ levels s and t at which the two samples are won,
 with F_k the Gumbel CDF shifted by log p_k, f_k its density and C the
 copula's bivariate CDF.  The diagonal P(i, i) is what the row's
 off-diagonal mass leaves of p_i, so every row sums to p.  The law is
-evaluated by Gauss-Legendre quadrature; the batched path builds it once per
-(p, N).
+evaluated by Gauss-Legendre quadrature.
+
+Both off-diagonal law builders and the ratio rule also take a stack (B, C)
+of probability vectors: the batched path builds all D dimensions' laws in
+one call, each row bit for bit the law it has alone.
 
 Both samplers are one body, _sample_antithetic, given their path's batched
 draw at k = 1 and its off-diagonal law builder, which the batched estimator
@@ -49,13 +52,20 @@ from .copula import (
 
 def as_probs(p) -> np.ndarray:
     """Validate and return a probability vector over at least two categories."""
+    return _prob_rows(p, 1)
+
+
+def _prob_rows(p, ndim: int) -> np.ndarray:
+    """as_probs for an ndim-D array of probability vectors along its last axis."""
     arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
+    if arr.ndim != ndim or arr.shape[-1] < 2:
         raise ValueError("need a 1-D probability vector with at least two categories")
     if not np.isfinite(arr).all() or (arr < 0.0).any():
         raise ValueError("probabilities must be finite and nonnegative")
-    if abs(arr.sum() - 1.0) > 1e-12:
-        raise ValueError(f"probabilities must sum to 1, got {float(arr.sum())!r}")
+    total = arr.sum(axis=-1)
+    off = abs(total - 1.0) > 1e-12
+    if off.any():
+        raise ValueError(f"probabilities must sum to 1, got {float(np.extract(off, total)[0])!r}")
     return arr
 
 
@@ -156,26 +166,31 @@ def _blocks(total: int, width: int) -> list[slice]:
 
 def _ordering_mean_mass(p: np.ndarray, n: int, first, second) -> np.ndarray:
     """Mean over all anchored orderings of the rectangle mass of the cells
-    first[k] x second[k], for (K,) category index arrays.
+    first[k] x second[k], for (K,) index arrays into p.ravel(): a category of
+    a vector p (C,), or b C + i for category i of row b of a stack p (B, C),
+    whose rows are probability vectors that share the orderings.
 
-    The orderings come from their anchors, about 8192 / C a block, and take
-    their masses in runs of about 2048 / K (four stacked corners each).  A
-    run's first row takes the running total and cumsum adds down the rows,
+    The orderings come from their anchors, about 8192 / (B C) a block, and
+    take their masses in runs of about 2048 / K (four stacked corners each).
+    A run's first row takes the running total and cumsum adds down the rows,
     so the orderings are summed strictly one after another: an entry depends
-    neither on the block sizes nor on the other entries asked for.
+    neither on the block sizes nor on the other entries asked for, so not on
+    the other rows either.
     """
-    c = p.size
+    q = p.reshape(-1, p.shape[-1])
+    c = q.shape[1]
     orderings = c * (c - 1) // 2
     total = 0.0
-    for rows in _blocks(orderings, c):
-        numbers = np.arange(*rows.indices(orderings))
+    for block in _blocks(orderings, q.size):
+        numbers = np.arange(*block.indices(orderings))
         inverse = _anchored_inverse(*_ordering_anchors(numbers, c), c)
-        # row m lays the cells out in the order inverse[m], edges kept by category
-        by_category = np.empty((2, inverse.size))
-        flat = inverse + np.arange(0, inverse.size, c)[:, None]  # row m's flat offset
-        for edge, by_position in zip(by_category, _cell_edges(p[inverse])):
+        # ordering m lays each row's cells out in the order inverse[m], edges
+        # kept by (ordering, row, category): row b's start at (m B + b) C
+        by_category = np.empty((2, inverse.size * len(q)))
+        flat = inverse + np.arange(0, by_category.shape[1], c).reshape(-1, len(q)).T[:, :, None]
+        for edge, by_position in zip(by_category, _cell_edges(q[:, inverse])):
             edge[flat] = by_position
-        edges = by_category.reshape((2,) + inverse.shape)
+        edges = by_category.reshape(2, inverse.shape[0], q.size)
         for run in _blocks(inverse.shape[0], 4 * first.size):
             a, b = (edges[:, run].take(idx, axis=2) for idx in (first, second))
             mass = _rectangle_mass(a, b, n)
@@ -205,13 +220,18 @@ def bivariate_pmf_entries(p, n: int, pairs) -> np.ndarray:
 
 def _inverse_cdf_offdiag_law(p, n, cats=None) -> np.ndarray:
     """The off-diagonal inverse-CDF law (bivariate_pmf_entries) among the
-    drawn categories cats (default: every live one), (C, C) and 0 elsewhere.
-    Its callers have validated p, so it is not checked again."""
-    cats = np.flatnonzero(p > 0.0 if cats is None else np.bincount(cats))
-    law = np.zeros((p.size, p.size))
-    i, j = cats[np.array(np.nonzero(cats[:, None] < cats))]
+    drawn categories cats (default: every live one), (C, C) and 0 elsewhere;
+    for a stack p (B, C), each row's law among its live categories,
+    (B, C, C), all in one pass over the orderings.  Its callers have
+    validated p, so it is not checked again."""
+    c = p.shape[-1]
+    # each row's live categories by their index in p.ravel(), paired within the row
+    live = np.flatnonzero(p > 0.0 if cats is None else np.bincount(cats))
+    i, j = live[np.array(np.nonzero((live[:, None] < live) & (live < live[:, None] // c * c + c)))]
+    law = np.zeros(p.shape + (c,))
     if i.size:  # else no off-diagonal pair to build
-        law[i, j] = law[j, i] = _ordering_mean_mass(p, n, i, j)
+        flat = law.reshape(-1, c)  # p.ravel()[k]'s row of its law
+        flat[i, j % c] = flat[j, i % c] = _ordering_mean_mass(p, n, i, j)
     return law
 
 
@@ -248,7 +268,8 @@ def _check_clip(clip) -> None:
 
 
 def _analytic_ratio_matrix(p: np.ndarray, pbar: np.ndarray, clip: float | None):
-    """Importance ratios p_i p_j / P(i, j) from an exact pair law P: (ratios, exceed).
+    """Importance ratios p_i p_j / P(i, j) from an exact pair law P: (ratios, exceed),
+    for p (C,) and P (C, C) or row by row for a stack p (B, C) and P (B, C, C).
 
     ratios holds the ratio, clipped at clip, where P is positive off the
     diagonal, and 0 elsewhere: two samples in one category add
@@ -256,9 +277,9 @@ def _analytic_ratio_matrix(p: np.ndarray, pbar: np.ndarray, clip: float | None):
     estimate reads those.  exceed marks where clipping engages when realized.
     """
     live = pbar > 0.0
-    np.fill_diagonal(live, False)
+    live.reshape(-1, live.shape[-1] ** 2)[:, :: live.shape[-1] + 1] = False  # each diagonal
     ratios = np.zeros(live.shape)
-    np.divide(np.outer(p, p), pbar, out=ratios, where=live)
+    np.divide(p[..., :, None] * p[..., None, :], pbar, out=ratios, where=live)
     if clip is None:
         return ratios, np.zeros_like(live)
     exceed = ratios > clip
@@ -385,8 +406,10 @@ def _unit_nodes(nodes: int):
     return smooth(y), smooth(1.0 - y), w * 30.0 * (y * (1.0 - y)) ** 2
 
 
-def _gumbel_pair_offdiag(q, n, nodes: int, rows) -> np.ndarray:
-    """Off-diagonal pair law of the Gumbel path for positive q, among the categories rows.
+def _gumbel_pair_offdiag(q, n, nodes: int, rows, sizes) -> list:
+    """Off-diagonal pair laws of the Gumbel path for a group of rows q (G, L),
+    among the categories rows: one (R_g, R_g) law per row, R_g = sizes[g],
+    where row g's positive q fill the first R_g of rows and zeros pad the rest.
 
     A level s enters through x = 1 - exp(-e^{-s}) in (0, 1), where
     F_k(s) = exp(-q_k e^{-s}) = (1 - x)^{q_k} and f_k(s) ds = q_k (1 - x)^{q_k - 1} dx.
@@ -399,38 +422,44 @@ def _gumbel_pair_offdiag(q, n, nodes: int, rows) -> np.ndarray:
 
     a_k / H_k is formed for the rows only, in one allocation that also takes
     its transpose and, until then, each block's t.  The blocks are pairs of
-    rows, then pairs of the others, so ∏_k H_k keeps the pairwise rounding of
-    64 KiB blocks at GUMBEL_NODES.
+    rows, then pairs of the others, each across the group, so ∏_k H_k keeps
+    each row's pairwise rounding of 64 KiB blocks at GUMBEL_NODES.  A padding
+    zero has H = 1 and a = 0, so it leaves its row's products as they are,
+    and each row's matrix product is taken at its own size: a row's law is
+    bit for bit the one it has alone.
     """
     _, xc, w = _unit_nodes(nodes)
-    u = np.power(xc, q[:, None])
+    u = np.power(xc, q.T[:, :, None])  # (L, G, nodes), as are root, slope and dens
     root = np.power(1.0 - u, 1.0 / (n - 1))
-    slope, dens = _dirichlet_slope(u[rows], n), q[rows, None] * u[rows] / xc * w
+    slope, dens = _dirichlet_slope(u[rows], n), q.T[rows, :, None] * u[rows] / xc * w
     # room for at least 16 rows (1 MiB at 64 nodes), touched in the rows' part
     # only: freed, it lifts glibc's trim threshold above the working set
     # whatever the rows, so later calls reuse the heap top unfaulted
-    ratio, right = np.empty((2, max(rows.size, 16), nodes, nodes))[:, : rows.size]
-    pair_h, pair_tmp = np.empty((2, nodes, nodes)), np.empty((2, nodes, nodes))
-    mass = np.ones((nodes, nodes))
-    for cats in (rows, np.flatnonzero(np.bincount(rows, minlength=q.size) == 0)):
+    size = rows.size * len(q)
+    ratio, right = np.empty((2, max(size, 16), nodes, nodes))[:, :size].reshape(
+        2, rows.size, len(q), nodes, nodes)
+    pair_h, pair_tmp = np.empty((2, len(q), nodes, nodes)), np.empty((2, len(q), nodes, nodes))
+    mass = np.ones((len(q), nodes, nodes))
+    for cats in (rows, np.flatnonzero(np.bincount(rows, minlength=q.shape[1]) == 0)):
         for lo in range(0, cats.size, 2):
             block = slice(lo, lo + 2)
-            rb, ub = root[cats[block], :, None], u[cats[block], :, None]
+            rb, ub = root[cats[block], :, :, None], u[cats[block], :, :, None]
             h, tmp = pair_h[: ub.shape[0]], pair_tmp[: ub.shape[0]]
             t = right[block] if cats is rows else right[: ub.shape[0]]  # two rows or more
-            np.add(rb, rb.swapaxes(1, 2), out=t)  # t as copula._dirichlet_t forms it
+            np.add(rb, rb.swapaxes(2, 3), out=t)  # t as copula._dirichlet_t forms it
             t -= 1.0
             np.maximum(t, 0.0, out=t)
-            _dirichlet_cdf(ub, ub.swapaxes(1, 2), n, t, h, tmp)
+            _dirichlet_cdf(ub, ub.swapaxes(2, 3), n, t, h, tmp)
             if cats is rows:
-                cond = _dirichlet_conditional(t, slope[block, :, None], n, ratio[block], tmp)
-                cond *= dens[block, :, None]
+                cond = _dirichlet_conditional(t, slope[block, :, :, None], n, ratio[block], tmp)
+                cond *= dens[block, :, :, None]
                 np.equal(h, 0.0, out=tmp)
                 np.divide(cond, np.add(h, tmp, out=tmp), out=cond)
             mass *= np.multiply.reduce(h, axis=0, out=tmp[0])
-    right[...] = ratio.transpose(0, 2, 1)
+    right[...] = ratio.transpose(0, 1, 3, 2)
     ratio *= mass
-    return ratio.reshape(rows.size, -1) @ right.reshape(rows.size, -1).T
+    return [ratio[:r, g].reshape(r, -1) @ right[:r, g].reshape(r, -1).T
+            for g, r in enumerate(sizes)]
 
 
 def _gumbel_pair_offdiag_antithetic(q, nodes: int, rows) -> np.ndarray:
@@ -488,22 +517,33 @@ def _gumbel_pair_offdiag_antithetic(q, nodes: int, rows) -> np.ndarray:
 
 def _gumbel_offdiag_law(p, n, nodes=GUMBEL_NODES, cats=None) -> np.ndarray:
     """The symmetrized off-diagonal Gumbel law among the drawn categories
-    cats (default: every live one), (C, C) and 0 elsewhere."""
-    live = np.flatnonzero(p > 0.0)
-    # np.bincount, not np.unique, which imports numpy.ma
-    cats = live if cats is None else np.flatnonzero(np.bincount(cats))
-    law = np.zeros((p.size, p.size))
-    if cats.size < 2:  # no off-diagonal pair to build
-        return law
-    rows = np.searchsorted(live, cats)
-    if n == 2:
-        off = _gumbel_pair_offdiag_antithetic(p[live], nodes, rows)
-    else:
-        off = _gumbel_pair_offdiag(p[live], n, nodes, rows)
-    off = 0.5 * (off + off.T)
-    np.fill_diagonal(off, 0.0)
-    law[np.ix_(cats, cats)] = off
-    return law
+    cats (default: every live one), (C, C) and 0 elsewhere; for a stack p
+    (B, C), each row's law among its live categories, (B, C, C).  The rows
+    run max(1, 16 // C) to a quadrature, whose built categories then fill the
+    16 that _gumbel_pair_offdiag always holds room for; N = 2's mirror
+    quadrature runs row by row."""
+    q = p.reshape(-1, p.shape[-1])
+    law = np.zeros(q.shape + q.shape[-1:])
+    group = 1 if n == 2 else max(1, 16 // q.shape[1])
+    for lo in range(0, len(q), group):
+        live = list(map(np.flatnonzero, q[lo : lo + group] > 0.0))
+        # np.bincount, not np.unique, which imports numpy.ma
+        built = live if cats is None else [np.flatnonzero(np.bincount(cats))]
+        sizes = list(map(len, built))
+        if max(sizes) < 2:  # no off-diagonal pair to build
+            continue
+        packed = np.zeros((len(live), max(map(len, live))))
+        for row, cat in enumerate(live):
+            packed[row, : cat.size] = q[lo + row, cat]
+        rows = np.arange(packed.shape[1]) if cats is None else np.searchsorted(live[0], built[0])
+        offs = ([_gumbel_pair_offdiag_antithetic(packed[0], nodes, rows)] if n == 2
+                else _gumbel_pair_offdiag(packed, n, nodes, rows, sizes))
+        for out, cat, off in zip(law[lo : lo + group], built, offs):
+            if cat.size > 1:
+                off = 0.5 * (off + off.T)
+                np.fill_diagonal(off, 0.0)
+                out[np.ix_(cat, cat)] = off
+    return law.reshape(p.shape + p.shape[-1:])
 
 
 def _gumbel_pair_pmf(p, n, nodes: int) -> np.ndarray:

@@ -465,7 +465,7 @@ def test_every_path_is_reached_through_the_current_module_binding(monkeypatch):
         path = toy.get(method)
         calls.clear()
         estimate = make_gradient_estimator(method, p, 3, toy_objective(3, 2))
-        assert calls == ([law.format(path)] * 2 if path else []), method
+        assert calls == ([law.format(path)] if path else []), method  # one for the stack
         drawn = draw.format(path) if path else "experiments._iid_categories"
         assert reached(lambda: estimate(rng, 10)) == [drawn] * 2, method
     expected = {"inverse-cdf": draw.format("inverse_cdf"), "gumbel": draw.format("gumbel"),
@@ -1422,15 +1422,26 @@ def test_layer_benchmark_script_runs_its_in_process_stages(monkeypatch):
     assert calls["calls"] == 4 and "sample_antithetic_gumbel_fresh_p" in calls["us_per_call"]
     for by_size in timings + list(calls["us_per_call"].values()):
         assert set(by_size) == sizes and all(v > 0.0 for v in by_size.values())
+    # the public-API stages: estimator builds per (C, D) stack, toy cells per workload
+    api = bench.api(1)["api_ms_per_call"]
+    stacks = {f"C={c},D={d}" for c, d in bench.STACKS}
+    assert api.keys() == {"make_gradient_estimator_carms-i", "make_gradient_estimator_carms-g",
+                          "run_toy_cell"}
+    assert set(api["run_toy_cell"]) == {"toy_setups", "toy_draws"}
+    for stage, by_size in api.items():
+        assert set(by_size) == (set(bench.TOY_CELLS) if stage == "run_toy_cell" else stacks)
+        assert all(v > 0.0 for v in by_size.values())
     # the paired mode against this same tree, loaded under another name and
     # dropped again from sys.modules
     modules = set(sys.modules)
     paired = bench.paired_layers(str(REPO / "src"), 64, 2)["paired"]
     assert set(sys.modules) == modules
-    for key in ("us_per_draw_dim", "pair_law_ms_per_build"):
-        assert set(paired[key]) == set(record[key])
+    expected = {**{key: {stage: sizes for stage in record[key]}
+                   for key in ("us_per_draw_dim", "pair_law_ms_per_build")},
+                "api_ms_per_call": {stage: set(by_size) for stage, by_size in api.items()}}
+    for key, stages in expected.items():
+        assert {stage: set(by_size) for stage, by_size in paired[key].items()} == stages
         for by_size in paired[key].values():
-            assert set(by_size) == sizes
             for cell in by_size.values():
                 assert cell["this"] > 0.0 and cell["other"] > 0.0
                 assert cell["ratio_median"] > 0.0 and 0.0 <= cell["this_faster_share"] <= 1.0

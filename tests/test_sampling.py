@@ -517,24 +517,25 @@ def test_inverse_cdf_batch_memory_per_draw_does_not_grow_with_categories():
 
 
 def test_inverse_cdf_single_draw_validates_p_once(monkeypatch):
-    # the single draw checks p, its law does not; nor does the carms-i
-    # estimator's law re-check the rows its factory has checked
+    # the single draw checks p, its law does not; the carms-i estimator's
+    # factory checks its stack of rows once, and its law does not re-check it
     calls = []
+    check = carms.sampling._prob_rows
 
-    def counted(p):
-        calls.append(1)
-        return as_probs(p)
+    def counted(p, ndim):
+        calls.append(ndim)
+        return check(p, ndim)
 
     rng = np.random.default_rng(28)
-    monkeypatch.setattr(carms.sampling, "as_probs", counted)
-    monkeypatch.setattr(carms.experiments, "as_probs", counted)
+    monkeypatch.setattr(carms.sampling, "_prob_rows", counted)
+    monkeypatch.setattr(carms.experiments, "_prob_rows", counted)
     for c in (2, 5, 30):
         sample_antithetic_inverse_cdf(4, _simplex(rng, c), rng)
-    assert len(calls) == 3
+    assert calls == [1, 1, 1]
     p = np.stack([_simplex(rng, 6) for _ in range(3)])
     objective = carms.experiments.toy_objective(6, 3)
     carms.experiments.make_gradient_estimator("carms-i", p, 4, objective)
-    assert len(calls) == 6
+    assert calls == [1, 1, 1, 2]
 
 
 def test_inverse_cdf_marginals_quick():
@@ -871,14 +872,69 @@ def test_gumbel_offdiag_law_matches_a_whole_array_quadrature(c, n):
 def test_gumbel_law_memory_stays_within_its_traced_peaks():
     # N = 4: 1388.6 KiB at C = 8 with four realized categories and 2316.5
     # KiB at C = 30 with all rows, as traced when each block made its CDF
-    # arrays afresh; the bounds leave under 1 KiB for the interpreter's own
-    # small objects
+    # arrays afresh; the stacks' laws, D rows each, 1518.3 KiB at (D, C) =
+    # (4, 8), in groups of two rows, and 1352.6 KiB at (10, 10), a row at a
+    # time, as traced when each stack was first built in one call.  The
+    # bounds leave under 1 KiB for the interpreter's own small objects
     rng = np.random.default_rng(75)
     law = carms.sampling._gumbel_offdiag_law
     for c, cats, kib in ((8, np.array([6, 1, 3, 4]), 1389), (30, None, 2317)):
         p = _simplex(rng, c)
         law(p, 4, cats=cats)
         assert _peak_mib(lambda: law(p, 4, cats=cats)) * 1024 <= kib, c
+    for d, c, kib in ((4, 8, 1519), (10, 10, 1353)):
+        p = np.stack([_simplex(rng, c) for _ in range(d)])
+        law(p, 4)
+        assert _peak_mib(lambda: law(p, 4)) * 1024 <= kib, (d, c)
+
+
+def _stack_of_live_sets(rng, b, c):
+    """b rows of p ~ Dirichlet(1/2) over C categories, row r > 0 without
+    category r - 1 (mod C) and, from C = 8, without 3 r (mod C) too: rows
+    with different live sets, and at C = 2 rows with a single one."""
+    p = rng.dirichlet(np.full(c, 0.5), size=b)
+    for r in range(1, b):
+        p[r, (r - 1) % c] = 0.0
+        if c >= 8:
+            p[r, 3 * r % c] = 0.0
+        p[r] /= p[r].sum()
+    return p
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10])
+@pytest.mark.parametrize("c", [2, 3, 8, 30])
+@pytest.mark.parametrize("b", [1, 2, 5])
+def test_a_stack_of_laws_and_ratios_equals_its_rows_bit_for_bit(b, c, n):
+    # each builder and the ratio rule on a (B, C) stack return their 1-D
+    # calls stacked, exactly, however many rows share a Gumbel group
+    p = _stack_of_live_sets(np.random.default_rng(1000 * b + 10 * c + n), b, c)
+    for law in (carms.sampling._inverse_cdf_offdiag_law, carms.sampling._gumbel_offdiag_law):
+        stacked, rows = law(p, n), [law(row, n) for row in p]
+        assert stacked.shape == (b, c, c) and np.array_equal(stacked, np.stack(rows)), law
+        for clip in (10.0, None):
+            ratios, exceed = _analytic_ratio_matrix(p, stacked, clip)
+            ref = [_analytic_ratio_matrix(row, pbar, clip) for row, pbar in zip(p, rows)]
+            assert np.array_equal(ratios, np.stack([r for r, _ in ref])), (law, clip)
+            assert np.array_equal(exceed, np.stack([e for _, e in ref])), (law, clip)
+
+
+@pytest.mark.parametrize("method, builder", [("carms-i", "_inverse_cdf_offdiag_law"),
+                                             ("carms-g", "_gumbel_offdiag_law")])
+def test_the_estimator_builds_its_stack_of_laws_in_one_call(method, builder, monkeypatch):
+    # make_gradient_estimator hands its whole (D, C) stack to its path's law
+    # builder, read from carms.experiments when called
+    calls = []
+    build = getattr(carms.experiments, builder)
+
+    def counted(p, n):
+        calls.append(p.shape)
+        return build(p, n)
+
+    monkeypatch.setattr(carms.experiments, builder, counted)
+    rng = np.random.default_rng(76)
+    p = np.stack([_simplex(rng, 6) for _ in range(5)])
+    carms.experiments.make_gradient_estimator(method, p, 4, carms.experiments.toy_objective(6, 5))
+    assert calls == [(5, 6)]
 
 
 def test_gumbel_marginals_quick():
