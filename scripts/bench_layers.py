@@ -213,7 +213,8 @@ def api(repeats):
     for stage, by_size in _api_stages("carms", repeats).items():
         for size, fn in by_size.items():
             calls = iter(range(repeats + 1))
-            out.setdefault(stage, {})[size] = _median_seconds(lambda: fn(next(calls)), repeats) * 1e3
+            ms = _median_seconds(lambda: fn(next(calls)), repeats) * 1e3
+            out.setdefault(stage, {})[size] = ms
     return {"api_ms_per_call": out}
 
 

@@ -131,7 +131,7 @@ def make_gradient_estimator(
     """
     if method not in TOY_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {TOY_METHODS}")
-    p = _prob_rows(np.atleast_2d(p), 2)
+    p = _prob_rows(np.atleast_2d(p))
     dims, c = p.shape
     if objective.dims != dims or objective.n_categories != c:
         raise ValueError("objective and probabilities disagree on (D, C)")

@@ -22,14 +22,12 @@ copula's bivariate CDF.  The diagonal P(i, i) is what the row's
 off-diagonal mass leaves of p_i, so every row sums to p.  The law is
 evaluated by Gauss-Legendre quadrature.
 
-Both off-diagonal law builders and the ratio rule also take a stack (B, C)
-of probability vectors: the batched path builds all D dimensions' laws in
-one call, each row bit for bit the law it has alone.
-
 Both samplers are one body, _sample_antithetic, given their path's batched
 draw at k = 1 and its off-diagonal law builder, which the batched estimator
-also calls.  They return the one-hot sample matrix and the importance ratios
-p_i p_j / P(i, j) at the off-diagonal pairs the draw realizes, 0 elsewhere.
+calls once on its (D, C) stack of vectors, each row bit for bit its own law
+(the ratio rule takes the stack too).  They return the one-hot sample matrix
+and the importance ratios p_i p_j / P(i, j) at the off-diagonal pairs the
+draw realizes, 0 elsewhere.
 """
 
 from __future__ import annotations
@@ -52,20 +50,26 @@ from .copula import (
 
 def as_probs(p) -> np.ndarray:
     """Validate and return a probability vector over at least two categories."""
-    return _prob_rows(p, 1)
-
-
-def _prob_rows(p, ndim: int) -> np.ndarray:
-    """as_probs for an ndim-D array of probability vectors along its last axis."""
     arr = np.asarray(p, dtype=float)
-    if arr.ndim != ndim or arr.shape[-1] < 2:
+    if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need a 1-D probability vector with at least two categories")
     if not np.isfinite(arr).all() or (arr < 0.0).any():
         raise ValueError("probabilities must be finite and nonnegative")
-    total = arr.sum(axis=-1)
-    off = abs(total - 1.0) > 1e-12
+    if abs(arr.sum() - 1.0) > 1e-12:
+        raise ValueError(f"probabilities must sum to 1, got {float(arr.sum())!r}")
+    return arr
+
+
+def _prob_rows(p) -> np.ndarray:
+    """as_probs for a (D, C) stack of probability vectors, every row at once."""
+    arr = np.asarray(p, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] < 2:
+        raise ValueError("need a 1-D probability vector with at least two categories")
+    if not np.isfinite(arr).all() or (arr < 0.0).any():
+        raise ValueError("probabilities must be finite and nonnegative")
+    off = abs(arr.sum(axis=1) - 1.0) > 1e-12
     if off.any():
-        raise ValueError(f"probabilities must sum to 1, got {float(np.extract(off, total)[0])!r}")
+        raise ValueError(f"probabilities must sum to 1, got {float(arr[off][0].sum())!r}")
     return arr
 
 
@@ -166,31 +170,28 @@ def _blocks(total: int, width: int) -> list[slice]:
 
 def _ordering_mean_mass(p: np.ndarray, n: int, first, second) -> np.ndarray:
     """Mean over all anchored orderings of the rectangle mass of the cells
-    first[k] x second[k], for (K,) index arrays into p.ravel(): a category of
-    a vector p (C,), or b C + i for category i of row b of a stack p (B, C),
-    whose rows are probability vectors that share the orderings.
+    first[k] x second[k], for (K,) indices into p.ravel(): categories of p (C,)
+    or, for a stack p (B, C) of vectors that share the orderings, b C + i.
 
     The orderings come from their anchors, about 8192 / (B C) a block, and
     take their masses in runs of about 2048 / K (four stacked corners each).
     A run's first row takes the running total and cumsum adds down the rows,
     so the orderings are summed strictly one after another: an entry depends
-    neither on the block sizes nor on the other entries asked for, so not on
-    the other rows either.
+    neither on the block sizes nor on the other entries (or rows) asked for.
     """
-    q = p.reshape(-1, p.shape[-1])
-    c = q.shape[1]
+    c = p.shape[-1]
     orderings = c * (c - 1) // 2
     total = 0.0
-    for block in _blocks(orderings, q.size):
+    for block in _blocks(orderings, p.size):
         numbers = np.arange(*block.indices(orderings))
         inverse = _anchored_inverse(*_ordering_anchors(numbers, c), c)
-        # ordering m lays each row's cells out in the order inverse[m], edges
-        # kept by (ordering, row, category): row b's start at (m B + b) C
-        by_category = np.empty((2, inverse.size * len(q)))
-        flat = inverse + np.arange(0, by_category.shape[1], c).reshape(-1, len(q)).T[:, :, None]
-        for edge, by_position in zip(by_category, _cell_edges(q[:, inverse])):
+        # row b's cells in the order inverse[m], edges kept by category from (m B + b) C
+        by_category = np.empty((2, inverse.size * (p.size // c)))
+        start = np.arange(0, by_category.shape[1], c).reshape(-1, p.size // c).T
+        flat = inverse + start.reshape(p.shape[:-1] + (-1, 1))
+        for edge, by_position in zip(by_category, _cell_edges(p.take(inverse, axis=-1))):
             edge[flat] = by_position
-        edges = by_category.reshape(2, inverse.shape[0], q.size)
+        edges = by_category.reshape(2, inverse.shape[0], p.size)
         for run in _blocks(inverse.shape[0], 4 * first.size):
             a, b = (edges[:, run].take(idx, axis=2) for idx in (first, second))
             mass = _rectangle_mass(a, b, n)
@@ -220,18 +221,18 @@ def bivariate_pmf_entries(p, n: int, pairs) -> np.ndarray:
 
 def _inverse_cdf_offdiag_law(p, n, cats=None) -> np.ndarray:
     """The off-diagonal inverse-CDF law (bivariate_pmf_entries) among the
-    drawn categories cats (default: every live one), (C, C) and 0 elsewhere;
-    for a stack p (B, C), each row's law among its live categories,
-    (B, C, C), all in one pass over the orderings.  Its callers have
-    validated p, so it is not checked again."""
+    drawn categories cats (default: every live one), (C, C) and 0 elsewhere,
+    or each row's of a stack p (B, C), (B, C, C), in one pass over the
+    orderings.  Its callers have validated p, so it is not checked again."""
     c = p.shape[-1]
-    # each row's live categories by their index in p.ravel(), paired within the row
-    live = np.flatnonzero(p > 0.0 if cats is None else np.bincount(cats))
-    i, j = live[np.array(np.nonzero((live[:, None] < live) & (live < live[:, None] // c * c + c)))]
+    live = p > 0.0 if cats is None else np.bincount(cats, minlength=c) > 0
+    pairs = live[..., :, None] & live[..., None, :]
+    pairs &= np.arange(c)[:, None] < np.arange(c)
+    *row, i, j = np.nonzero(pairs)
     law = np.zeros(p.shape + (c,))
     if i.size:  # else no off-diagonal pair to build
-        flat = law.reshape(-1, c)  # p.ravel()[k]'s row of its law
-        flat[i, j % c] = flat[j, i % c] = _ordering_mean_mass(p, n, i, j)
+        start = row[0] * c if row else 0  # of the row's categories in p.ravel()
+        law[(*row, i, j)] = law[(*row, j, i)] = _ordering_mean_mass(p, n, start + i, start + j)
     return law
 
 
@@ -422,43 +423,44 @@ def _gumbel_pair_offdiag(q, n, nodes: int, rows, sizes) -> list:
 
     a_k / H_k is formed for the rows only, in one allocation that also takes
     its transpose and, until then, each block's t.  The blocks are pairs of
-    rows, then pairs of the others, each across the group, so ∏_k H_k keeps
-    each row's pairwise rounding of 64 KiB blocks at GUMBEL_NODES.  A padding
-    zero has H = 1 and a = 0, so it leaves its row's products as they are,
-    and each row's matrix product is taken at its own size: a row's law is
-    bit for bit the one it has alone.
+    rows, then pairs of the others, each across the group (row g's category
+    rows[k] at k G + g), so ∏_k H_k keeps each row's pairwise rounding of
+    64 KiB blocks at GUMBEL_NODES.  A padding zero has H = 1 and a = 0, and
+    each row's matrix product is taken at its own size: a row's law is bit
+    for bit the one it has alone.
     """
     _, xc, w = _unit_nodes(nodes)
+    group = len(q)
     u = np.power(xc, q.T[:, :, None])  # (L, G, nodes), as are root, slope and dens
     root = np.power(1.0 - u, 1.0 / (n - 1))
     slope, dens = _dirichlet_slope(u[rows], n), q.T[rows, :, None] * u[rows] / xc * w
     # room for at least 16 rows (1 MiB at 64 nodes), touched in the rows' part
     # only: freed, it lifts glibc's trim threshold above the working set
     # whatever the rows, so later calls reuse the heap top unfaulted
-    size = rows.size * len(q)
-    ratio, right = np.empty((2, max(size, 16), nodes, nodes))[:, :size].reshape(
-        2, rows.size, len(q), nodes, nodes)
-    pair_h, pair_tmp = np.empty((2, len(q), nodes, nodes)), np.empty((2, len(q), nodes, nodes))
-    mass = np.ones((len(q), nodes, nodes))
+    ratio, right = np.empty((2, max(rows.size * group, 16), nodes, nodes))[:, : rows.size * group]
+    pair_h, pair_tmp = np.empty((2 * group, nodes, nodes)), np.empty((2 * group, nodes, nodes))
+    mass = np.ones((group, nodes, nodes))
     for cats in (rows, np.flatnonzero(np.bincount(rows, minlength=q.shape[1]) == 0)):
         for lo in range(0, cats.size, 2):
-            block = slice(lo, lo + 2)
-            rb, ub = root[cats[block], :, :, None], u[cats[block], :, :, None]
+            block, span = slice(lo, lo + 2), slice(lo * group, (lo + 2) * group)
+            rb, ub = root[cats[block]].reshape(-1, nodes, 1), u[cats[block]].reshape(-1, nodes, 1)
             h, tmp = pair_h[: ub.shape[0]], pair_tmp[: ub.shape[0]]
-            t = right[block] if cats is rows else right[: ub.shape[0]]  # two rows or more
-            np.add(rb, rb.swapaxes(2, 3), out=t)  # t as copula._dirichlet_t forms it
+            t = right[span] if cats is rows else right[: ub.shape[0]]  # two rows or more
+            np.add(rb, rb.swapaxes(1, 2), out=t)  # t as copula._dirichlet_t forms it
             t -= 1.0
             np.maximum(t, 0.0, out=t)
-            _dirichlet_cdf(ub, ub.swapaxes(2, 3), n, t, h, tmp)
+            _dirichlet_cdf(ub, ub.swapaxes(1, 2), n, t, h, tmp)
             if cats is rows:
-                cond = _dirichlet_conditional(t, slope[block, :, :, None], n, ratio[block], tmp)
-                cond *= dens[block, :, :, None]
+                tail = slope[block].reshape(-1, nodes, 1)
+                cond = _dirichlet_conditional(t, tail, n, ratio[span], tmp)
+                cond *= dens[block].reshape(-1, nodes, 1)
                 np.equal(h, 0.0, out=tmp)
                 np.divide(cond, np.add(h, tmp, out=tmp), out=cond)
-            mass *= np.multiply.reduce(h, axis=0, out=tmp[0])
-    right[...] = ratio.transpose(0, 1, 3, 2)
-    ratio *= mass
-    return [ratio[:r, g].reshape(r, -1) @ right[:r, g].reshape(r, -1).T
+            mass *= np.multiply.reduce(h.reshape(-1, group, nodes, nodes), axis=0, out=tmp[:group])
+    right[...] = ratio.transpose(0, 2, 1)
+    by_row = ratio.reshape(-1, group, nodes, nodes)  # a view, multiplied in place
+    by_row *= mass
+    return [ratio[g::group][:r].reshape(r, -1) @ right[g::group][:r].reshape(r, -1).T
             for g, r in enumerate(sizes)]
 
 
@@ -517,11 +519,10 @@ def _gumbel_pair_offdiag_antithetic(q, nodes: int, rows) -> np.ndarray:
 
 def _gumbel_offdiag_law(p, n, nodes=GUMBEL_NODES, cats=None) -> np.ndarray:
     """The symmetrized off-diagonal Gumbel law among the drawn categories
-    cats (default: every live one), (C, C) and 0 elsewhere; for a stack p
-    (B, C), each row's law among its live categories, (B, C, C).  The rows
-    run max(1, 16 // C) to a quadrature, whose built categories then fill the
-    16 that _gumbel_pair_offdiag always holds room for; N = 2's mirror
-    quadrature runs row by row."""
+    cats (default: every live one), (C, C) and 0 elsewhere, or each row's of
+    a stack p (B, C), (B, C, C).  Rows share a quadrature max(1, 16 // C) at
+    a time, filling the 16 rows _gumbel_pair_offdiag always holds room for;
+    N = 2's mirror quadrature runs row by row."""
     q = p.reshape(-1, p.shape[-1])
     law = np.zeros(q.shape + q.shape[-1:])
     group = 1 if n == 2 else max(1, 16 // q.shape[1])

@@ -520,22 +520,24 @@ def test_inverse_cdf_single_draw_validates_p_once(monkeypatch):
     # the single draw checks p, its law does not; the carms-i estimator's
     # factory checks its stack of rows once, and its law does not re-check it
     calls = []
-    check = carms.sampling._prob_rows
 
-    def counted(p, ndim):
-        calls.append(ndim)
-        return check(p, ndim)
+    def counted(check):
+        def check_counted(p):
+            calls.append(check.__name__)
+            return check(p)
+
+        return check_counted
 
     rng = np.random.default_rng(28)
-    monkeypatch.setattr(carms.sampling, "_prob_rows", counted)
-    monkeypatch.setattr(carms.experiments, "_prob_rows", counted)
+    monkeypatch.setattr(carms.sampling, "as_probs", counted(as_probs))
+    monkeypatch.setattr(carms.experiments, "_prob_rows", counted(carms.sampling._prob_rows))
     for c in (2, 5, 30):
         sample_antithetic_inverse_cdf(4, _simplex(rng, c), rng)
-    assert calls == [1, 1, 1]
+    assert calls == ["as_probs"] * 3
     p = np.stack([_simplex(rng, 6) for _ in range(3)])
     objective = carms.experiments.toy_objective(6, 3)
     carms.experiments.make_gradient_estimator("carms-i", p, 4, objective)
-    assert calls == [1, 1, 1, 2]
+    assert calls == ["as_probs"] * 3 + ["_prob_rows"]
 
 
 def test_inverse_cdf_marginals_quick():
