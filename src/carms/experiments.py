@@ -142,8 +142,7 @@ def make_gradient_estimator(
         raise ValueError("need at least one sample")
     _check_clip(clip)
     draw, law = _path(_TOY_PATHS[method])
-    # exact ratios of every dimension, from the whole stack's laws in one
-    # call; the independent path needs none
+    # exact ratios of all D dimensions from one law build; the independent path needs none
     fixed = None if law is None else _analytic_ratio_matrix(p, law(p, n), clip)
 
     def estimate(rng, k):

@@ -24,10 +24,9 @@ evaluated by Gauss-Legendre quadrature.
 
 Both samplers are one body, _sample_antithetic, given their path's batched
 draw at k = 1 and its off-diagonal law builder, which the batched estimator
-calls once on its (D, C) stack of vectors, each row bit for bit its own law
-(the ratio rule takes the stack too).  They return the one-hot sample matrix
-and the importance ratios p_i p_j / P(i, j) at the off-diagonal pairs the
-draw realizes, 0 elsewhere.
+calls once on its (D, C) stack, each row bit for bit its own law.  They
+return the one-hot sample matrix and the importance ratios p_i p_j / P(i, j)
+at the off-diagonal pairs the draw realizes, 0 elsewhere.
 """
 
 from __future__ import annotations
@@ -168,10 +167,17 @@ def _blocks(total: int, width: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, total, step)]
 
 
+@functools.lru_cache(maxsize=8)
+def _ordering_inverse(c: int, lo: int, hi: int) -> np.ndarray:
+    """_anchored_inverse of the orderings numbered lo..hi - 1, cached read-only."""
+    inverse = _anchored_inverse(*_ordering_anchors(np.arange(lo, hi), c), c)
+    inverse.flags.writeable = False
+    return inverse
+
+
 def _ordering_mean_mass(p: np.ndarray, n: int, first, second) -> np.ndarray:
     """Mean over all anchored orderings of the rectangle mass of the cells
-    first[k] x second[k], for (K,) indices into p.ravel(): categories of p (C,)
-    or, for a stack p (B, C) of vectors that share the orderings, b C + i.
+    first[k] x second[k], for (K,) indices b C + i into p.ravel(), p (C,) or (B, C).
 
     The orderings come from their anchors, about 8192 / (B C) a block, and
     take their masses in runs of about 2048 / K (four stacked corners each).
@@ -183,8 +189,7 @@ def _ordering_mean_mass(p: np.ndarray, n: int, first, second) -> np.ndarray:
     orderings = c * (c - 1) // 2
     total = 0.0
     for block in _blocks(orderings, p.size):
-        numbers = np.arange(*block.indices(orderings))
-        inverse = _anchored_inverse(*_ordering_anchors(numbers, c), c)
+        inverse = _ordering_inverse(c, *block.indices(orderings)[:2])
         # row b's cells in the order inverse[m], edges kept by category from (m B + b) C
         by_category = np.empty((2, inverse.size * (p.size // c)))
         start = np.arange(0, by_category.shape[1], c).reshape(-1, p.size // c).T
@@ -225,14 +230,13 @@ def _inverse_cdf_offdiag_law(p, n, cats=None) -> np.ndarray:
     or each row's of a stack p (B, C), (B, C, C), in one pass over the
     orderings.  Its callers have validated p, so it is not checked again."""
     c = p.shape[-1]
-    live = p > 0.0 if cats is None else np.bincount(cats, minlength=c) > 0
-    pairs = live[..., :, None] & live[..., None, :]
-    pairs &= np.arange(c)[:, None] < np.arange(c)
-    *row, i, j = np.nonzero(pairs)
+    # the live categories as indices b C + i into p.ravel(), paired within a row
+    live = np.flatnonzero(p > 0.0 if cats is None else np.bincount(cats))
+    i, j = live[np.array(np.nonzero((live[:, None] < live) & (live[:, None] // c == live // c)))]
     law = np.zeros(p.shape + (c,))
+    by_row = law.reshape(-1, c)  # law[b, i] at row b C + i
     if i.size:  # else no off-diagonal pair to build
-        start = row[0] * c if row else 0  # of the row's categories in p.ravel()
-        law[(*row, i, j)] = law[(*row, j, i)] = _ordering_mean_mass(p, n, start + i, start + j)
+        by_row[i, j % c] = by_row[j, i % c] = _ordering_mean_mass(p, n, i, j)
     return law
 
 
@@ -269,8 +273,7 @@ def _check_clip(clip) -> None:
 
 
 def _analytic_ratio_matrix(p: np.ndarray, pbar: np.ndarray, clip: float | None):
-    """Importance ratios p_i p_j / P(i, j) from an exact pair law P: (ratios, exceed),
-    for p (C,) and P (C, C) or row by row for a stack p (B, C) and P (B, C, C).
+    """Ratios p_i p_j / P(i, j) of an exact pair law P (C, C) or stack (B, C, C): (ratios, exceed).
 
     ratios holds the ratio, clipped at clip, where P is positive off the
     diagonal, and 0 elsewhere: two samples in one category add
@@ -408,9 +411,8 @@ def _unit_nodes(nodes: int):
 
 
 def _gumbel_pair_offdiag(q, n, nodes: int, rows, sizes) -> list:
-    """Off-diagonal pair laws of the Gumbel path for a group of rows q (G, L),
-    among the categories rows: one (R_g, R_g) law per row, R_g = sizes[g],
-    where row g's positive q fill the first R_g of rows and zeros pad the rest.
+    """Off-diagonal Gumbel pair laws of a group of rows q (G, L), each its positive
+    entries then zeros: one (R_g, R_g) law among rows[:R_g] per row, R_g = sizes[g].
 
     A level s enters through x = 1 - exp(-e^{-s}) in (0, 1), where
     F_k(s) = exp(-q_k e^{-s}) = (1 - x)^{q_k} and f_k(s) ds = q_k (1 - x)^{q_k - 1} dx.
@@ -423,37 +425,37 @@ def _gumbel_pair_offdiag(q, n, nodes: int, rows, sizes) -> list:
 
     a_k / H_k is formed for the rows only, in one allocation that also takes
     its transpose and, until then, each block's t.  The blocks are pairs of
-    rows, then pairs of the others, each across the group (row g's category
-    rows[k] at k G + g), so ∏_k H_k keeps each row's pairwise rounding of
-    64 KiB blocks at GUMBEL_NODES.  A padding zero has H = 1 and a = 0, and
-    each row's matrix product is taken at its own size: a row's law is bit
-    for bit the one it has alone.
+    rows, then pairs of the others, across the group, so ∏_k H_k keeps each
+    row's pairwise rounding of 64 KiB blocks at GUMBEL_NODES; a padding zero
+    has H = 1 and a = 0, and each row's product is taken at its own size.
     """
     _, xc, w = _unit_nodes(nodes)
-    group = len(q)
-    u = np.power(xc, q.T[:, :, None])  # (L, G, nodes), as are root, slope and dens
+    group, q = len(q), q.T.ravel()  # row g's category k at k G + g
+    others = np.flatnonzero(np.bincount(rows, minlength=q.size // group) == 0)
+    if group > 1:
+        rows, others = ((k[:, None] * group + np.arange(group)).ravel() for k in (rows, others))
+    u = np.power(xc, q[:, None])
     root = np.power(1.0 - u, 1.0 / (n - 1))
-    slope, dens = _dirichlet_slope(u[rows], n), q.T[rows, :, None] * u[rows] / xc * w
+    slope, dens = _dirichlet_slope(u[rows], n), q[rows, None] * u[rows] / xc * w
     # room for at least 16 rows (1 MiB at 64 nodes), touched in the rows' part
     # only: freed, it lifts glibc's trim threshold above the working set
     # whatever the rows, so later calls reuse the heap top unfaulted
-    ratio, right = np.empty((2, max(rows.size * group, 16), nodes, nodes))[:, : rows.size * group]
+    ratio, right = np.empty((2, max(rows.size, 16), nodes, nodes))[:, : rows.size]
     pair_h, pair_tmp = np.empty((2 * group, nodes, nodes)), np.empty((2 * group, nodes, nodes))
     mass = np.ones((group, nodes, nodes))
-    for cats in (rows, np.flatnonzero(np.bincount(rows, minlength=q.shape[1]) == 0)):
-        for lo in range(0, cats.size, 2):
-            block, span = slice(lo, lo + 2), slice(lo * group, (lo + 2) * group)
-            rb, ub = root[cats[block]].reshape(-1, nodes, 1), u[cats[block]].reshape(-1, nodes, 1)
+    for cats in (rows, others):
+        for lo in range(0, cats.size, 2 * group):
+            block = slice(lo, lo + 2 * group)
+            rb, ub = root[cats[block], :, None], u[cats[block], :, None]
             h, tmp = pair_h[: ub.shape[0]], pair_tmp[: ub.shape[0]]
-            t = right[span] if cats is rows else right[: ub.shape[0]]  # two rows or more
+            t = right[block] if cats is rows else right[: ub.shape[0]]  # two rows or more
             np.add(rb, rb.swapaxes(1, 2), out=t)  # t as copula._dirichlet_t forms it
             t -= 1.0
             np.maximum(t, 0.0, out=t)
             _dirichlet_cdf(ub, ub.swapaxes(1, 2), n, t, h, tmp)
             if cats is rows:
-                tail = slope[block].reshape(-1, nodes, 1)
-                cond = _dirichlet_conditional(t, tail, n, ratio[span], tmp)
-                cond *= dens[block].reshape(-1, nodes, 1)
+                cond = _dirichlet_conditional(t, slope[block, :, None], n, ratio[block], tmp)
+                cond *= dens[block, :, None]
                 np.equal(h, 0.0, out=tmp)
                 np.divide(cond, np.add(h, tmp, out=tmp), out=cond)
             mass *= np.multiply.reduce(h.reshape(-1, group, nodes, nodes), axis=0, out=tmp[:group])
@@ -520,14 +522,13 @@ def _gumbel_pair_offdiag_antithetic(q, nodes: int, rows) -> np.ndarray:
 def _gumbel_offdiag_law(p, n, nodes=GUMBEL_NODES, cats=None) -> np.ndarray:
     """The symmetrized off-diagonal Gumbel law among the drawn categories
     cats (default: every live one), (C, C) and 0 elsewhere, or each row's of
-    a stack p (B, C), (B, C, C).  Rows share a quadrature max(1, 16 // C) at
-    a time, filling the 16 rows _gumbel_pair_offdiag always holds room for;
-    N = 2's mirror quadrature runs row by row."""
+    a stack p (B, C), (B, C, C), max(1, 16 // C) rows to a quadrature (the 16
+    rows _gumbel_pair_offdiag holds room for); N = 2's mirror runs per row."""
     q = p.reshape(-1, p.shape[-1])
     law = np.zeros(q.shape + q.shape[-1:])
     group = 1 if n == 2 else max(1, 16 // q.shape[1])
     for lo in range(0, len(q), group):
-        live = list(map(np.flatnonzero, q[lo : lo + group] > 0.0))
+        live = [np.flatnonzero(row) for row in q[lo : lo + group]]  # p >= 0
         # np.bincount, not np.unique, which imports numpy.ma
         built = live if cats is None else [np.flatnonzero(np.bincount(cats))]
         sizes = list(map(len, built))
@@ -543,7 +544,7 @@ def _gumbel_offdiag_law(p, n, nodes=GUMBEL_NODES, cats=None) -> np.ndarray:
             if cat.size > 1:
                 off = 0.5 * (off + off.T)
                 np.fill_diagonal(off, 0.0)
-                out[np.ix_(cat, cat)] = off
+                out[cat[:, None], cat] = off
     return law.reshape(p.shape + p.shape[-1:])
 
 
