@@ -25,7 +25,8 @@ Differentiating in p gives the conditional CDF P(u_j < q | u_i = p),
     dC/dp (p, q) = 1 - max(0, (1-p)^(1/(n-1)) + (1-q)^(1/(n-1)) - 1)^(n-2)
                        * (1-p)^(1/(n-1) - 1),
 
-which at n = 2 is the step 1{p + q > 1}.
+which at n = 2 is the step 1{p + q > 1}.  The pair-law kernels call both on
+arrays they check themselves; dirichlet_bivariate_cdf is C's checked form.
 
 The Gaussian copula maps a normal vector at the most negative feasible
 equicorrelation, -1/(n-1), through the standard normal CDF.  No command or
@@ -214,18 +215,3 @@ def _dirichlet_conditional(t, slope, n, out=None, scratch=None):
     tail = np.multiply(tail, slope, out=out)
     np.subtract(1.0, tail, out=tail)
     return np.maximum(tail, 0.0, out=tail)
-
-
-def bernoulli_pair_correlation(p, n: int):
-    """Correlation of the pair (1{u_i < p}, 1{u_j < p}) under the Dirichlet copula.
-
-    This is the effective antithetic strength seen by a two-category split at
-    threshold p: (C(p, p) - p^2) / (p (1 - p)).  At n = 2 it is -min(p, 1-p)/max(p, 1-p),
-    e.g. exactly -1 at p = 1/2.
-    """
-    p_arr = np.asarray(p, dtype=float)
-    if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
-        raise ValueError("the threshold must lie strictly inside (0, 1)")
-    joint = dirichlet_bivariate_cdf(p_arr, p_arr, n)
-    out = (joint - p_arr * p_arr) / (p_arr * (1.0 - p_arr))
-    return float(out) if p_arr.ndim == 0 else out

@@ -1,13 +1,15 @@
 """Score-function gradient estimators on one-hot categorical samples.
 
-All estimators take probabilities (not logits) and return the gradient with
+Both estimators take probabilities (not logits) and return the gradient with
 respect to the softmax logits phi, using d p_i / d phi_c = p_i (1{i=c} - p_c).
 
-loorf          (1/(N-1)) sum_n (f_n - fbar) (z_n - p)
-carts          (1/2) (f - f') (z - z') * (z^T R z'), one debiased pair
-carms          (1/N) f^T (D - O) (Z - 1 p^T), the all-pairs average of carts,
-               by the batched core _carms_estimates at k = 1
-arms_binary    coordinatewise leave-one-out with antithetic correction 1/(1 - rho)
+loorf   (1/(N-1)) sum_n (f_n - fbar) (z_n - p)
+carms   (1/N) f^T (D - O) (Z - 1 p^T), the all-pairs average of the debiased
+        pair term (1/2) (f - f') (z - z') z^T R z', by the batched core
+        _carms_estimates at k = 1
+
+Their reductions, carms to arms at C = 2 and to loorf at unit ratios, are
+judged against the references in carms.oracle.
 """
 
 from __future__ import annotations
@@ -36,13 +38,6 @@ def _as_onehot_matrix(z, n_rows=None) -> np.ndarray:
     return arr
 
 
-def _as_onehot_row(z) -> np.ndarray:
-    arr = np.asarray(z, dtype=float)
-    if arr.ndim != 1 or not ((arr == 0.0) | (arr == 1.0)).all() or arr.sum() != 1.0:
-        raise ValueError("sample must be a one-hot vector")
-    return arr
-
-
 def _ratio_array(ratios) -> np.ndarray:
     if isinstance(ratios, RatioMatrix):
         return ratios.ratios
@@ -59,25 +54,6 @@ def loorf(f, z, p) -> np.ndarray:
         raise ValueError("loorf needs N >= 2 samples")
     centered = f - f.mean()
     return centered @ (z - p) / (n - 1)
-
-
-def two_sample_loorf(f_z: float, f_zp: float, z, zp) -> np.ndarray:
-    """N = 2 leave-one-out: (1/2) (f(z) - f(z')) (z - z'). The baseline cancels p."""
-    return 0.5 * (float(f_z) - float(f_zp)) * (_as_onehot_row(z) - _as_onehot_row(zp))
-
-
-def carts(f_z: float, f_zp: float, z, zp, ratios) -> np.ndarray:
-    """One antithetic pair debiased by its importance ratio z^T R z'; a pair
-    in one category adds (f - f')(z - z') = 0 and reads no ratio."""
-    z = _as_onehot_row(z)
-    zp = _as_onehot_row(zp)
-    r = _ratio_array(ratios)
-    if r.shape != (z.size, z.size) or zp.size != z.size:
-        raise ValueError("ratio matrix or sample width does not match the category count")
-    i, j = z.argmax(), zp.argmax()
-    if i == j:
-        return np.zeros(z.size)
-    return two_sample_loorf(f_z, f_zp, z, zp) * float(r[i, j])
 
 
 def _score_sums(w: np.ndarray, cats: np.ndarray, p_row: np.ndarray) -> np.ndarray:
@@ -113,7 +89,7 @@ def _carms_estimates(
 
 
 def carms(f, z, ratios, p) -> np.ndarray:
-    """All-pairs average of carts over N coupled samples: _carms_estimates at k = 1.
+    """carms over N coupled samples: _carms_estimates at k = 1.
 
     O = (1/(N-1)) (1 - I) o (Z R Z^T), D = diag(O 1), and the estimate is
     (1/N) f^T (D - O) (Z - 1 p^T), which the core sums sample by sample.
@@ -135,35 +111,3 @@ def carms(f, z, ratios, p) -> np.ndarray:
     if not np.isfinite(r[cats[:, None], cats]).all():
         raise ValueError("nonfinite importance ratio at a realized sample pair")
     return _carms_estimates(f[None], cats[None], r, p)[0]
-
-
-def arms_binary(f, b, p, rho) -> np.ndarray:
-    """Leave-one-out estimator for D antithetic Bernoulli coordinates.
-
-    g_d = (1/(N-1)) sum_n (f_n - fbar) (b_nd - p_d) / (1 - rho_d), the
-    gradient with respect to the Bernoulli logits.
-    """
-    f = _as_values(f)
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape[0] != f.size:
-        raise ValueError("b must be an N x D binary matrix")
-    if not ((b == 0.0) | (b == 1.0)).all():
-        raise ValueError("b entries must be 0 or 1")
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    rho = np.broadcast_to(np.asarray(rho, dtype=float), p.shape).astype(float)
-    if p.shape != (b.shape[1],):
-        raise ValueError("need one success probability per coordinate")
-    if not ((p > 0.0) & (p < 1.0)).all():  # a nan fails this too
-        raise ValueError("success probabilities must lie strictly inside (0, 1)")
-    if not (np.isfinite(rho) & (rho < 1.0)).all():
-        raise ValueError("antithetic correction requires a finite rho < 1")
-    n = f.size
-    if n < 2:
-        raise ValueError("arms needs N >= 2 samples")
-    centered = f - f.mean()
-    return (centered @ (b - p)) / (1.0 - rho) / (n - 1)
-
-
-def reinforce_single(f_z: float, z, p) -> np.ndarray:
-    """Single-sample score estimator f(z) (z - p); unbiased but high variance."""
-    return float(f_z) * (_as_onehot_row(z) - as_probs(p))

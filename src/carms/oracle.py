@@ -4,7 +4,8 @@ The exact gradient and estimator moments enumerate every assignment or
 ordered pair of assignments.  The inverse-CDF path's single-ordering pair
 laws (with their anchored orderings, cell edges and copula CDF), loorf in
 matrix form and carms as a pair sum are written out again here, so that a
-defect in the kernels they judge cannot cancel against them.
+defect in the kernels they judge cannot cancel against them.  arms, which
+carms is at C = 2, and the copula pair correlation it reads live only here.
 """
 
 from __future__ import annotations
@@ -303,6 +304,27 @@ def carms_pair_sum(f, z, ratios) -> np.ndarray:
     return total / (n * (n - 1))
 
 
+def arms_binary(f, b, p, rho) -> np.ndarray:
+    """arms, leave-one-out over D antithetic Bernoulli coordinates: the gradient
+    g_d = (1/(N-1)) sum_n (f_n - fbar) (b_nd - p_d) / (1 - rho_d) in the Bernoulli
+    logits.  carms at C = 2 is this on the category-0 indicators."""
+    f = np.asarray(f, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if f.ndim != 1 or f.size < 2 or not np.all(np.isfinite(f)):
+        raise ValueError("arms needs N >= 2 finite function values")
+    if b.ndim != 2 or b.shape[0] != f.size or not np.all((b == 0.0) | (b == 1.0)):
+        raise ValueError("b must be an N x D matrix of 0s and 1s")
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    rho = np.broadcast_to(np.asarray(rho, dtype=float), p.shape)
+    if p.shape != (b.shape[1],):
+        raise ValueError("need one success probability per coordinate")
+    if not np.all((p > 0.0) & (p < 1.0)):  # a nan fails this too
+        raise ValueError("success probabilities must lie strictly inside (0, 1)")
+    if not np.all(np.isfinite(rho) & (rho < 1.0)):
+        raise ValueError("antithetic correction requires a finite rho < 1")
+    return (f - f.mean()) @ (b - p) / (1.0 - rho) / (f.size - 1)
+
+
 class Ordering:
     """A category-to-position permutation anchored at a pair (i, j): perm[k] is
     the position of category k, with i at position 0 and j at the last one,
@@ -351,6 +373,20 @@ def _copula_cdf(x, y, n: int) -> np.ndarray:
         t = np.maximum((1.0 - x) ** (1.0 / (n - 1)) + (1.0 - y) ** (1.0 / (n - 1)) - 1.0, 0.0)
         cdf = np.clip(x + y - 1.0 + t ** (n - 1), lower, np.minimum(x, y))
     return np.where(y >= 1.0, x, np.where(x >= 1.0, y, cdf))
+
+
+def bernoulli_pair_correlation(p, n: int):
+    """Correlation of (1{u_i < p}, 1{u_j < p}) for two coordinates of one
+    Dirichlet-copula draw of n, (C(p, p) - p^2) / (p (1 - p)): the antithetic
+    strength a two-category split at threshold p sees.  At n = 2 it is
+    -min(p, 1-p) / max(p, 1-p), e.g. exactly -1 at p = 1/2."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
+        raise ValueError(f"need an integer sample count n >= 2, got {n!r}")
+    p = np.asarray(p, dtype=float)
+    if not np.all((p > 0.0) & (p < 1.0)):  # a nan fails this too
+        raise ValueError("the threshold must lie strictly inside (0, 1)")
+    out = (_copula_cdf(p, p, n) - p * p) / (p * (1.0 - p))
+    return float(out) if p.ndim == 0 else out
 
 
 def bivariate_pmf_matrix(p, ordering: Ordering, n: int) -> np.ndarray:

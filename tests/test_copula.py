@@ -51,7 +51,6 @@ from carms.copula import (
     _int_power,
     _sample_dirichlet_copula_batch,
     _sample_gaussian_copula_batch,
-    bernoulli_pair_correlation,
     dirichlet_bivariate_cdf,
     sample_copula_batch,
 )
@@ -391,25 +390,6 @@ def test_copula_kind_defaults_and_errors():
     assert CopulaKind("gaussian") == GAUSSIAN and CopulaKind("dirichlet") == DIRICHLET
     with pytest.raises(ValueError):
         CopulaKind("logistic")
-
-
-# ---------------------------------------------------------------------------
-# bernoulli_pair_correlation
-
-
-def test_bernoulli_pair_correlation_frozen_values():
-    assert bernoulli_pair_correlation(0.5, 2) == pytest.approx(-1.0, abs=1e-12)
-    assert bernoulli_pair_correlation(0.9, 2) == pytest.approx(-1.0 / 9.0, abs=1e-12)
-
-
-def test_bernoulli_pair_correlation_range_and_errors():
-    for n in (2, 3, 5, 8):
-        for p in np.linspace(0.02, 0.98, 25):
-            rho = bernoulli_pair_correlation(float(p), n)
-            assert -1.0 - 1e-12 <= rho <= 0.0
-    for bad in (0.0, 1.0, -0.2, np.nan):
-        with pytest.raises(ValueError):
-            bernoulli_pair_correlation(bad, 2)
 
 
 # ---------------------------------------------------------------------------

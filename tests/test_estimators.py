@@ -1,21 +1,13 @@
 """Tests for the gradient estimators: frozen values, algebraic identities,
-cross-estimator equivalences, and the binary reduction to arms."""
+cross-estimator equivalences, and the binary reduction to the oracle's arms."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carms.copula import bernoulli_pair_correlation
-from carms.estimators import (
-    arms_binary,
-    carms,
-    carts,
-    loorf,
-    reinforce_single,
-    two_sample_loorf,
-)
-from carms.oracle import carms_pair_sum
+from carms.estimators import carms, loorf
+from carms.oracle import arms_binary, bernoulli_pair_correlation, carms_pair_sum
 from carms.sampling import (
     bivariate_pmf_averaged,
     gumbel_pair_pmf,
@@ -56,52 +48,25 @@ def test_loorf_needs_two_samples():
         loorf([1.0], [[1.0, 0.0]], [0.5, 0.5])
 
 
-def test_two_sample_loorf_frozen():
-    g = two_sample_loorf(2.0, -1.0, [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
-    assert np.allclose(g, [0.0, 1.5, -1.5], atol=1e-15)
-
-
 # ---------------------------------------------------------------------------
-# carts
+# carms at N = 2: one debiased antithetic pair (carts)
 
 
 def test_carts_identical_samples_vanish():
-    z = [1.0, 0.0, 0.0]
-    r = np.full((3, 3), 7.0)
-    assert np.array_equal(carts(1.0, 5.0, z, z, r), np.zeros(3))
     # R is not read for a same-category pair, so a nonfinite diagonal stays out
+    r = np.full((3, 3), 7.0)
     for bad in (np.inf, np.nan):
         np.fill_diagonal(r, bad)
-        assert np.array_equal(carts(1.0, 2.0, z, z, r), np.zeros(3))
+        g = carms([1.0, 5.0], onehot([0, 0], 3), r, [0.2, 0.3, 0.5])
+        assert np.array_equal(g, np.zeros(3))
         f, zs = [1.0, 2.0, 4.0], onehot([0, 0, 1], 3)
         assert np.all(np.isfinite(carms_pair_sum(f, zs, r)))
-    for bad_r, zp in ((np.ones((4, 4)), z), (np.ones((3, 3)), [1.0, 0.0])):
-        with pytest.raises(ValueError):
-            carts(1.0, 2.0, z, zp, bad_r)
-
-
-def test_carts_unit_ratios_reduce_to_two_sample_loorf():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        c = int(rng.integers(2, 6))
-        z, zp = onehot(rng.integers(0, c, size=2), c)
-        fa, fb = rng.normal(size=2)
-        assert np.array_equal(
-            carts(fa, fb, z, zp, np.ones((c, c))), two_sample_loorf(fa, fb, z, zp)
-        )
 
 
 def test_carts_frozen_binary_ratio_half():
     r = np.array([[1.0, 0.5], [0.5, 1.0]])
-    g = carts(1.0, 0.0, [1.0, 0.0], [0.0, 1.0], r)
+    g = carms([1.0, 0.0], onehot([0, 1], 2), r, [0.5, 0.5])
     assert np.allclose(g, [0.25, -0.25], atol=1e-15)
-
-
-def test_carts_reads_the_directed_ratio_entry():
-    r = np.array([[1.0, 2.0, 1.0], [3.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-    z, zp = onehot([0, 1], 3)
-    g = carts(1.0, 0.0, z, zp, r)  # picks r[0, 1] = 2
-    assert np.allclose(g, [1.0, -1.0, 0.0], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +87,7 @@ def test_carms_matrix_form_matches_pair_sum():
 
 
 def test_carms_two_samples_equal_carts():
+    # the paper's pair term (1/2) (f - f') (z - z') r[c, c'], written inline
     rng = np.random.default_rng(6)
     for _ in range(50):
         c = int(rng.integers(2, 5))
@@ -129,7 +95,7 @@ def test_carms_two_samples_equal_carts():
         r = np.exp(rng.normal(size=(c, c)))
         r = 0.5 * (r + r.T)
         g = carms(f, z, r, p)
-        ref = carts(f[0], f[1], z[0], z[1], r)
+        ref = 0.5 * (f[0] - f[1]) * (z[0] - z[1]) * r[z[0].argmax(), z[1].argmax()]
         assert np.max(np.abs(g - ref)) <= 1e-13
 
 
@@ -143,7 +109,6 @@ def test_carms_gradient_coordinates_sum_to_zero():
         r = np.exp(rng.normal(size=(c, c)))
         assert abs(carms(f, z, r, p).sum()) <= 1e-9
         assert abs(loorf(f, z, p).sum()) <= 1e-9
-        assert abs(reinforce_single(f[0], z[0], p).sum()) <= 1e-9
 
 
 def test_carms_permutation_equivariance():
@@ -254,97 +219,41 @@ def test_carms_pair_sum_property(data):
 # per-pair unbiasedness by direct enumeration (N = 2, exact ratios)
 
 
+def _pair_enumeration(p, f, pmf, ratios):
+    """sum over category pairs (i, j) of P(i, j) carms(f[[i, j]], (e_i, e_j))."""
+    total = np.zeros(p.size)
+    for i, j in zip(*np.nonzero(pmf)):
+        total += pmf[i, j] * carms(f[[i, j]], onehot([i, j], p.size), ratios, p)
+    return total
+
+
+def _exact_ratios(p, pmf):
+    with np.errstate(divide="ignore"):
+        return np.outer(p, p) / pmf  # an unrealized pair's inf is never read
+
+
 def test_carts_enumeration_recovers_exact_gradient():
-    # sum over pairs of P(i,j) * carts with the matched ratios telescopes to
+    # sum over pairs of P(i,j) * carms with the matched ratios telescopes to
     # sum_{i != j} p_i p_j (f_i - f_j) e_i / 2 ... = the exact softmax gradient
     for p in ([0.3, 0.7], [0.1, 0.2, 0.7], [0.25, 0.25, 0.5]):
         p = np.asarray(p)
-        c = p.size
-        f = np.arange(1.0, c + 1.0) ** 2
-        pmf = bivariate_pmf_averaged(p, 2)
-        ratios = np.ones((c, c))
-        off = ~np.eye(c, dtype=bool)
-        ratios[off] = np.outer(p, p)[off] / pmf[off]
-        total = np.zeros(c)
-        for i in range(c):
-            for j in range(c):
-                if pmf[i, j] > 0.0:
-                    ei, ej = np.eye(c)[i], np.eye(c)[j]
-                    total += pmf[i, j] * carts(f[i], f[j], ei, ej, ratios)
+        f = np.arange(1.0, p.size + 1.0) ** 2
         exact = p * (f - float(f @ p))
-        assert np.max(np.abs(total - exact)) <= 1e-10
+        for pmf in (bivariate_pmf_averaged(p, 2), gumbel_pair_pmf(p, 2)):
+            total = _pair_enumeration(p, f, pmf, _exact_ratios(p, pmf))
+            assert np.max(np.abs(total - exact)) <= 1e-10
 
 
 def test_carts_enumeration_detects_a_corrupted_ratio():
     # the same enumeration with one symmetric ratio entry negated must miss
     p = np.asarray([0.1, 0.2, 0.7])
     f = np.array([1.0, 4.0, 9.0])
-    pmf = bivariate_pmf_averaged(p, 2)
-    ratios = np.ones((3, 3))
-    off = ~np.eye(3, dtype=bool)
-    ratios[off] = np.outer(p, p)[off] / pmf[off]
-    ratios[0, 1] = ratios[1, 0] = -ratios[0, 1]
-    total = np.zeros(3)
-    for i in range(3):
-        for j in range(3):
-            if pmf[i, j] > 0.0:
-                ei, ej = np.eye(3)[i], np.eye(3)[j]
-                total += pmf[i, j] * carts(f[i], f[j], ei, ej, ratios)
     exact = p * (f - float(f @ p))
-    assert np.max(np.abs(total - exact)) > 1e-3
-
-
-# ---------------------------------------------------------------------------
-# arms, reinforce
-
-
-def test_arms_binary_frozen_perfect_antithesis():
-    g = arms_binary([1.0, 0.0], [[1.0], [0.0]], [0.5], -1.0)
-    assert np.allclose(g, [0.25], atol=1e-15)
-
-
-def test_arms_binary_zero_rho_equals_binary_loorf():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        n = int(rng.integers(2, 8))
-        p0 = float(rng.uniform(0.1, 0.9))
-        b = rng.integers(0, 2, size=(n, 1)).astype(float)
-        f = rng.normal(size=n)
-        z = np.column_stack([b[:, 0], 1 - b[:, 0]])
-        g = arms_binary(f, b, [p0], 0.0)
-        assert abs(g[0] - loorf(f, z, [p0, 1 - p0])[0]) <= 1e-12
-
-
-def test_arms_binary_validation():
-    f, b = [1.0, 0.0], [[1.0], [0.0]]
-    with pytest.raises(ValueError):
-        arms_binary(f, b, [0.5], 1.0)  # rho must stay below 1
-    with pytest.raises(ValueError):
-        arms_binary(f, b, [0.0], 0.0)  # degenerate probability
-    with pytest.raises(ValueError):
-        arms_binary(f, [[0.5], [0.0]], [0.5], 0.0)  # non-binary entries
-    with pytest.raises(ValueError):
-        arms_binary([1.0], [[1.0]], [0.5], 0.0)  # N >= 2
-    # a nan passed both range checks and came back as a nan gradient
-    f2, b2 = [1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]
-    for p, rho in (([np.nan, 0.5], 0.0), ([0.5, 0.5], np.nan), ([0.5, 0.5], [0.0, -np.inf])):
-        with pytest.raises(ValueError, match="finite|strictly inside"):
-            arms_binary(f2, b2, p, rho)
-
-
-def test_arms_binary_broadcasts_scalar_rho():
-    rng = np.random.default_rng(13)
-    b = rng.integers(0, 2, size=(4, 3)).astype(float)
-    f = rng.normal(size=4)
-    p = [0.3, 0.5, 0.7]
-    assert np.array_equal(
-        arms_binary(f, b, p, -0.2), arms_binary(f, b, p, [-0.2, -0.2, -0.2])
-    )
-
-
-def test_reinforce_single_frozen():
-    g = reinforce_single(2.0, [1.0, 0.0], [0.5, 0.5])
-    assert np.allclose(g, [1.0, -1.0], atol=1e-15)
+    for pmf in (bivariate_pmf_averaged(p, 2), gumbel_pair_pmf(p, 2)):
+        ratios = _exact_ratios(p, pmf)
+        ratios[0, 1] = ratios[1, 0] = -ratios[0, 1]
+        total = _pair_enumeration(p, f, pmf, ratios)
+        assert np.max(np.abs(total - exact)) > 1e-3
 
 
 # ---------------------------------------------------------------------------

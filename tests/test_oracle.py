@@ -6,11 +6,14 @@ hand-rolled pair enumeration against the vectorized one.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import carms.copula
 import carms.estimators
 import carms.oracle
 import carms.sampling
@@ -20,6 +23,8 @@ from carms.oracle import (
     ENUMERATION_LIMIT,
     InconsistentDistributionError,
     TabulatedObjective,
+    arms_binary,
+    bernoulli_pair_correlation,
     exact_carms_expectation,
     exact_gradient,
     expected_value,
@@ -337,13 +342,82 @@ def test_mc_moments_one_chunk_is_numpys_variance():
 
 
 # ---------------------------------------------------------------------------
+# arms and its copula pair correlation
+
+
+def test_arms_binary_frozen_perfect_antithesis():
+    g = arms_binary([1.0, 0.0], [[1.0], [0.0]], [0.5], -1.0)
+    assert np.allclose(g, [0.25], atol=1e-15)
+
+
+def test_arms_binary_zero_rho_equals_binary_loorf():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        n = int(rng.integers(2, 8))
+        p0 = float(rng.uniform(0.1, 0.9))
+        b = rng.integers(0, 2, size=(n, 1)).astype(float)
+        f = rng.normal(size=n)
+        z = np.column_stack([b[:, 0], 1 - b[:, 0]])
+        g = arms_binary(f, b, [p0], 0.0)
+        assert abs(g[0] - loorf(f, z, [p0, 1 - p0])[0]) <= 1e-12
+
+
+def test_arms_binary_validation():
+    f, b = [1.0, 0.0], [[1.0], [0.0]]
+    with pytest.raises(ValueError):
+        arms_binary(f, b, [0.5], 1.0)  # rho must stay below 1
+    with pytest.raises(ValueError):
+        arms_binary(f, b, [0.0], 0.0)  # degenerate probability
+    with pytest.raises(ValueError):
+        arms_binary(f, [[0.5], [0.0]], [0.5], 0.0)  # non-binary entries
+    with pytest.raises(ValueError):
+        arms_binary([1.0], [[1.0]], [0.5], 0.0)  # N >= 2
+    # a nan passed both range checks and came back as a nan gradient
+    f2, b2 = [1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]
+    for p, rho in (([np.nan, 0.5], 0.0), ([0.5, 0.5], np.nan), ([0.5, 0.5], [0.0, -np.inf])):
+        with pytest.raises(ValueError, match="finite|strictly inside"):
+            arms_binary(f2, b2, p, rho)
+
+
+def test_arms_binary_broadcasts_scalar_rho():
+    rng = np.random.default_rng(13)
+    b = rng.integers(0, 2, size=(4, 3)).astype(float)
+    f = rng.normal(size=4)
+    p = [0.3, 0.5, 0.7]
+    assert np.array_equal(
+        arms_binary(f, b, p, -0.2), arms_binary(f, b, p, [-0.2, -0.2, -0.2])
+    )
+
+
+def test_bernoulli_pair_correlation_frozen_values():
+    assert bernoulli_pair_correlation(0.5, 2) == pytest.approx(-1.0, abs=1e-12)
+    assert bernoulli_pair_correlation(0.9, 2) == pytest.approx(-1.0 / 9.0, abs=1e-12)
+
+
+def test_bernoulli_pair_correlation_range_and_errors():
+    for n in (2, 3, 5, 8):
+        for p in np.linspace(0.02, 0.98, 25):
+            rho = bernoulli_pair_correlation(float(p), n)
+            assert -1.0 - 1e-12 <= rho <= 0.0
+    for bad in (0.0, 1.0, -0.2, np.nan):
+        with pytest.raises(ValueError):
+            bernoulli_pair_correlation(bad, 2)
+    for bad_n in (1, 2.0, True):
+        with pytest.raises(ValueError):
+            bernoulli_pair_correlation(0.5, bad_n)
+
+
+# ---------------------------------------------------------------------------
 # independence of the references
 
 
 MOVED_REFERENCES = (
     "Ordering", "make_ordering", "all_orderings", "bivariate_pmf_one_ordering",
     "bivariate_pmf_matrix", "carms_pair_sum", "loorf_matrix_form",
+    "arms_binary", "bernoulli_pair_correlation",
 )
+# the deleted one-pair and single-sample estimators, which no module may keep
+DELETED_NAMES = ("carts", "two_sample_loorf", "reinforce_single", "_as_onehot_row")
 # the library kernels and checks that a reference computing through them would name
 KERNEL_NAMES = {
     "_cell_edges", "_rectangle_mass", "_dirichlet_cdf", "_dirichlet_cdf_exact_edges",
@@ -364,6 +438,14 @@ def test_the_oracles_import_nothing_from_the_library():
             assert all(alias.name.split(".")[0] != "carms" for alias in node.names)
         elif isinstance(node, (ast.Name, ast.Attribute)):
             assert getattr(node, "id", getattr(node, "attr", None)) not in KERNEL_NAMES
+    judged = (carms.sampling, carms.estimators, carms.copula)
     for name in MOVED_REFERENCES:
         assert hasattr(carms.oracle, name), name
-        assert not hasattr(carms.sampling, name) and not hasattr(carms.estimators, name), name
+        assert not any(hasattr(module, name) for module in judged), name
+    modules = [
+        importlib.import_module(f"carms.{info.name}")
+        for info in pkgutil.iter_modules(carms.__path__)
+        if info.name != "__main__"
+    ]
+    for name in DELETED_NAMES:
+        assert not any(hasattr(module, name) for module in modules), name
