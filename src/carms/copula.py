@@ -29,15 +29,14 @@ which at n = 2 is the step 1{p + q > 1}.  The pair-law kernels call both on
 arrays they check themselves; dirichlet_bivariate_cdf is C's checked form.
 
 The Gaussian copula maps a normal vector at the most negative feasible
-equicorrelation, -1/(n-1), through the standard normal CDF.  No command or
-estimator draws from it: it never gave a lower gradient variance than the
-Dirichlet one on the Gumbel path (BENCH_21.json).  Only
-sample_copula_batch(GAUSSIAN, ...) reaches it, and no pair law exists for it.
+equicorrelation, -1/(n-1), through the standard normal CDF.  Nothing in the
+package draws from it: it never gave a lower gradient variance than the
+Dirichlet one on the Gumbel path (BENCH_21.json), and no pair law exists for
+it.  _sample_gaussian_copula_batch remains only as a name the layer benchmark
+traces; it is the one place that imports scipy, on its first call.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,28 +45,13 @@ import numpy as np
 CLAMP_EPS = 1e-12
 
 
-def _validate_n(n) -> int:
+def _validate_n(n, least: int = 2) -> int:
+    """int(n) for an integer n >= least; a float or a bool is refused."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError(f"sample count must be an integer, got {n!r}")
-    if n < 2:
-        raise ValueError(f"copulas need n >= 2 coordinates, got n={n}")
+    if n < least:
+        raise ValueError(f"need n >= {least} samples, got n={n}")
     return int(n)
-
-
-@dataclass(frozen=True)
-class CopulaKind:
-    """Which copula family to draw from, each at its strongest negative
-    dependence: the Gaussian at the equicorrelation -1/(n-1)."""
-
-    family: str
-
-    def __post_init__(self):
-        if self.family not in ("dirichlet", "gaussian"):
-            raise ValueError(f"unknown copula family {self.family!r}")
-
-
-DIRICHLET = CopulaKind("dirichlet")
-GAUSSIAN = CopulaKind("gaussian")
 
 
 def _sum_in_order(terms):
@@ -120,16 +104,6 @@ def _sample_gaussian_copula_batch(k: int, n: int, rng: np.random.Generator) -> n
     w = rng.standard_normal((k, n))
     x = np.sqrt(1.0 + 1.0 / (n - 1)) * (w - w.mean(axis=1, keepdims=True))
     return np.clip(ndtr(x), CLAMP_EPS, 1.0 - CLAMP_EPS)
-
-
-def sample_copula_batch(
-    kind: CopulaKind, k: int, n: int, rng: np.random.Generator, work=None
-) -> np.ndarray:
-    """k independent draws of n uniforms from the copula kind, shape (k, n);
-    the Dirichlet draw fills work (see _sample_dirichlet_copula_batch)."""
-    if kind.family == "dirichlet":
-        return _sample_dirichlet_copula_batch(k, n, rng, work)
-    return _sample_gaussian_copula_batch(k, n, rng)
 
 
 def dirichlet_bivariate_cdf(p, q, n: int):

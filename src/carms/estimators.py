@@ -3,7 +3,8 @@
 Both estimators take probabilities (not logits) and return the gradient with
 respect to the softmax logits phi, using d p_i / d phi_c = p_i (1{i=c} - p_c).
 
-loorf   (1/(N-1)) sum_n (f_n - fbar) (z_n - p)
+loorf   (1/(N-1)) sum_n (f_n - fbar) (z_n - p), by the batched score sum
+        _score_sums at k = 1
 carms   (1/N) f^T (D - O) (Z - 1 p^T), the all-pairs average of the debiased
         pair term (1/2) (f - f') (z - z') z^T R z', by the batched core
         _carms_estimates at k = 1
@@ -20,40 +21,31 @@ from .copula import _sum_in_order
 from .sampling import RatioMatrix, _blocks, as_probs
 
 
-def _as_values(f) -> np.ndarray:
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim != 1 or not np.isfinite(arr).all():
+def _as_draw(f, z, p, name: str):
+    """One draw's checked (f, categories, p) from values f (N,), one-hot rows
+    z (N, C) and probabilities p (C,); f and the categories come back (1, N)."""
+    f = np.asarray(f, dtype=float)
+    if f.ndim != 1 or not np.isfinite(f).all():
         raise ValueError("function values must be a finite 1-D vector")
-    return arr
-
-
-def _as_onehot_matrix(z, n_rows=None) -> np.ndarray:
-    arr = np.asarray(z, dtype=float)
-    if arr.ndim != 2:
+    if f.size < 2:
+        raise ValueError(f"{name} needs N >= 2 samples")
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 2:
         raise ValueError("samples must form an N x C matrix")
-    if not ((arr == 0.0) | (arr == 1.0)).all() or not (arr.sum(axis=1) == 1.0).all():
+    if not ((z == 0.0) | (z == 1.0)).all() or not (z.sum(axis=1) == 1.0).all():
         raise ValueError("sample rows must be one-hot")
-    if n_rows is not None and arr.shape[0] != n_rows:
+    if z.shape[0] != f.size:
         raise ValueError("sample count does not match function values")
-    return arr
+    p = as_probs(p)
+    if z.shape[1] != p.size:
+        raise ValueError("sample width does not match the category count")
+    return f[None], np.argmax(z, axis=1)[None], p
 
 
 def _ratio_array(ratios) -> np.ndarray:
     if isinstance(ratios, RatioMatrix):
         return ratios.ratios
     return np.asarray(ratios, dtype=float)
-
-
-def loorf(f, z, p) -> np.ndarray:
-    """Leave-one-out score estimator over N independent-or-coupled samples."""
-    f = _as_values(f)
-    z = _as_onehot_matrix(z, f.size)
-    p = as_probs(p)
-    n = f.size
-    if n < 2:
-        raise ValueError("loorf needs N >= 2 samples")
-    centered = f - f.mean()
-    return centered @ (z - p) / (n - 1)
 
 
 def _score_sums(w: np.ndarray, cats: np.ndarray, p_row: np.ndarray) -> np.ndarray:
@@ -88,6 +80,14 @@ def _carms_estimates(
     return _score_sums(w.T, cats, p_row)
 
 
+def loorf(f, z, p) -> np.ndarray:
+    """Leave-one-out score estimator over N independent-or-coupled samples:
+    _score_sums at k = 1 with the weights (f_n - fbar) / (N - 1)."""
+    f, cats, p = _as_draw(f, z, p, "loorf")
+    w = (f - f.mean(axis=1, keepdims=True)) / (f.size - 1)
+    return _score_sums(w, cats, p)[0]
+
+
 def carms(f, z, ratios, p) -> np.ndarray:
     """carms over N coupled samples: _carms_estimates at k = 1.
 
@@ -95,19 +95,13 @@ def carms(f, z, ratios, p) -> np.ndarray:
     (1/N) f^T (D - O) (Z - 1 p^T), which the core sums sample by sample.
     A pair in one category adds an exact 0, whatever R's diagonal holds.
     """
-    f = _as_values(f)
-    z = _as_onehot_matrix(z, f.size)
-    p = as_probs(p)
+    f, cats, p = _as_draw(f, z, p, "carms")
     r = np.array(_ratio_array(ratios), dtype=float)
-    n = f.size
-    if n < 2:
-        raise ValueError("carms needs N >= 2 samples")
-    if r.shape != (p.size, p.size) or z.shape[1] != p.size:
-        raise ValueError("ratio matrix or sample width does not match the category count")
+    if r.shape != (p.size, p.size):
+        raise ValueError("ratio matrix does not match the category count")
     np.fill_diagonal(r, 0.0)
     # index rather than multiply out Z R Z^T: entries at categories absent
     # from the batch must stay unread (0 * inf would leak a nan)
-    cats = np.argmax(z, axis=1)
-    if not np.isfinite(r[cats[:, None], cats]).all():
+    if not np.isfinite(r[cats.T, cats]).all():
         raise ValueError("nonfinite importance ratio at a realized sample pair")
-    return _carms_estimates(f[None], cats[None], r, p)[0]
+    return _carms_estimates(f, cats, r, p)[0]

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
+from .copula import _validate_n
 from .estimators import _carms_estimates, _score_sums
 from .sampling import (
     GUMBEL_BLOCK,
@@ -135,17 +136,16 @@ def make_gradient_estimator(
     dims, c = p.shape
     if objective.dims != dims or objective.n_categories != c:
         raise ValueError("objective and probabilities disagree on (D, C)")
-    n = int(n_samples)
-    if n < 2 and method != "reinforce":
-        raise ValueError("pair-based estimators need N >= 2")
-    if n < 1:
-        raise ValueError("need at least one sample")
+    # the pair-based estimators need two samples; reinforce takes one
+    n = _validate_n(n_samples, 1 if method == "reinforce" else 2)
     _check_clip(clip)
     draw, law = _path(_TOY_PATHS[method])
     # exact ratios of all D dimensions from one law build; the independent path needs none
     fixed = None if law is None else _analytic_ratio_matrix(p, law(p, n), clip)
 
     def estimate(rng, k):
+        if k < 1:
+            raise ValueError(f"need k >= 1 draws, got {k}")
         cats = np.stack([draw(k, n, row, rng) for row in p], axis=-1)
         f = objective.values_at(cats)
         g = np.empty((k, dims, c))

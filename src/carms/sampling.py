@@ -63,7 +63,7 @@ def _prob_rows(p) -> np.ndarray:
     """as_probs for a (D, C) stack of probability vectors, every row at once."""
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 2 or arr.shape[1] < 2:
-        raise ValueError("need a 1-D probability vector with at least two categories")
+        raise ValueError("need a (D, C) stack of probability vectors with C >= 2 categories")
     if not np.isfinite(arr).all() or (arr < 0.0).any():
         raise ValueError("probabilities must be finite and nonnegative")
     off = abs(arr.sum(axis=1) - 1.0) > 1e-12

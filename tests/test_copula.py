@@ -41,9 +41,6 @@ from scipy import stats
 
 from carms.copula import (
     CLAMP_EPS,
-    DIRICHLET,
-    GAUSSIAN,
-    CopulaKind,
     _dirichlet_cdf,
     _dirichlet_conditional,
     _dirichlet_slope,
@@ -52,8 +49,10 @@ from carms.copula import (
     _sample_dirichlet_copula_batch,
     _sample_gaussian_copula_batch,
     dirichlet_bivariate_cdf,
-    sample_copula_batch,
 )
+
+# the two copula draws, each (k, n, rng) -> (k, n) uniforms
+SAMPLERS = (_sample_dirichlet_copula_batch, _sample_gaussian_copula_batch)
 
 
 class _FakeRng:
@@ -302,36 +301,32 @@ def test_gaussian_normal_scores_sum_to_zero(n):
 
 def test_draws_are_clamped_strictly_inside_unit_interval():
     rng = np.random.default_rng(1)
-    for kind in (DIRICHLET, GAUSSIAN):
-        u = sample_copula_batch(kind, 50_000, 3, rng)
+    for sample in SAMPLERS:
+        u = sample(50_000, 3, rng)
         assert u.min() >= CLAMP_EPS
         assert u.max() <= 1.0 - CLAMP_EPS
 
 
 def test_unit_samplers_validate_n():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        _sample_dirichlet_copula_batch(5, 1, rng)
-    with pytest.raises(ValueError):
-        _sample_gaussian_copula_batch(5, 1, rng)
-    for kind in (DIRICHLET, GAUSSIAN):
+    for sample in SAMPLERS:
         with pytest.raises(ValueError):
-            sample_copula_batch(kind, 5, 1, rng)
+            sample(5, 1, rng)
 
 
 def test_unit_samplers_return_copula_draws():
     rng = np.random.default_rng(0)
-    d = sample_copula_batch(DIRICHLET, 5, 4, rng)
-    g = sample_copula_batch(GAUSSIAN, 5, 3, rng)
+    d = _sample_dirichlet_copula_batch(5, 4, rng)
+    g = _sample_gaussian_copula_batch(5, 3, rng)
     assert d.shape == (5, 4) and g.shape == (5, 3)
 
 
-@pytest.mark.parametrize("kind", [DIRICHLET, GAUSSIAN], ids=["dirichlet", "gaussian"])
+@pytest.mark.parametrize("sample", SAMPLERS, ids=["dirichlet", "gaussian"])
 @pytest.mark.parametrize("n", [2, 3, 5, 10])
-def test_marginal_uniformity_ks(kind, n):
+def test_marginal_uniformity_ks(sample, n):
     # KS at the 1% level over 1e5 draws, every coordinate
     rng = np.random.default_rng(1234 + n)
-    u = sample_copula_batch(kind, 100_000, n, rng)
+    u = sample(100_000, n, rng)
     for coord in range(n):
         assert stats.kstest(u[:, coord], "uniform").pvalue > 0.01
 
@@ -383,21 +378,11 @@ def test_gaussian_equicorrelation_value():
 
 
 # ---------------------------------------------------------------------------
-# CopulaKind validation
-
-
-def test_copula_kind_defaults_and_errors():
-    assert CopulaKind("gaussian") == GAUSSIAN and CopulaKind("dirichlet") == DIRICHLET
-    with pytest.raises(ValueError):
-        CopulaKind("logistic")
-
-
-# ---------------------------------------------------------------------------
 # determinism
 
 
 def test_same_seed_same_draws():
-    for kind in (DIRICHLET, GAUSSIAN):
-        a = sample_copula_batch(kind, 100, 4, np.random.default_rng(99))
-        b = sample_copula_batch(kind, 100, 4, np.random.default_rng(99))
+    for sample in SAMPLERS:
+        a = sample(100, 4, np.random.default_rng(99))
+        b = sample(100, 4, np.random.default_rng(99))
         assert np.array_equal(a, b)

@@ -106,6 +106,18 @@ def test_make_gradient_estimator_validation():
         make_gradient_estimator("loorf", p, 1, f)
     with pytest.raises(ValueError):
         make_gradient_estimator("loorf", np.full((2, 3), 1 / 3), 4, f)
+    with pytest.raises(ValueError, match=r"\(D, C\) stack"):
+        make_gradient_estimator("loorf", np.full((1, 1, 3), 1 / 3), 4, f)
+    # a count is an integer, never read down to one; reinforce alone takes N = 1
+    for count in (3.7, 2.0, True):
+        with pytest.raises(ValueError, match="sample count must be an integer"):
+            make_gradient_estimator("carms-i", p, count, f)
+    assert make_gradient_estimator("reinforce", p, np.int64(1), f)(
+        np.random.default_rng(0), 1)[0].shape == (1, 1, 3)
+    estimate = make_gradient_estimator("loorf", p, 4, f)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="need k >= 1 draws"):
+            estimate(np.random.default_rng(0), k)
 
 
 def test_estimator_factory_unbiased_methods_hit_the_gradient():
@@ -211,8 +223,9 @@ def test_carms_core_is_bit_identical_to_the_broadcast_form():
 
 
 def test_score_estimators_match_their_single_draw_forms():
-    # loorf and reinforce from the factory against estimators.loorf and
-    # f/N (z - p), on the categories the factory draws from the same stream
+    # loorf and reinforce from the factory against estimators.loorf, bit for
+    # bit, and f/N (z - p), on the categories the factory draws from the
+    # same stream
     p = np.array([[0.5, 0.0, 0.3, 0.2], [0.1, 0.2, 0.3, 0.4]])
     objective = toy_objective(4, 2)
     k = 100
@@ -228,10 +241,10 @@ def test_score_estimators_match_their_single_draw_forms():
                 for d in range(2):
                     z = np.eye(4)[cats[i, :, d]]
                     if method == "loorf":
-                        ref = loorf(f[i], z, p[d])
+                        assert np.array_equal(g[i, d], loorf(f[i], z, p[d])), n
                     else:
                         ref = f[i] @ (z - p[d]) / n
-                    assert np.max(np.abs(g[i, d] - ref)) <= 1e-12, (n, method)
+                        assert np.max(np.abs(g[i, d] - ref)) <= 1e-12, (n, method)
 
 
 @pytest.mark.parametrize("dims", [1, 2])
@@ -957,7 +970,7 @@ PINNED_SELFCHECK_ROWS = (
     'unbiasedness-enumeration,pass,max coordinate gap 1.665e-16',
     'antithetic-variance-dominance,pass,"mean gap 1.110e-16, dominated=True, strict=True"',
     'impossible-pair,pass,"P(1, 2) under the identity ordering = 0.0"',
-    'copula-uniformity,pass,"min KS p-value 1.457e-02 of 7, bound 1.429e-04"',
+    'copula-uniformity,pass,"max KS distance 7.012e-03 of 7, bound 9.771e-03"',
     'sampler-marginals,pass,max marginal deviation 2.57 SE',
     'estimator-unbiasedness-mc,pass,"max mean deviation 0.70 SE, max clip fraction 0.00e+00"',
     'sampler-pair-laws,pass,max pair-law deviation 2.24 SE',
@@ -1279,7 +1292,7 @@ def test_module_reruns_are_byte_identical(tmp_path):
     assert out_a.stat().st_size > 0
 
 
-# scipy takes most of a cold import; only the full selfcheck's KS tests use it
+# scipy takes most of a cold import, and no command loads it
 FRESH_IMPORT_RUN = """
 import json, sys
 from carms.cli import main
@@ -1297,16 +1310,16 @@ print(json.dumps({"seen": seen, "codes": codes}))
 """
 
 
-def test_only_the_full_selfcheck_imports_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", FRESH_IMPORT_RUN, str(tmp_path / "out.csv")],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    # import carms.cli, every toy method and every correlation method leave
-    # scipy out; the full selfcheck loads it
-    assert result == {"seen": [False, False, True], "codes": [0] * 5}
+    # import carms.cli, every toy method, every correlation method and the
+    # full selfcheck leave scipy out
+    assert result == {"seen": [False, False, False], "codes": [0] * 5}
 
 
 # the selfcheck and the oracles it judges by load on its first run only
@@ -1337,19 +1350,19 @@ def test_only_the_selfcheck_imports_the_selfcheck_and_the_oracles(tmp_path):
                       "codes": [0, 0, 0]}
 
 
-# the Gaussian copula, reached through sample_copula_batch only, loads
-# scipy.special on its first draw; the Dirichlet draws and pair laws never do
+# the Gaussian copula, which no command draws from, loads scipy.special on
+# its first draw; the Dirichlet draws and pair laws never do
 FRESH_GAUSSIAN_RUN = """
 import json, sys
 import numpy as np
-from carms.copula import GAUSSIAN, sample_copula_batch
+from carms.copula import _sample_gaussian_copula_batch
 from carms.sampling import gumbel_pair_pmf, sample_antithetic_gumbel
 p, rng = np.array([0.5, 0.3, 0.2]), np.random.default_rng(0)
 seen = ["scipy" in sys.modules]
 sample_antithetic_gumbel(3, p, rng)
 gumbel_pair_pmf(p, 3)
 seen.append("scipy" in sys.modules)
-sample_copula_batch(GAUSSIAN, 5, 3, rng)
+_sample_gaussian_copula_batch(5, 3, rng)
 seen.append("scipy.special" in sys.modules)
 print(json.dumps(seen))
 """
@@ -1368,6 +1381,13 @@ def test_scipy_is_imported_on_first_gaussian_use_only():
 # scripts and the benchmark's traced names
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert [re.split(r"[<>=!~ ]", dep)[0] for dep in project["dependencies"]] == ["numpy"]
 
 
 def _load_by_path(name, path):
