@@ -159,7 +159,12 @@ def _dirichlet_cdf(p_arr, q_arr, n, t=None, out=None, scratch=None):
         excess -= 1.0
         return np.maximum(excess, 0.0, out=excess)
     raw = _int_power(_dirichlet_t(p_arr, q_arr, n) if t is None else t, n - 1, out, scratch)
-    excess = np.add(p_arr, q_arr, out=scratch)
+    return _dirichlet_cdf_from_power(raw, np.add(p_arr, q_arr, out=scratch), p_arr, q_arr)
+
+
+def _dirichlet_cdf_from_power(raw, excess, p_arr, q_arr):
+    """C(p, q) for n > 2 into raw = t^(n-1) from excess = p + q, which
+    becomes p + q - 1: a caller may form the sum its own way."""
     excess -= 1.0
     raw += excess
     # fl(t^(n-1) + excess) >= excess: the floor max(excess, 0) is one at 0

@@ -32,7 +32,8 @@ def _as_draw(f, z, p, name: str):
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         raise ValueError("samples must form an N x C matrix")
-    if not ((z == 0.0) | (z == 1.0)).all() or not (z.sum(axis=1) == 1.0).all():
+    # each row sums to 1 and the rows hold one nonzero each: a one-hot row
+    if np.count_nonzero(z) != len(z) or not (z.sum(axis=1) == 1.0).all():
         raise ValueError("sample rows must be one-hot")
     if z.shape[0] != f.size:
         raise ValueError("sample count does not match function values")

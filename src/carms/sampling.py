@@ -38,10 +38,11 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .copula import (
-    _dirichlet_cdf,
     _dirichlet_cdf_exact_edges,
+    _dirichlet_cdf_from_power,
     _dirichlet_conditional,
     _dirichlet_slope,
+    _int_power,
     _sample_dirichlet_copula_batch,
     _validate_n,
 )
@@ -82,7 +83,14 @@ def _as_indices(categories, n_categories: int) -> np.ndarray:
 
 def onehot(categories, n_categories: int) -> np.ndarray:
     """Map integer categories (any shape) to one-hot float rows."""
-    return np.eye(n_categories)[_as_indices(categories, n_categories)]
+    return _onehot_rows(_as_indices(categories, n_categories), n_categories)
+
+
+def _onehot_rows(cats: np.ndarray, c: int) -> np.ndarray:
+    """onehot of validated categories: zeros and one scatter, O(cats.size C)."""
+    rows = np.zeros(cats.shape + (c,))
+    rows.reshape(cats.size, c)[np.arange(cats.size), cats.ravel()] = 1.0
+    return rows
 
 
 def _cell_edges(q: np.ndarray):
@@ -103,11 +111,14 @@ def _categorize_batch(u: np.ndarray, right: np.ndarray, rows=None) -> np.ndarray
     right holds nondecreasing right cell edges along its last axis: one set
     for all of u, one per row of u (shape u.shape[:-1] + (C,)), or one per
     row of a table whose row rows[m] u's row m takes.  Counting the edges at
-    or below u, one edge (gathered at rows: O(k) memory) against whole
-    columns of u at a time, is searchsorted(side="right"): a u on an edge
-    goes to the upper cell.  The last edge is not counted, so the last cell
-    absorbs u at (or within roundoff above) it.
+    or below u is searchsorted(side="right"): a u on an edge goes to the
+    upper cell.  One set per row counts all of a row's edges at once, in
+    O(u.size C) memory; otherwise one edge (gathered at rows: O(k) memory)
+    goes against whole columns of u at a time.  The last edge is not
+    counted, so the last cell absorbs u at (or within roundoff above) it.
     """
+    if rows is None and right.ndim > 1:
+        return (right[..., None, :-1] <= u[..., None]).sum(axis=-1)
     columns = np.ascontiguousarray(u.T)
     below = np.zeros(columns.shape, dtype=np.intp)
     for edge in right.T[:-1]:
@@ -228,16 +239,23 @@ def _inverse_cdf_offdiag_law(p, n, cats=None) -> np.ndarray:
     """The off-diagonal inverse-CDF law (bivariate_pmf_entries) among the
     drawn categories cats (default: every live one), (C, C) and 0 elsewhere,
     or each row's of a stack p (B, C), (B, C, C), in one pass over the
-    orderings.  Its callers have validated p, so it is not checked again."""
+    orderings per block of about 8192 / C^2 rows, so its memory is linear in
+    B.  Its callers have validated p, so it is not checked again."""
     c = p.shape[-1]
-    # the live categories as indices b C + i into p.ravel(), paired within a row
-    live = np.flatnonzero(p > 0.0 if cats is None else np.bincount(cats))
-    i, j = live[np.array(np.nonzero((live[:, None] < live) & (live[:, None] // c == live // c)))]
-    law = np.zeros(p.shape + (c,))
-    by_row = law.reshape(-1, c)  # law[b, i] at row b C + i
-    if i.size:  # else no off-diagonal pair to build
-        by_row[i, j % c] = by_row[j, i % c] = _ordering_mean_mass(p, n, i, j)
-    return law
+    q = p.reshape(-1, c)
+    live = (p > 0.0 if cats is None else np.bincount(cats, minlength=c) > 0).reshape(-1, c)
+    law = np.zeros(q.shape + (c,))
+    cat = np.arange(c)
+    pairs = np.nonzero(cat[:, None] < cat)  # a row's pairs i < j
+    for rows in _blocks(len(q), c * c):
+        # the block's pairs as indices b C + i into q[rows].ravel(), kept where both are live
+        start, kept = np.arange(0, q[rows].size, c)[:, None], live[rows].ravel()
+        i, j = ((start + x).ravel() for x in pairs)
+        i, j = i[kept[i] & kept[j]], j[kept[i] & kept[j]]
+        by_row = law[rows].reshape(-1, c)  # law[b, i] at row b C + i of the block
+        if i.size:  # else no off-diagonal pair to build
+            by_row[i, j % c] = by_row[j, i % c] = _ordering_mean_mass(q[rows], n, i, j)
+    return law.reshape(p.shape + (c,))
 
 
 @dataclass(frozen=True)
@@ -306,22 +324,44 @@ def _realized_ratios(p: np.ndarray, law: np.ndarray, clip) -> RatioMatrix:
     return RatioMatrix(ratios, clip, bool(exceed.any()))
 
 
+# about this many copula uniforms (and, per inverse-CDF draw, ordering edges)
+# per block of a batched draw; the generator fills arrays in order, so the
+# blocks use the stream as one draw.  A Gumbel call refills one block's
+# exponentials and columns (1 MiB) in place.
+GUMBEL_BLOCK = 65536
+
+
 def _inverse_cdf_categories_batch(
     k: int, n_samples: int, p: np.ndarray, rng: np.random.Generator, keep=None
 ) -> np.ndarray:
     """k joint draws of N categories each, shape (k, N): each takes a uniform
     anchored ordering by its number (see _ordering_anchors), so the averaged PMF is
-    its exact pair law, then one copula draw.  The min(k, M) rows of edges come
-    from the anchors, one per draw while k < M and else one per ordering.
-    keep (default N) returns the leading keep samples only, (k, keep), from
-    the same stream and bit for bit the whole draw's."""
-    orderings = p.size * (p.size - 1) // 2
+    its exact pair law, then one copula draw.  Every ordering number is drawn
+    first, then a block at a time the copula draws and the categories, with
+    edges from the anchors: one row per draw while k < M, else one table of
+    the M orderings.  keep (default N) returns the leading keep samples only,
+    (k, keep), from the same stream and bit for bit the whole draw's."""
+    c, orderings = p.size, p.size * (p.size - 1) // 2
     numbers = rng.integers(0, orderings, size=k)
-    built, rows = (numbers, None) if k < orderings else (np.arange(orderings), numbers)
-    inverse = _anchored_inverse(*_ordering_anchors(built, p.size), p.size)
-    u = _sample_dirichlet_copula_batch(k, n_samples, rng, keep=keep)
-    idx = np.arange(k) if rows is None else rows
-    return inverse[idx[:, None], _categorize_batch(u, p[inverse].cumsum(axis=1), rows)]
+    if k >= orderings:
+        table = _anchored_inverse(*_ordering_anchors(np.arange(orderings), c), c)
+        right = p[table].cumsum(axis=1)
+
+    def categories(rows):
+        u = _sample_dirichlet_copula_batch(rows.size, n_samples, rng, keep=keep)
+        if k >= orderings:
+            return table[rows[:, None], _categorize_batch(u, right, rows)]
+        inverse = _anchored_inverse(*_ordering_anchors(rows, c), c)
+        cells = _categorize_batch(u, p[inverse].cumsum(axis=1))
+        return inverse[np.arange(rows.size)[:, None], cells]
+
+    step = max(1, GUMBEL_BLOCK // (n_samples + (c if k < orderings else 0)))
+    if k <= step:
+        return categories(numbers)
+    out = np.empty((k, n_samples if keep is None else keep), dtype=np.intp)
+    for start in range(0, k, step):
+        out[start : start + step] = categories(numbers[start : start + step])
+    return out
 
 
 def _sample_antithetic(draw, offdiag_law, n_samples, p, rng, clip):
@@ -333,7 +373,7 @@ def _sample_antithetic(draw, offdiag_law, n_samples, p, rng, clip):
     n_samples = _validate_n(n_samples)
     cats = draw(1, n_samples, p, rng)[0]
     law = offdiag_law(p, n_samples, cats=cats)
-    return onehot(cats, p.size), _realized_ratios(p, law, clip)
+    return _onehot_rows(cats, p.size), _realized_ratios(p, law, clip)
 
 
 def sample_antithetic_inverse_cdf(
@@ -354,12 +394,6 @@ def sample_antithetic_inverse_cdf(
     return _sample_antithetic(
         _inverse_cdf_categories_batch, _inverse_cdf_offdiag_law, n_samples, p, rng, clip
     )
-
-
-# copula uniforms (draws x categories x samples) per block of the Gumbel draw;
-# the generator fills arrays in order, so the blocks use the stream as one
-# draw.  A call refills one block's exponentials and columns (1 MiB) in place.
-GUMBEL_BLOCK = 65536
 
 
 def _gumbel_categories_batch(
@@ -390,6 +424,14 @@ def _gumbel_categories_batch(
 
 # Gauss-Legendre nodes per axis of the Gumbel-path pair-law quadrature
 GUMBEL_NODES = 64
+
+
+def _outer_sum(x, out=None):
+    """x_s + x_t per block entry, (B, G, G), from x (B, 3, G) holding rows
+    [1, x, 1]: the rank-2 product [x, 1] @ [1; x].  Both of its products are
+    by 1, so exact, and their sum rounds once, so whatever order a BLAS
+    kernel or numpy's own loop takes, it is the broadcast sum bit for bit."""
+    return np.matmul(x[:, 1:].swapaxes(1, 2), x[:, :2], out=out)
 
 
 @functools.lru_cache(maxsize=8)
@@ -428,32 +470,39 @@ def _gumbel_pair_offdiag(q, n, nodes: int, rows, sizes) -> list:
     rows, then pairs of the others, across the group, so ∏_k H_k keeps each
     row's pairwise rounding of 64 KiB blocks at GUMBEL_NODES; a padding zero
     has H = 1 and a = 0, and each row's product is taken at its own size.
+    A block's outer sums, of the roots for t and of u for the CDF's p + q,
+    are _outer_sum's rank-2 products, the broadcast sums bit for bit.
     """
     _, xc, w = _unit_nodes(nodes)
     group, q = len(q), q.T.ravel()  # row g's category k at k G + g
     others = np.flatnonzero(np.bincount(rows, minlength=q.size // group) == 0)
     if group > 1:
         rows, others = ((k[:, None] * group + np.arange(group)).ravel() for k in (rows, others))
-    u = np.power(xc, q[:, None])
-    root = np.power(1.0 - u, 1.0 / (n - 1))
-    slope, dens = _dirichlet_slope(u[rows], n), q[rows, None] * u[rows] / xc * w
+    # u and its root per category as _outer_sum's [1, x, 1], the rows first,
+    # then the others, so that each block is a slice
+    u, root = np.ones((2, rows.size + others.size, 3, nodes))
+    u[:, 1] = np.power(xc, q[np.concatenate((rows, others)), None])
+    root[:, 1] = np.power(1.0 - u[:, 1], 1.0 / (n - 1))
+    ur = u[: rows.size, 1]
+    slope, dens = _dirichlet_slope(ur, n), q[rows, None] * ur / xc * w
     # room for at least 16 rows (1 MiB at 64 nodes), touched in the rows' part
     # only: freed, it lifts glibc's trim threshold above the working set
     # whatever the rows, so later calls reuse the heap top unfaulted
     ratio, right = np.empty((2, max(rows.size, 16), nodes, nodes))[:, : rows.size]
     pair_h, pair_tmp = np.empty((2 * group, nodes, nodes)), np.empty((2 * group, nodes, nodes))
     mass = np.ones((group, nodes, nodes))
-    for cats in (rows, others):
-        for lo in range(0, cats.size, 2 * group):
-            block = slice(lo, lo + 2 * group)
-            rb, ub = root[cats[block], :, None], u[cats[block], :, None]
+    for start, stop in ((0, rows.size), (rows.size, len(u))):
+        for lo in range(start, stop, 2 * group):
+            block = slice(lo, min(lo + 2 * group, stop))
+            ub = u[block, 1, :, None]
             h, tmp = pair_h[: ub.shape[0]], pair_tmp[: ub.shape[0]]
-            t = right[block] if cats is rows else right[: ub.shape[0]]  # two rows or more
-            np.add(rb, rb.swapaxes(1, 2), out=t)  # t as copula._dirichlet_t forms it
+            t = right[block] if start == 0 else right[: ub.shape[0]]  # two rows or more
+            _outer_sum(root[block], out=t)  # t as copula._dirichlet_t forms it
             t -= 1.0
             np.maximum(t, 0.0, out=t)
-            _dirichlet_cdf(ub, ub.swapaxes(1, 2), n, t, h, tmp)
-            if cats is rows:
+            raw = _int_power(t, n - 1, h, tmp)
+            _dirichlet_cdf_from_power(raw, _outer_sum(u[block], out=tmp), ub, ub.swapaxes(1, 2))
+            if start == 0:
                 cond = _dirichlet_conditional(t, slope[block, :, None], n, ratio[block], tmp)
                 cond *= dens[block, :, None]
                 np.equal(h, 0.0, out=tmp)
@@ -527,23 +576,26 @@ def _gumbel_offdiag_law(p, n, nodes=GUMBEL_NODES, cats=None) -> np.ndarray:
     q = p.reshape(-1, p.shape[-1])
     law = np.zeros(q.shape + q.shape[-1:])
     group = 1 if n == 2 else max(1, 16 // q.shape[1])
+    # np.bincount, not np.unique, which imports numpy.ma
+    drawn = None if cats is None else np.bincount(cats, minlength=q.shape[1]) > 0
     for lo in range(0, len(q), group):
-        live = [np.flatnonzero(row) for row in q[lo : lo + group]]  # p >= 0
-        # np.bincount, not np.unique, which imports numpy.ma
-        built = live if cats is None else [np.flatnonzero(np.bincount(cats))]
-        sizes = list(map(len, built))
-        if max(sizes) < 2:  # no off-diagonal pair to build
+        live = q[lo : lo + group] > 0.0  # p >= 0
+        built = live if drawn is None else live & drawn
+        sizes = built.sum(axis=1)
+        if sizes.max() < 2:  # no off-diagonal pair to build
             continue
-        packed = np.zeros((len(live), max(map(len, live))))
-        for row, cat in enumerate(live):
-            packed[row, : cat.size] = q[lo + row, cat]
-        rows = np.arange(packed.shape[1]) if cats is None else np.searchsorted(live[0], built[0])
+        # each row's live probabilities, then zeros
+        counts = live.sum(axis=1)
+        packed = np.zeros((len(live), counts.max()))
+        packed[np.arange(packed.shape[1]) < counts[:, None]] = q[lo : lo + group][live]
+        rows = np.arange(packed.shape[1]) if drawn is None else np.flatnonzero(built[0][live[0]])
         offs = ([_gumbel_pair_offdiag_antithetic(packed[0], nodes, rows)] if n == 2
                 else _gumbel_pair_offdiag(packed, n, nodes, rows, sizes))
-        for out, cat, off in zip(law[lo : lo + group], built, offs):
-            if cat.size > 1:
+        for out, mask, off in zip(law[lo : lo + group], built, offs):
+            if len(off) > 1:
                 off = 0.5 * (off + off.T)
                 np.fill_diagonal(off, 0.0)
+                cat = np.flatnonzero(mask)
                 out[cat[:, None], cat] = off
     return law.reshape(p.shape + p.shape[-1:])
 

@@ -194,6 +194,22 @@ def test_carms_shape_validation():
         carms([1.0], z[:1], np.ones((2, 2)), [0.5, 0.5])
 
 
+def test_carms_accepts_exactly_the_one_hot_rows():
+    # the check counts nonzeros and row sums; the reference is entrywise:
+    # every entry 0 or 1, and each row sums to 1
+    values = [0.0, -0.0, 1.0, 0.5, 2.0, -1.0, np.nan, np.inf, 1.0 + 2**-52]
+    rng = np.random.default_rng(29)
+    for _ in range(400):
+        c = int(rng.integers(2, 5))
+        z = rng.choice(values, size=(2, c), p=[0.3, 0.1, 0.3] + [0.05] * 6)
+        args = [1.0, 0.0], z, np.zeros((c, c)), np.full(c, 1.0 / c)
+        if ((z == 0.0) | (z == 1.0)).all() and (z.sum(axis=1) == 1.0).all():
+            assert np.isfinite(carms(*args)).all()
+        else:
+            with pytest.raises(ValueError, match="one-hot"):
+                carms(*args)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_carms_pair_sum_property(data):

@@ -366,6 +366,16 @@ def test_category_indices_must_be_integers():
     assert np.array_equal(onehot(np.array([2, 0], dtype=np.uint8), 3), [[0, 0, 1], [1, 0, 0]])
 
 
+def test_onehot_memory_is_its_rows():
+    # four rows at C = 3000 took 68.8 MiB through a C x C identity; the rows
+    # themselves are 94 KiB
+    cats = np.array([2999, 0, 17, 2999])
+    rows = onehot(cats, 3000)
+    assert np.array_equal(rows, np.eye(3000)[cats])
+    assert _peak_mib(lambda: onehot(cats, 3000)) < 0.25
+    assert onehot(np.zeros((2, 0), dtype=int), 3).shape == (2, 0, 3)
+
+
 @pytest.mark.parametrize("width", [0, 1, 16, 4096, 8192, 10**5])
 def test_blocks_cover_the_range_once_in_order(width):
     longest = max(1, 8192 // max(width, 1))
@@ -514,6 +524,20 @@ def test_inverse_cdf_batch_memory_per_draw_does_not_grow_with_categories():
                         for k in (20_000, 60_000))
         per_draw.append((large - small) * 2**20 / 40_000)
     assert per_draw[1] < per_draw[0] + 8.0 and per_draw[1] < 128.0, per_draw
+
+
+def test_inverse_cdf_batch_holds_its_numbers_and_categories_per_draw():
+    # drawn a block at a time, a draw keeps its ordering number and its N
+    # categories (40 bytes at N = 4): in one pass the copula draws, counts
+    # and edges took 104 bytes a draw at C = 30 (k >= M) and the (k, C)
+    # edge tables 48 KB a draw at C = 2000 (k < M)
+    rng = np.random.default_rng(31)
+    for c, sizes in ((30, (40_000, 120_000)), (2000, (1000, 3000))):
+        p = _simplex(rng, c)
+        small, large = (_peak_mib(lambda k=k: _inverse_cdf_categories_batch(k, 4, p, rng))
+                        for k in sizes)
+        per_draw = (large - small) * 2**20 / (sizes[1] - sizes[0])
+        assert per_draw < 48.0, (c, per_draw)
 
 
 def test_inverse_cdf_single_draw_validates_p_once(monkeypatch):
@@ -871,6 +895,25 @@ def test_gumbel_offdiag_law_matches_a_whole_array_quadrature(c, n):
             assert np.all(np.abs(law - ref) <= 1e-13 * ref), (c, n, cats)
 
 
+@pytest.mark.parametrize("c", range(1, 17))
+def test_outer_sum_is_the_broadcast_sum_bit_for_bit(c):
+    # [x, 1] @ [1; x] multiplies by 1 only and rounds its two-term sum once,
+    # so the kernel's outer sums are x_s + x_t exactly: on random x in [0, 1]
+    # and on 0, 1, subnormals and the float just below 1
+    rng = np.random.default_rng(c)
+    tiny = np.finfo(float).smallest_normal
+    special = [0.0, 1.0, 5e-324, tiny / 3, np.nextafter(tiny, 0.0), np.nextafter(1.0, 0.0)]
+    x = rng.random((c, GUMBEL_NODES))
+    picks = rng.choice(x.size, size=4 * len(special), replace=False)
+    x.ravel()[picks] = np.resize(special, picks.size)
+    stacked = np.ones((c, 3, GUMBEL_NODES))
+    stacked[:, 1] = x
+    out = carms.sampling._outer_sum(stacked)
+    assert out.shape == (c, GUMBEL_NODES, GUMBEL_NODES)
+    reference = x[:, :, None] + x[:, None, :]
+    assert np.array_equal(out.view(np.int64), reference.view(np.int64))
+
+
 def test_gumbel_law_memory_stays_within_its_traced_peaks():
     # N = 4: 1388.6 KiB at C = 8 with four realized categories and 2316.5
     # KiB at C = 30 with all rows, as traced when each block made its CDF
@@ -939,6 +982,26 @@ def test_the_estimator_builds_its_stack_of_laws_in_one_call(method, builder, mon
     assert calls == [(5, 6)]
 
 
+def test_inverse_cdf_stack_law_memory_is_linear_in_its_rows():
+    # the stack's live categories were paired through a (B C)^2 mask: 858
+    # MiB of booleans at (3000, 10); pairs within blocks of rows take 3.5 MiB,
+    # 2.3 MiB of it the law
+    p = _stack_of_live_sets(np.random.default_rng(77), 3000, 10)
+    law = carms.sampling._inverse_cdf_offdiag_law
+    assert _peak_mib(lambda: law(p, 4)) < 6.0
+    rows = [0, 1, 1234, 2999]
+    assert np.array_equal(law(p, 4)[rows], np.stack([law(p[r], 4) for r in rows]))
+
+
+def test_the_carms_i_estimator_runs_at_twenty_thousand_dims():
+    # D = 20 000 needed a 9.3 GiB pairing mask at C = 5
+    rng = np.random.default_rng(78)
+    p = rng.dirichlet(np.ones(5), size=20_000)
+    objective = carms.experiments.toy_objective(5, 20_000)
+    g, flags = carms.experiments.make_gradient_estimator("carms-i", p, 4, objective)(rng, 2)
+    assert g.shape == (2, 20_000, 5) and np.isfinite(g).all() and flags.shape == (2,)
+
+
 def test_gumbel_marginals_quick():
     rng = np.random.default_rng(16)
     p = np.array([0.6, 0.3, 0.1])
@@ -973,11 +1036,13 @@ def test_gumbel_blocks_are_bit_identical_to_one_draw():
             assert np.array_equal(rng.random(4), ref_rng.random(4)), (n, k)
 
 
-def test_draws_given_keep_form_the_leading_samples_of_the_whole_draw():
+def test_draws_given_keep_form_the_leading_samples_of_the_whole_draw(monkeypatch):
     # keep forms fewer samples from the whole draw's stream: the kept columns
     # are its leading ones bit for bit, and the generator ends where it does.
     # C = 5 has M = 10 orderings, so the inverse-CDF draws cover k < M and
-    # k >= M; the Gumbel draw spans several blocks with a partial last one
+    # k >= M, each kept draw in blocks of 24 // (N + 5) and 24 // N draws
+    # against the whole draw in one block; the Gumbel draw spans several
+    # blocks with a partial last one
     p = np.array([0.2, 0.0, 0.35, 0.05, 0.4])
     for n in (2, 3, 4, 10):
         step = GUMBEL_BLOCK // (p.size * n)
@@ -987,7 +1052,11 @@ def test_draws_given_keep_form_the_leading_samples_of_the_whole_draw():
         for draw, k in draws:
             for keep in range(1, n + 1):
                 ref_rng, rng = np.random.default_rng(k), np.random.default_rng(k)
-                whole, kept = draw(k, n, p, ref_rng), draw(k, n, p, rng, keep=keep)
+                whole = draw(k, n, p, ref_rng)
+                with monkeypatch.context() as m:
+                    if draw is _inverse_cdf_categories_batch:
+                        m.setattr(carms.sampling, "GUMBEL_BLOCK", 24)
+                    kept = draw(k, n, p, rng, keep=keep)
                 assert kept.shape == (k, keep), (draw.__name__, n, k, keep)
                 assert np.array_equal(kept, whole[:, :keep]), (draw.__name__, n, k, keep)
                 assert np.array_equal(rng.random(4), ref_rng.random(4))
